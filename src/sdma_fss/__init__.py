@@ -16,7 +16,6 @@ from .frame import (
     Burst,
     MapModel,
     OfdmaFrame,
-    fd_baseline_pack,
     frame_construction,
     initial_vertical_limit,
     map_size_slots,
@@ -32,10 +31,9 @@ from .phy import (
     McsTable,
     compute_sinr,
     default_mcs_table,
-    eesm_effective_sinr,
+    eesm_batch,
     minmse_weights,
-    select_mcs,
-    slot_capacity_bytes,
+    select_mcs_batch,
 )
 from .qos import (
     CandidateList,

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .geometry import FrameGeometry
 from .grouping import GroupingResult, SdmaGroup
@@ -319,7 +319,6 @@ def frame_construction(
     init_columns: Optional[int] = None,
     num_antennas: Optional[int] = None,
     map_model: MapModel = MapModel(),
-    best_bytes_per_slot: Optional[dict[int, int]] = None,
     allow_displacement: bool = False,
 ) -> OfdmaFrame:
     """Two-phase extension/selection packing over all subbands.
@@ -330,7 +329,6 @@ def frame_construction(
     """
     g = geometry
     scsb = g.rows_per_subband
-    best_bps = best_bytes_per_slot or grouping.best_bytes_per_slot
     packer = _Packer(g, table, map_model, candidates)
 
     if init_columns is None:
@@ -344,7 +342,8 @@ def frame_construction(
         )
 
     max_area = (g.num_columns - 1) * scsb  # at least one column is MAP
-    step = -(-_min_slot_size(candidates, best_bps, scsb, max_area) // scsb) * scsb
+    min_slots = _min_slot_size(candidates, grouping.best_bytes_per_slot, scsb, max_area)
+    step = -(-min_slots // scsb) * scsb
     v_limit = max(init_columns * scsb, step)
     used_space = [0] * g.num_subbands
     utility_total = 0.0
@@ -385,56 +384,6 @@ def frame_construction(
             j_set.discard(j)
         free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
         step = min(max(free_cols, 1) * scsb, step)
-        v_limit += step
-
-    return packer.finish()
-
-
-def fd_baseline_pack(
-    groups: Sequence[SdmaGroup],
-    candidates: CandidateList,
-    geometry: FrameGeometry,
-    table: McsTable,
-    *,
-    init_columns: int,
-    best_bytes_per_slot: dict[int, int],
-    map_model: MapModel = MapModel(),
-) -> OfdmaFrame:
-    """Frequency-diversity reference packer: the whole band is one subband
-    and a single burst grows greedily column by column toward the MAP.
-
-    Deliberately written as a plain loop, independent of the multi-subband
-    bookkeeping, so it can serve as a cross-check for the degenerate case.
-    """
-    g = geometry
-    if g.num_subbands != 1:
-        raise ValueError("baseline packer handles a single subband only")
-    sc = g.num_subchannels
-    packer = _Packer(g, table, map_model, candidates)
-
-    max_area = (g.num_columns - 1) * sc
-    step = -(-_min_slot_size(candidates, best_bytes_per_slot, sc, max_area) // sc) * sc
-    v_limit = max(init_columns * sc, step)
-    chosen: Optional[SdmaGroup] = None
-    utility = 0.0
-
-    while v_limit + packer.map_slots() < g.frame_size_slots:
-        packer.stats.rounds += 1
-        offered = v_limit // sc
-        pool = [chosen] if chosen is not None else list(groups)
-        best: Optional[Burst] = None
-        for grp in pool:
-            packer.stats.util_evals += 1
-            burst = packer.trial(grp, offered)
-            if burst is not None and (best is None or burst.utility > best.utility):
-                best = burst
-        if best is not None and best.utility > utility:
-            packer.commit(best)
-            chosen = best.group
-            utility = best.utility
-            packer.stats.accepted_utilities.append(utility)
-        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
-        step = min(max(free_cols, 1) * sc, step)
         v_limit += step
 
     return packer.finish()

@@ -6,21 +6,21 @@ sum over members of the slot payload of the MCS each member sustains given
 the group's precoding and intra-group interference, with intra-subband
 frequency selectivity compressed by EESM.
 
-The actual search strategy is pluggable; the shipped grouper is a greedy
-best-fit: seed with the best uncovered singleton, then keep adding the MS
-that maximizes the metric while it strictly improves.
+The search is a greedy best-fit: seed with the best uncovered singleton,
+then keep adding the MS that maximizes the metric while it strictly
+improves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
-from .phy import LinkResult, McsTable, select_mcs_batch
+from .phy import LinkResult, McsTable, compute_sinr, minmse_weights, select_mcs_batch
 
 
 @dataclass
@@ -94,23 +94,8 @@ class SubbandLinkEvaluator:
 
     def _eval_batch(self, tuples: list[tuple[int, ...]], g: int) -> None:
         rows = np.array([[self.row[ms] for ms in t] for t in tuples])  # (R, G)
-        h_rep = self.eff[rows, self.rep_idx, :]  # (R, G, M)
-        ht = h_rep.transpose(0, 2, 1)  # (R, M, G) members as columns
-        gram = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True)
-        reg = g * self.noise / self.total_power
-        a = gram + reg * np.eye(self.num_antennas)
-        raw = np.linalg.solve(a, ht)  # (R, M, G)
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        norms = np.where(norms == 0, 1.0, norms)
-        w = (raw / norms).transpose(0, 2, 1)  # (R, G, M)
-
-        e = self.eff[rows]  # (R, G, N, M)
-        cross = np.abs(np.einsum("rvm,runm->ruvn", w.conj(), e, optimize=True)) ** 2
-        ar = np.arange(g)
-        signal = cross[:, ar, ar, :]  # (R, G, N)
-        interference = cross.sum(axis=2) - signal
-        p = self.total_power / g
-        sinr = (p * signal) / (self.noise + p * interference)
+        w = minmse_weights(self.eff[rows, self.rep_idx, :], self.noise, self.total_power)
+        sinr = compute_sinr(w, self.eff[rows], self.total_power / g, self.noise)  # (R, G, N)
 
         n = sinr.shape[2]
         picks = select_mcs_batch(sinr.reshape(-1, n), self.table)
@@ -123,9 +108,6 @@ class SubbandLinkEvaluator:
                 if mcs is not None:
                     metric += mcs.bytes_per_slot
             self._cache[t] = (w[r], links, metric)
-
-
-GrouperFn = Callable[[SubbandLinkEvaluator, list[int], int], list[tuple[int, ...]]]
 
 
 def greedy_capacity_grouper(
@@ -171,9 +153,8 @@ def form_groups(
     table: McsTable,
     total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
-    grouper: Optional[GrouperFn] = None,
 ) -> GroupingResult:
-    """Run the grouper independently on every subband.
+    """Run the greedy grouper independently on every subband.
 
     active_ms are the MSs with queued traffic. MSs with no feasible MCS on
     a subband are simply left ungrouped there; MSs feasible nowhere end up
@@ -186,7 +167,6 @@ def form_groups(
         max_groups_per_subband = len(active)
     if max_groups_per_subband < 1:
         raise ValueError("max_groups_per_subband must be >= 1")
-    grouper = grouper or greedy_capacity_grouper
 
     gain = 10.0 ** (-csi.pathloss_db / 10.0)
     amp = np.sqrt(gain)[:, None, None]
@@ -208,7 +188,7 @@ def form_groups(
 
         built = []
         if feasible:
-            for members in grouper(ev, feasible, max_groups_per_subband):
+            for members in greedy_capacity_grouper(ev, feasible, max_groups_per_subband):
                 w, links, metric = ev.result(members)
                 built.append(
                     SdmaGroup(
@@ -223,16 +203,3 @@ def form_groups(
         best_bytes_per_slot=best_bps,
         feasible_ms=frozenset(best_bps),
     )
-
-
-def render_groups(result: GroupingResult) -> str:
-    """Human-readable dump of the grouping, one line per group."""
-    lines = []
-    for j, groups in enumerate(result.per_subband):
-        lines.append(f"subband {j}: {len(groups)} group(s)")
-        for g in groups:
-            mcs = ",".join(lr.mcs.name if lr.mcs else "-" for lr in g.link)
-            lines.append(
-                f"  members={list(g.members)} metric={g.metric:.0f} mcs=[{mcs}]"
-            )
-    return "\n".join(lines)

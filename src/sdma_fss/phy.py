@@ -6,23 +6,23 @@ error transmit filter), one unit-norm weight vector per served MS. SINR per
 CSI sample follows the standard intra-group interference form; a set of
 per-sample SINRs is collapsed into an effective SINR via exponential
 effective SIR mapping, with a per-MCS calibration factor beta.
+
+Each kernel has one implementation, batched over a leading axis of R rows:
+R groups for the weights and the SINR, R per-member sample vectors for EESM
+and MCS selection. A single group or vector is the case R = 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
 
 
 @dataclass(frozen=True)
@@ -95,121 +95,96 @@ class LinkResult:
 
 
 def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: float) -> np.ndarray:
-    """Regularized channel-inversion weights for one group.
+    """Regularized channel-inversion weights for R groups of G members.
 
-    channels: (G, M) member channel vectors. Returns (G, M) weights, one
-    unit-norm vector per member, from (H H^H + (G sigma^2 / P) I)^-1 H with
-    H the M x G matrix of member channels as columns.
+    channels: (R, G, M), row r holding group r's member channel vectors.
+    Returns (R, G, M) weights, one unit-norm vector per member, from
+    (H H^H + (G sigma^2 / P) I)^-1 H with H the M x G matrix of a group's
+    member channels as columns. A zero precoding column is left at zero.
     """
     ch = np.asarray(channels, dtype=complex)
-    if ch.ndim != 2:
-        raise ValueError(f"expected (G, M) channels, got shape {ch.shape}")
-    g, m = ch.shape
+    if ch.ndim != 3:
+        raise ValueError(f"expected (R, G, M) channels, got shape {ch.shape}")
+    g, m = ch.shape[1:]
     if g > m:
         raise ValueError(f"group size {g} exceeds antenna count {m}")
     if not np.isfinite(ch).all():
         raise ValueError("non-finite channel coefficients")
-    if noise_power_w < 0 or total_power_w <= 0:
-        raise ValueError("need noise >= 0 and positive total power")
+    if noise_power_w <= 0 or total_power_w <= 0:
+        raise ValueError("need positive noise and total power")
 
-    h = ch.T  # (M, G), columns are members
-    gram = h @ h.conj().T
-    if noise_power_w == 0.0:
-        if np.linalg.matrix_rank(ch) < g:
-            raise np.linalg.LinAlgError("degenerate zero-noise inversion")
-        raw = np.linalg.pinv(gram) @ h
-    else:
-        reg = g * noise_power_w / total_power_w
-        raw = np.linalg.solve(gram + reg * np.eye(m), h)
-    norms = np.linalg.norm(raw, axis=0)
-    if (norms == 0).any():
-        raise np.linalg.LinAlgError("zero-norm precoding column")
-    return (raw / norms).T
+    ht = ch.transpose(0, 2, 1)  # (R, M, G) members as columns
+    gram = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True)
+    reg = g * noise_power_w / total_power_w
+    raw = np.linalg.solve(gram + reg * np.eye(m), ht)  # (R, M, G)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = np.where(norms == 0, 1.0, norms)
+    return (raw / norms).transpose(0, 2, 1)
 
 
 def compute_sinr(
     weights: np.ndarray,
     channels: np.ndarray,
-    per_member_power_w,
+    per_member_power_w: float,
     noise_power_w: float,
 ) -> np.ndarray:
-    """Per-member SINR with intra-group interference.
+    """Per-member, per-sample SINR with intra-group interference.
 
-    weights: (G, M). channels: (G, M) for one sample or (G, N, M) for N CSI
-    samples; entry u is the channel seen by member u. per_member_power_w is
-    the received power per member (scalar or (G,)). Returns (G,) or (G, N).
+    weights: (R, G, M). channels: (R, G, N, M); entry [r, u, n] is the
+    channel member u of group r sees at CSI sample n. per_member_power_w is
+    the transmit power of every member. Returns (R, G, N).
     """
     w = np.asarray(weights, dtype=complex)
     h = np.asarray(channels, dtype=complex)
+    if (w.ndim, h.ndim) != (3, 4) or w.shape[:2] != h.shape[:2] or w.shape[2] != h.shape[3]:
+        raise ValueError(f"weights {w.shape} inconsistent with channels {h.shape}")
     if noise_power_w <= 0:
         raise ValueError("noise power must be positive")
-    single = h.ndim == 2
-    if single:
-        h = h[:, None, :]
-    if w.shape[0] != h.shape[0] or w.shape[1] != h.shape[2]:
-        raise ValueError(f"weights {w.shape} inconsistent with channels {h.shape}")
-    p = np.broadcast_to(np.asarray(per_member_power_w, dtype=float), (w.shape[0],))
-    if (p < 0).any():
+    if per_member_power_w < 0:
         raise ValueError("negative power")
 
-    # cross[u, v, n] = |w_v^H h_{u,n}|^2
-    cross = np.abs(np.einsum("vm,unm->uvn", w.conj(), h, optimize=True)) ** 2
-    g = w.shape[0]
-    diag = cross[np.arange(g), np.arange(g), :]
-    interference = cross.sum(axis=1) - diag
-    sinr = (p[:, None] * diag) / (noise_power_w + p[:, None] * interference)
-    return sinr[:, 0] if single else sinr
-
-
-def eesm_effective_sinr(samples: Sequence[float], beta: float) -> float:
-    """Exponential effective SIR mapping for one vector of linear SINRs.
-
-    Computed in shifted form for numerical range; the result is pinned to
-    the mathematically guaranteed [min, mean] envelope so round-off can
-    never violate it.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("EESM needs at least one SINR sample")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if (x < 0).any():
-        raise ValueError("SINR samples must be nonnegative")
-    lo = float(x.min())
-    hi = float(x.mean())
-    val = lo - beta * (np.log(np.exp(-(x - lo) / beta).sum()) - np.log(x.size))
-    return float(min(max(val, lo), hi))
+    # cross[r, u, v, n] = |w_{r,v}^H h_{r,u,n}|^2
+    cross = np.abs(np.einsum("rvm,runm->ruvn", w.conj(), h, optimize=True)) ** 2
+    ar = np.arange(w.shape[1])
+    signal = cross[:, ar, ar, :]  # (R, G, N)
+    interference = cross.sum(axis=2) - signal
+    p = per_member_power_w
+    return (p * signal) / (noise_power_w + p * interference)
 
 
 def eesm_batch(samples: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """EESM of each row of samples (R, N) under each beta (B,) -> (R, B)."""
+    """Exponential effective SIR mapping of each row of linear SINRs (R, N)
+    under each beta (B,) -> (R, B).
+
+    Computed in shifted form for numerical range; the result is pinned to
+    the mathematically guaranteed [min, mean] envelope of its row so
+    round-off can never violate it.
+    """
     x = np.asarray(samples, dtype=float)
     b = np.asarray(betas, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"EESM needs (R, N >= 1) samples, got shape {x.shape}")
+    if (b <= 0).any():
+        raise ValueError("beta must be positive")
+    if (x < 0).any():
+        raise ValueError("SINR samples must be nonnegative")
     lo = x.min(axis=1, keepdims=True)
     hi = x.mean(axis=1, keepdims=True)
     # (R, N, B) exponent block; N and B stay small
     z = np.exp(-(x[:, :, None] - lo[:, :, None]) / b)
     val = lo - b * (np.log(z.sum(axis=1)) - np.log(x.shape[1]))
-    return np.clip(val, lo, hi)
-
-
-def select_mcs(samples: Sequence[float], table: McsTable) -> tuple[Optional[McsEntry], float]:
-    """Highest MCS whose own-beta effective SINR meets its threshold.
-
-    Scans from the top of the ladder down; each candidate is judged by the
-    effective SINR computed with that candidate's beta. Returns (None,
-    gamma_eff of the most robust entry) when nothing is feasible.
-    """
-    g_eff = 0.0
-    for entry in reversed(table.entries):
-        g_eff = eesm_effective_sinr(samples, entry.beta)
-        if g_eff >= db_to_linear(entry.min_sinr_db):
-            return entry, g_eff
-    return None, g_eff
+    # floor last: the mean of a (near-)constant row can round below its min
+    return np.maximum(np.minimum(val, hi), lo)
 
 
 def select_mcs_batch(samples: np.ndarray, table: McsTable) -> list[tuple[Optional[McsEntry], float]]:
-    """Vectorized select_mcs over rows of samples (R, N)."""
+    """Highest MCS whose own-beta effective SINR meets its threshold, for
+    each row of samples (R, N).
+
+    Each candidate entry is judged by the effective SINR computed with that
+    entry's beta. A row with no feasible entry gives (None, gamma_eff under
+    the most robust entry's beta).
+    """
     betas = np.array([e.beta for e in table.entries])
     thr = np.array([db_to_linear(e.min_sinr_db) for e in table.entries])
     geff = eesm_batch(samples, betas)  # (R, B)
@@ -224,8 +199,3 @@ def select_mcs_batch(samples: np.ndarray, table: McsTable) -> list[tuple[Optiona
                 break
         out.append((chosen, used))
     return out
-
-
-def slot_capacity_bytes(mcs: McsEntry) -> int:
-    """Payload bytes one slot carries at this MCS."""
-    return mcs.bytes_per_slot

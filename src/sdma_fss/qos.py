@@ -28,8 +28,6 @@ class Packet:
     id: int
     ms: int
     size_bytes: int
-    utility: float = 0.0
-    frozen_subband: Optional[int] = None
     transmitted: bool = False
 
     def __post_init__(self):
@@ -191,7 +189,6 @@ def build_candidate_list(
         denom = flow.avg_throughput + EPSILON_BYTES_PER_FRAME
         for fifo_idx, pkt in enumerate(flow.buffer):
             u = pkt.size_bytes / denom
-            pkt.utility = u
             slots = -(-pkt.size_bytes // bps)
             e = CandidateEntry(
                 id=pkt.id, ms=pkt.ms, size_bytes=pkt.size_bytes,
@@ -239,12 +236,10 @@ def commit_transmissions(
                 if pkt.transmitted:
                     raise RuntimeError(f"packet {pkt.id} transmitted twice")
                 pkt.transmitted = True
-                pkt.frozen_subband = None
                 flow.occupancy_bytes -= pkt.size_bytes
                 flow.served_bytes += pkt.size_bytes
                 served[flow.ms] = served.get(flow.ms, 0) + pkt.size_bytes
             else:
-                pkt.frozen_subband = None
                 keep.append(pkt)
         flow.buffer = keep
     return served

@@ -1,4 +1,5 @@
-"""Synthetic instance builders and the frame auditor shared by the tests.
+"""Synthetic test instances, the frame auditor and the FD baseline packer
+shared by the tests.
 
 Groups and candidate lists are built directly (no PHY in the loop) so the
 packer can be exercised against independent oracles over thousands of
@@ -8,13 +9,22 @@ random instances.
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
-from sdma_fss.frame import OfdmaFrame, map_columns, map_slots_for_ies
+from sdma_fss.frame import (
+    Burst,
+    MapModel,
+    OfdmaFrame,
+    _min_slot_size,
+    _Packer,
+    map_columns,
+    map_slots_for_ies,
+)
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.grouping import GroupingResult, SdmaGroup
-from sdma_fss.phy import LinkResult, default_mcs_table
+from sdma_fss.phy import LinkResult, McsTable, default_mcs_table
 from sdma_fss.qos import CandidateEntry, CandidateList
 
 TABLE = default_mcs_table()
@@ -159,3 +169,53 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     assert frame.build_stats.util_evals <= bound, (
         f"{frame.build_stats.util_evals} util evals exceed bound {bound}"
     )
+
+
+def fd_baseline_pack(
+    groups: Sequence[SdmaGroup],
+    candidates: CandidateList,
+    geometry: FrameGeometry,
+    table: McsTable,
+    *,
+    init_columns: int,
+    best_bytes_per_slot: dict[int, int],
+    map_model: MapModel = MapModel(),
+) -> OfdmaFrame:
+    """Frequency-diversity reference packer: the whole band is one subband
+    and a single burst grows greedily column by column toward the MAP.
+
+    Deliberately written as a plain loop, independent of the multi-subband
+    bookkeeping, so it can serve as a cross-check for the degenerate case.
+    """
+    g = geometry
+    if g.num_subbands != 1:
+        raise ValueError("baseline packer handles a single subband only")
+    sc = g.num_subchannels
+    packer = _Packer(g, table, map_model, candidates)
+
+    max_area = (g.num_columns - 1) * sc
+    step = -(-_min_slot_size(candidates, best_bytes_per_slot, sc, max_area) // sc) * sc
+    v_limit = max(init_columns * sc, step)
+    chosen: Optional[SdmaGroup] = None
+    utility = 0.0
+
+    while v_limit + packer.map_slots() < g.frame_size_slots:
+        packer.stats.rounds += 1
+        offered = v_limit // sc
+        pool = [chosen] if chosen is not None else list(groups)
+        best: Optional[Burst] = None
+        for grp in pool:
+            packer.stats.util_evals += 1
+            burst = packer.trial(grp, offered)
+            if burst is not None and (best is None or burst.utility > best.utility):
+                best = burst
+        if best is not None and best.utility > utility:
+            packer.commit(best)
+            chosen = best.group
+            utility = best.utility
+            packer.stats.accepted_utilities.append(utility)
+        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
+        step = min(max(free_cols, 1) * sc, step)
+        v_limit += step
+
+    return packer.finish()

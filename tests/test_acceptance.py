@@ -17,15 +17,21 @@ import pytest
 from sdma_fss.experiment import ScenarioConfig, SweepSpec, run_drop, run_sweep, summarize
 from sdma_fss.frame import (
     MapModel,
-    fd_baseline_pack,
     frame_construction,
     initial_vertical_limit,
     map_columns,
     map_slots_for_ies,
 )
 from sdma_fss.geometry import FrameGeometry
-from sdma_fss.phy import default_mcs_table, compute_sinr, eesm_effective_sinr, minmse_weights
-from synth import audit_frame, make_candidates, make_group, make_grouping, random_instance
+from sdma_fss.phy import default_mcs_table, compute_sinr, eesm_batch, minmse_weights
+from synth import (
+    audit_frame,
+    fd_baseline_pack,
+    make_candidates,
+    make_group,
+    make_grouping,
+    random_instance,
+)
 from test_frame import assert_same_frames
 from test_phy import oracle_minmse, oracle_sinr_scalar
 
@@ -227,7 +233,7 @@ def test_acceptance_5_numerical_oracles():
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         p = float(rng.uniform(0.1, 10.0))
         noise = float(rng.uniform(1e-3, 1.0))
-        got = compute_sinr(w, h, p, noise)
+        got = compute_sinr(w[None], h[None, :, None, :], p, noise)[0, :, 0]
         ref = np.array(oracle_sinr_scalar(w, h, p, noise))
         worst_sinr = max(worst_sinr, float(np.max(np.abs(got - ref) / ref)))
     assert worst_sinr < 1e-12
@@ -240,7 +246,7 @@ def test_acceptance_5_numerical_oracles():
         h = rng.standard_normal((g, m)) + 1j * rng.standard_normal((g, m))
         noise = float(rng.uniform(1e-4, 1.0))
         power = float(rng.uniform(0.5, 20.0))
-        w = minmse_weights(h, noise, power)
+        w = minmse_weights(h[None], noise, power)[0]
         ref = oracle_minmse(h, noise, power)
         worst_w = max(worst_w, float(np.abs(w - ref).max() / np.abs(ref).max()))
     assert worst_w < 1e-9
@@ -251,7 +257,7 @@ def test_acceptance_5_numerical_oracles():
         n = int(rng.integers(1, 9))
         x = rng.uniform(0.0, 10.0 ** rng.uniform(0, 6), size=n)
         beta = float(10.0 ** rng.uniform(-1, 1.5))
-        val = eesm_effective_sinr(x, beta)
+        val = eesm_batch(x[None], [beta])[0, 0]
         if not (x.min() <= val <= x.mean()):
             violations += 1
     assert violations == 0

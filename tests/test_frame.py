@@ -9,7 +9,6 @@ from sdma_fss.frame import (
     MapRegion,
     OfdmaFrame,
     BuildStats,
-    fd_baseline_pack,
     frame_construction,
     initial_vertical_limit,
     map_columns,
@@ -21,7 +20,14 @@ from sdma_fss.frame import (
 )
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.phy import default_mcs_table
-from synth import audit_frame, make_candidates, make_group, make_grouping, random_instance
+from synth import (
+    audit_frame,
+    fd_baseline_pack,
+    make_candidates,
+    make_group,
+    make_grouping,
+    random_instance,
+)
 
 TABLE = default_mcs_table()
 

@@ -9,9 +9,9 @@ from sdma_fss.grouping import (
     form_groups,
     greedy_capacity_grouper,
     group_metric,
-    render_groups,
 )
-from sdma_fss.phy import default_mcs_table, select_mcs
+from sdma_fss.phy import default_mcs_table
+from test_phy import oracle_minmse, oracle_select, oracle_sinr_scalar
 
 TABLE = default_mcs_table()
 
@@ -90,11 +90,9 @@ def test_group_metric_infeasible_members_zero():
 
 
 def test_evaluator_matches_scalar_phy_path():
-    # the batched evaluator must agree with the scalar precoding and SINR
-    # operations applied by hand: weights from the center sample, Eq.-1
-    # SINR at every sample with equal power split
-    from sdma_fss.phy import compute_sinr, minmse_weights
-
+    # the batched evaluator must agree with the scalar oracles applied by
+    # hand: weights from the center sample, Eq.-1 SINR at every sample with
+    # equal power split
     rng = np.random.default_rng(40)
     h = rng.standard_normal((6, 9, 4)) + 1j * rng.standard_normal((6, 9, 4))
     noise, power = 0.7, 55.0
@@ -102,9 +100,12 @@ def test_evaluator_matches_scalar_phy_path():
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
         w, links, _ = ev.result(members)
         rep = h[list(members), 9 // 2, :]
-        w_ref = minmse_weights(rep, noise, power)
+        w_ref = oracle_minmse(rep, noise, power)
         assert np.allclose(w, w_ref, atol=1e-12)
-        sinr_ref = compute_sinr(w_ref, h[list(members)], power / len(members), noise)
+        p = power / len(members)
+        sinr_ref = np.array(
+            [oracle_sinr_scalar(w_ref, h[list(members), n], p, noise) for n in range(9)]
+        ).T
         got = np.stack([lr.sinr for lr in links])
         assert np.allclose(got, sinr_ref, rtol=1e-12)
 
@@ -116,7 +117,7 @@ def test_group_metric_matches_per_member_recomputation():
     _, links, metric = ev.result((0, 2, 4))
     total = 0
     for lr in links:
-        entry, _ = select_mcs(lr.sinr, TABLE)
+        entry, _ = oracle_select(lr.sinr, TABLE)
         assert (entry is None) == (lr.mcs is None)
         if entry is not None:
             assert entry is lr.mcs
@@ -209,10 +210,3 @@ def test_metric_strictly_increases_along_greedy_construction():
             sub = tuple(ms for ms in members if ms != drop)
             assert full > float(ev.metrics_for([sub])[0])
 
-
-def test_render_groups_smoke():
-    rng = np.random.default_rng(10)
-    csi = random_csi(rng, k=3, n=6, m=2, scale=1.5)
-    result = form_groups(csi, bands(6, 2), range(3), TABLE, total_power_w=60.0)
-    text = render_groups(result)
-    assert "subband 0" in text and "members=" in text
