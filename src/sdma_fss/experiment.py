@@ -100,6 +100,10 @@ class ScenarioConfig:
             )
         if not 1 <= self.csi_decimation <= self.geometry().num_subcarriers:
             raise ConfigurationError(f"bad CSI decimation {self.csi_decimation}")
+        if self.frames_per_drop < 1 or self.frame_duration_s <= 0:
+            raise ConfigurationError("need frames_per_drop >= 1 and frame_duration_s > 0")
+        if self.offered_bytes_per_frame_total < 0:
+            raise ConfigurationError("offered_bytes_per_frame_total must be >= 0")
 
     def geometry(self) -> FrameGeometry:
         return FrameGeometry(
@@ -160,13 +164,6 @@ class ScenarioConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        raw.pop("sweep", None)
-        return cls.from_dict(raw)
 
 
 @dataclass
@@ -241,7 +238,6 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
     map_col_sum = 0
     util_evals = 0
     util_evals_max = 0
-    seen_ids: set[int] = set()
 
     for frame_index in range(frames):
         tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
@@ -259,16 +255,10 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
             frame = frame_construction(
                 grouping, candidates, geometry, table,
                 init_columns=init_columns,
-                num_antennas=cfg.num_antennas,
                 map_model=map_model,
                 allow_displacement=cfg.allow_displacement,
             )
-            packed = frame.packed_packet_ids()
-            dup = seen_ids.intersection(packed)
-            if dup:
-                raise RuntimeError(f"packets retransmitted across frames: {sorted(dup)[:5]}")
-            seen_ids.update(packed)
-            served = commit_transmissions(flows, packed)
+            served = commit_transmissions(flows, frame.packed_packet_ids())
             tx_bytes += sum(served.values())
             util_evals += frame.build_stats.util_evals
             util_evals_max = max(util_evals_max, frame.build_stats.util_evals)
@@ -298,6 +288,26 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
     )
 
 
+# sweep section key -> the ScenarioConfig field it sweeps. The order is that
+# of the key columns of rows.csv/flows.csv, of their sort and of report cells.
+SWEEP_AXES = {
+    "bandwidths_mhz": "bandwidth_mhz",
+    "antennas": "num_antennas",
+    "users": "num_ms",
+    "subbands": "num_subbands",
+    "los": "los",
+}
+KEY_COLUMNS = [*SWEEP_AXES.values(), "seed"]
+_AXIS_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name in KEY_COLUMNS}
+
+
+def _axis_value(field: str, value):
+    """An axis value as its config field's type; CSV rows hold strings."""
+    if _AXIS_TYPES[field] is bool:
+        return str(value) in ("True", "true", "1")
+    return _AXIS_TYPES[field](value)
+
+
 @dataclass
 class SweepSpec:
     bandwidths_mhz: list[float]
@@ -309,72 +319,54 @@ class SweepSpec:
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig, raw: Optional[dict] = None) -> "SweepSpec":
+        """Axes absent from the sweep section take the base config's value."""
         raw = raw or {}
-        return cls(
-            bandwidths_mhz=[float(b) for b in raw.get("bandwidths_mhz", [cfg.bandwidth_mhz])],
-            antennas=list(raw.get("antennas", [cfg.num_antennas])),
-            users=list(raw.get("users", [cfg.num_ms])),
-            subbands=list(raw.get("subbands", [cfg.num_subbands])),
-            los=list(raw.get("los", [cfg.los])),
-            seeds=list(raw.get("seeds", range(cfg.num_seeds))),
-        )
+        axes = {
+            key: [_axis_value(field, v) for v in raw.get(key, [getattr(cfg, field)])]
+            for key, field in SWEEP_AXES.items()
+        }
+        return cls(**axes, seeds=list(raw.get("seeds", range(cfg.num_seeds))))
 
 
 CSV_COLUMNS = [
-    "bandwidth_mhz", "num_antennas", "num_ms", "num_subbands", "los", "seed",
+    *KEY_COLUMNS,
     "frames", "goodput_bytes_per_s", "map_overhead_fraction",
     "map_overhead_columns_fraction", "transmitted_bytes", "generated_bytes",
     "dropped_bytes", "jain_fairness", "util_evals", "util_evals_max_frame",
     "error",
 ]
 
-FLOW_CSV_COLUMNS = [
-    "bandwidth_mhz", "num_antennas", "num_ms", "num_subbands", "los", "seed",
-    "ms", "served_bytes",
-]
+FLOW_CSV_COLUMNS = [*KEY_COLUMNS, "ms", "served_bytes"]
 
 
-def _cell_config(base: ScenarioConfig, bw: float, m: int, k: int, sb: int, los: bool) -> ScenarioConfig:
-    raw = base.to_dict()
-    raw.update(bandwidth_mhz=bw, num_antennas=m, num_ms=k, num_subbands=sb, los=los)
-    if bw != base.bandwidth_mhz:
+def _run_cell(args: tuple[dict, dict]) -> tuple[dict, list[dict]]:
+    """One drop of a sweep: the base config with the key's axis values.
+
+    A config the model rejects (a ValueError, which includes
+    ConfigurationError and InsufficientCsiError) becomes an error row;
+    any other exception is a bug and propagates.
+    """
+    base_raw, key = args
+    raw = {**base_raw, **{field: key[field] for field in SWEEP_AXES.values()}}
+    if raw["bandwidth_mhz"] != base_raw["bandwidth_mhz"]:
         # geometry follows the swept bandwidth; explicit overrides only
         # apply to the base bandwidth
         raw.update(fft_size=None, num_subchannels=None)
-    return ScenarioConfig.from_dict(raw)
-
-
-def _run_cell(args: tuple[dict, float, int, int, int, bool, int]) -> tuple[dict, list[dict]]:
-    base_raw, bw, m, k, sb, los, seed = args
-    key = {
-        "bandwidth_mhz": bw, "num_antennas": m, "num_ms": k,
-        "num_subbands": sb, "los": los, "seed": seed,
-    }
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(key)
-    flow_rows: list[dict] = []
     try:
-        cfg = _cell_config(ScenarioConfig.from_dict(base_raw), bw, m, k, sb, los)
-        metrics = run_drop(cfg, seed)
-    except Exception as exc:  # record the failure, keep sweeping
+        metrics = run_drop(ScenarioConfig.from_dict(raw), key["seed"])
+    except ValueError as exc:  # record the bad config, keep sweeping
         row["error"] = f"{type(exc).__name__}: {exc}"
-        return row, flow_rows
+        return row, []
     row.update(
-        frames=metrics.frames,
-        goodput_bytes_per_s=repr(metrics.goodput_bytes_per_s),
-        map_overhead_fraction=repr(metrics.map_overhead_fraction),
-        map_overhead_columns_fraction=repr(metrics.map_overhead_columns_fraction),
-        transmitted_bytes=metrics.transmitted_bytes,
-        generated_bytes=metrics.generated_bytes,
-        dropped_bytes=metrics.dropped_bytes,
-        jain_fairness=repr(metrics.jain_fairness),
-        util_evals=metrics.util_evals,
-        util_evals_max_frame=metrics.util_evals_max_frame,
+        (c, repr(v) if isinstance(v, float) else v)
+        for c, v in asdict(metrics).items() if c in row
     )
-    for ms, served in enumerate(metrics.per_ms_served_bytes):
-        fr = dict(key)
-        fr.update(ms=ms, served_bytes=served)
-        flow_rows.append(fr)
+    flow_rows = [
+        {**key, "ms": ms, "served_bytes": served}
+        for ms, served in enumerate(metrics.per_ms_served_bytes)
+    ]
     return row, flow_rows
 
 
@@ -389,12 +381,10 @@ def run_sweep(
     Rows are sorted canonically before writing, so output is independent of
     worker count and scheduling order.
     """
+    base_raw = cfg.to_dict()
     tasks = [
-        (cfg.to_dict(), bw, m, k, sb, los, seed)
-        for bw, m, k, sb, los, seed in itertools.product(
-            sweep.bandwidths_mhz, sweep.antennas, sweep.users,
-            sweep.subbands, sweep.los, sweep.seeds,
-        )
+        (base_raw, dict(zip(KEY_COLUMNS, values)))
+        for values in itertools.product(*(getattr(sweep, key) for key in SWEEP_AXES), sweep.seeds)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -404,10 +394,7 @@ def run_sweep(
 
     rows = [r for r, _ in results]
     flow_rows = [fr for _, frs in results for fr in frs]
-    sort_key = lambda r: (
-        r["bandwidth_mhz"], r["num_antennas"], r["num_ms"],
-        r["num_subbands"], r["los"], r["seed"],
-    )
+    sort_key = lambda r: tuple(r[c] for c in KEY_COLUMNS)
     rows.sort(key=sort_key)
     flow_rows.sort(key=lambda r: sort_key(r) + (r["ms"],))
 
@@ -470,36 +457,28 @@ def summarize(rows: list[dict]) -> list[CellSummary]:
     for r in rows:
         if r.get("error"):
             continue
-        key = (
-            float(r["bandwidth_mhz"]), int(r["num_antennas"]), int(r["num_ms"]),
-            int(r["num_subbands"]), str(r["los"]) in ("True", "true", "1"),
-        )
+        key = tuple(_axis_value(field, r[field]) for field in SWEEP_AXES.values())
         cells.setdefault(key, []).append(r)
 
-    summaries = []
+    summaries: dict[tuple, CellSummary] = {}
     for key in sorted(cells):
         grp = cells[key]
         gp_mean, gp_ci = _mean_ci([float(r["goodput_bytes_per_s"]) for r in grp])
         ov_mean, ov_ci = _mean_ci([float(r["map_overhead_fraction"]) for r in grp])
-        summaries.append(
-            CellSummary(
-                bandwidth_mhz=key[0], num_antennas=key[1], num_ms=key[2],
-                num_subbands=key[3], los=key[4], n=len(grp),
-                goodput_mean=gp_mean, goodput_ci95=gp_ci,
-                overhead_mean=ov_mean, overhead_ci95=ov_ci,
-            )
+        summaries[key] = CellSummary(
+            **dict(zip(SWEEP_AXES.values(), key)), n=len(grp),
+            goodput_mean=gp_mean, goodput_ci95=gp_ci,
+            overhead_mean=ov_mean, overhead_ci95=ov_ci,
         )
 
-    baselines = {
-        (s.bandwidth_mhz, s.num_antennas, s.num_ms, s.los): s.goodput_mean
-        for s in summaries
-        if s.num_subbands == 1
-    }
-    for s in summaries:
-        base = baselines.get((s.bandwidth_mhz, s.num_antennas, s.num_ms, s.los))
-        if base and base > 0:
-            s.fss_gain = s.goodput_mean / base - 1.0
-    return summaries
+    for key, s in summaries.items():
+        # the FD baseline is the same cell with a single subband
+        base = summaries.get(
+            tuple(1 if field == "num_subbands" else v for field, v in zip(SWEEP_AXES.values(), key))
+        )
+        if base and base.goodput_mean > 0:
+            s.fss_gain = s.goodput_mean / base.goodput_mean - 1.0
+    return list(summaries.values())
 
 
 def report(rows: list[dict], out_dir: Optional[Path] = None) -> str:
@@ -526,15 +505,8 @@ def report(rows: list[dict], out_dir: Optional[Path] = None) -> str:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         agg = [
-            {
-                "bandwidth_mhz": s.bandwidth_mhz, "num_antennas": s.num_antennas,
-                "num_ms": s.num_ms, "num_subbands": s.num_subbands, "los": s.los,
-                "n": s.n, "goodput_mean": repr(s.goodput_mean),
-                "goodput_ci95": "" if s.goodput_ci95 is None else repr(s.goodput_ci95),
-                "overhead_mean": repr(s.overhead_mean),
-                "overhead_ci95": "" if s.overhead_ci95 is None else repr(s.overhead_ci95),
-                "fss_gain": "" if s.fss_gain is None else repr(s.fss_gain),
-            }
+            {k: "" if v is None else repr(v) if isinstance(v, float) else v
+             for k, v in asdict(s).items()}
             for s in summaries
         ]
         cols = list(agg[0].keys()) if agg else []

@@ -316,13 +316,13 @@ def frame_construction(
     geometry: FrameGeometry,
     table: McsTable,
     *,
-    init_columns: Optional[int] = None,
-    num_antennas: Optional[int] = None,
+    init_columns: int,
     map_model: MapModel = MapModel(),
     allow_displacement: bool = False,
 ) -> OfdmaFrame:
     """Two-phase extension/selection packing over all subbands.
 
+    init_columns seeds the vertical limit (see initial_vertical_limit).
     Grow-only by default: once a subband has a committed group, later rounds
     only re-offer that group a larger area; with allow_displacement=True
     competing groups of the subband stay candidates for the leftover space.
@@ -330,17 +330,6 @@ def frame_construction(
     g = geometry
     scsb = g.rows_per_subband
     packer = _Packer(g, table, map_model, candidates)
-
-    if init_columns is None:
-        if num_antennas is None:
-            num_antennas = max(
-                (gr.weights.shape[1] for gr in grouping.groups()), default=1
-            )
-        avg = table.entries[len(table.entries) // 2]
-        init_columns = initial_vertical_limit(
-            g, num_antennas, predict_map_size(g, avg, map_model, packer.robust)
-        )
-
     max_area = (g.num_columns - 1) * scsb  # at least one column is MAP
     min_slots = _min_slot_size(candidates, grouping.best_bytes_per_slot, scsb, max_area)
     step = -(-min_slots // scsb) * scsb

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Packet:
     id: int
     ms: int
     size_bytes: int
-    transmitted: bool = False
 
     def __post_init__(self):
         if self.size_bytes <= 0:
@@ -223,23 +222,29 @@ def update_pf_averages(flows: Sequence[Flow], served_bytes: dict[int, int]) -> N
 
 
 def commit_transmissions(
-    flows: Sequence[Flow], packed_ids: Iterable[int]
+    flows: Sequence[Flow], packed_ids: Sequence[int]
 ) -> dict[int, int]:
-    """Mark packed packets transmitted, drop them from the buffers and
-    return served bytes per MS."""
+    """Drop packed packets from the buffers and return served bytes per MS.
+
+    Raises RuntimeError if an id is packed twice or is queued in no buffer,
+    as a packet already transmitted in an earlier frame would be.
+    """
     wanted = set(packed_ids)
+    if len(wanted) != len(packed_ids):
+        dup = sorted({i for i in packed_ids if packed_ids.count(i) > 1})
+        raise RuntimeError(f"packet ids packed twice: {dup[:5]}")
     served: dict[int, int] = {}
     for flow in flows:
         keep = []
         for pkt in flow.buffer:
             if pkt.id in wanted:
-                if pkt.transmitted:
-                    raise RuntimeError(f"packet {pkt.id} transmitted twice")
-                pkt.transmitted = True
+                wanted.discard(pkt.id)
                 flow.occupancy_bytes -= pkt.size_bytes
                 flow.served_bytes += pkt.size_bytes
                 served[flow.ms] = served.get(flow.ms, 0) + pkt.size_bytes
             else:
                 keep.append(pkt)
         flow.buffer = keep
+    if wanted:
+        raise RuntimeError(f"packed ids in no buffer: {sorted(wanted)[:5]}")
     return served

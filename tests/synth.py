@@ -19,8 +19,10 @@ from sdma_fss.frame import (
     OfdmaFrame,
     _min_slot_size,
     _Packer,
+    initial_vertical_limit,
     map_columns,
     map_slots_for_ies,
+    predict_map_size,
 )
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.grouping import GroupingResult, SdmaGroup
@@ -58,6 +60,16 @@ def make_grouping(per_subband: list[list[SdmaGroup]]) -> GroupingResult:
                     best[lr.ms] = max(best.get(lr.ms, 0), lr.mcs.bytes_per_slot)
     return GroupingResult(
         per_subband=per_subband, best_bytes_per_slot=best, feasible_ms=frozenset(best)
+    )
+
+
+def init_columns_for(geometry: FrameGeometry, num_antennas: int = 4) -> int:
+    """The initial vertical limit run_drop seeds frame_construction with, for
+    the default MCS table and MAP model."""
+    avg = TABLE.entries[len(TABLE.entries) // 2]
+    robust = TABLE.most_robust.bytes_per_slot
+    return initial_vertical_limit(
+        geometry, num_antennas, predict_map_size(geometry, avg, MapModel(), robust)
     )
 
 

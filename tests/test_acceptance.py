@@ -27,6 +27,7 @@ from sdma_fss.phy import default_mcs_table, compute_sinr, eesm_batch, minmse_wei
 from synth import (
     audit_frame,
     fd_baseline_pack,
+    init_columns_for,
     make_candidates,
     make_group,
     make_grouping,
@@ -57,7 +58,7 @@ def test_acceptance_1_packing_validity():
             rng, max_sb=3, max_k=6, max_packets=40, small=small
         )
         frame = frame_construction(
-            grouping, candidates, geometry, TABLE, num_antennas=4,
+            grouping, candidates, geometry, TABLE, init_columns=init_columns_for(geometry),
             allow_displacement=bool(rng.integers(0, 4) == 0),
         )
         audit_frame(frame, candidates, num_ms=6)

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdma_fss import experiment
+from sdma_fss.cli import _load_config as load_config
 from sdma_fss.cli import main as cli_main
 from sdma_fss.experiment import (
     CSV_COLUMNS,
+    SWEEP_AXES,
     ScenarioConfig,
     SweepSpec,
     jain_index,
@@ -18,6 +22,8 @@ from sdma_fss.experiment import (
     summarize,
 )
 from sdma_fss.geometry import ConfigurationError
+
+STUDIES = Path(__file__).parent.parent / "scripts"
 
 
 def tiny_cfg(**kw):
@@ -140,6 +146,33 @@ def test_sweep_partial_failure_recorded():
     assert "ConfigurationError" in by_sb[5]["error"]  # 6 rows not divisible by 5
 
 
+def test_sweep_propagates_internal_errors(monkeypatch):
+    # only config errors (ValueError) become error rows; a bug must not
+    # pass for a bad config
+    def broken(cfg, seed):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(experiment, "run_drop", broken)
+    cfg = tiny_cfg(frames_per_drop=2)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0]}))
+
+
+def test_study_configs_match_their_grids():
+    grids = {
+        "bandwidth_study": ([5.0, 10.0, 20.0], [2, 4, 8], [12], [1, 2, 3, 6], [True]),
+        "user_study": ([10.0], [2, 8], [12, 24, 36], [1, 2, 3, 6], [True]),
+        "los_study": ([10.0], [4, 8], [12], [1, 2, 3, 6], [True, False]),
+    }
+    for name, axes in grids.items():
+        cfg, sweep_raw = load_config(str(STUDIES / f"{name}.json"))
+        sweep = SweepSpec.from_config(cfg, sweep_raw)
+        assert [getattr(sweep, key) for key in SWEEP_AXES] == list(axes), name
+        assert all(type(b) is float for b in sweep.bandwidths_mhz)
+        assert sweep.seeds == list(range(64))
+        assert cfg.frames_per_drop == 16
+
+
 def test_summary_matches_reaggregation_oracle(tmp_path):
     cfg = tiny_cfg(frames_per_drop=2)
     sweep = SweepSpec.from_config(cfg, {"seeds": [0, 1, 2, 3]})
@@ -198,14 +231,21 @@ def test_config_validation():
         tiny_cfg(fft_size=64)  # 144 data subcarriers > 64 FFT
     with pytest.raises(ConfigurationError):
         tiny_cfg(csi_decimation=0)
+    with pytest.raises(ConfigurationError):
+        tiny_cfg(frames_per_drop=0)  # was a ZeroDivisionError at the end of run_drop
+    with pytest.raises(ConfigurationError):
+        tiny_cfg(frame_duration_s=0.0)  # likewise
+    with pytest.raises(ConfigurationError):
+        tiny_cfg(saturated_traffic=False, offered_bytes_per_frame_total=-1.0)
 
 
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    back = ScenarioConfig.from_json(path)
+    path.write_text(json.dumps({**cfg.to_dict(), "sweep": {"seeds": [1]}}))
+    back, sweep_raw = load_config(str(path))
     assert back == cfg
+    assert sweep_raw == {"seeds": [1]}
 
 
 def test_cli_run_and_report(tmp_path, capsys):

@@ -23,6 +23,7 @@ from sdma_fss.phy import default_mcs_table
 from synth import (
     audit_frame,
     fd_baseline_pack,
+    init_columns_for,
     make_candidates,
     make_group,
     make_grouping,
@@ -175,7 +176,9 @@ def test_pack_rejects_nonpositive_columns():
 def build_one(seed, **kw):
     rng = np.random.default_rng(seed)
     grouping, candidates, geometry = random_instance(rng, **kw)
-    frame = frame_construction(grouping, candidates, geometry, TABLE, num_antennas=4)
+    frame = frame_construction(
+        grouping, candidates, geometry, TABLE, init_columns=init_columns_for(geometry)
+    )
     return grouping, candidates, geometry, frame
 
 

@@ -223,3 +223,17 @@ def test_commit_transmissions_audit():
     assert [p.id for p in flow.buffer] == [0, 2]
     assert flow.occupancy_bytes == 200
     assert flow.served_bytes == 200
+
+
+def test_commit_rejects_duplicate_and_unknown_ids():
+    def one_flow():
+        flow = Flow(ms=0)
+        flow.buffer = [Packet(id=i, ms=0, size_bytes=100) for i in range(4)]
+        flow.occupancy_bytes = 400
+        return flow
+
+    with pytest.raises(RuntimeError, match="twice"):
+        commit_transmissions([one_flow()], [1, 1])
+    # an id queued nowhere, e.g. a packet already sent in an earlier frame
+    with pytest.raises(RuntimeError, match="no buffer"):
+        commit_transmissions([one_flow()], [1, 7])
