@@ -321,6 +321,11 @@ class SweepSpec:
     def from_config(cls, cfg: ScenarioConfig, raw: Optional[dict] = None) -> "SweepSpec":
         """Axes absent from the sweep section take the base config's value."""
         raw = raw or {}
+        unknown = set(raw) - {*SWEEP_AXES, "seeds"}
+        if unknown:
+            raise ConfigurationError(
+                f"unknown sweep keys: {sorted(unknown)}; known: {[*SWEEP_AXES, 'seeds']}"
+            )
         axes = {
             key: [_axis_value(field, v) for v in raw.get(key, [getattr(cfg, field)])]
             for key, field in SWEEP_AXES.items()

@@ -9,8 +9,10 @@ The packer alternates an extension phase, which raises a per-subband
 vertical limit stepwise, and a selection phase, which repeatedly commits
 the group (over all not-yet-extended subbands) whose tentative packing
 increases total carried utility the most. A packet is carried in at most
-one subband: packing freezes packets, and only the burst that froze a
-packet may release it again.
+one subband: committing a burst freezes its packets in its subband, and
+only a later commit in that subband releases them again. Trials never
+change the frozen state; they read it, and a per-frame memo of per-member
+first-fit results that a commit retires for exactly the MSs it touched.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Burst:
 
     @property
     def ie_count(self) -> int:
-        return sum(1 for pk in self.member_packets.values() if pk)
+        return len(self.member_packets)  # only members with packets are stored
 
     def packet_ids(self) -> list[int]:
         return [pid for pk in self.member_packets.values() for pid in pk]
@@ -147,6 +149,55 @@ def initial_vertical_limit(
     return init
 
 
+class FitMemo:
+    """Per-member first-fit results within one frame construction.
+
+    A member's first fit depends on its queue and the candidate list (fixed
+    for the frame), its MCS, the area's slot cap, the subband, and which of
+    its packets are frozen in other subbands. Only a commit that takes or
+    releases the MS's packets changes the last, and such a commit bumps
+    `epoch[ms]`, which is part of the key; entries of an older epoch are
+    never looked up again. Each entry is (packed ids, used slots, packet
+    utilities); the id lists are shared with the bursts built from them and
+    are never mutated.
+    """
+
+    def __init__(self):
+        self.epoch: dict[int, int] = {}
+        self._fits: dict[tuple[int, int, int, int, int], tuple[list[int], int, list[float]]] = {}
+        self._needs: dict[tuple[int, int], list[int]] = {}
+
+    def bump(self, ms_set) -> None:
+        for ms in ms_set:
+            self.epoch[ms] = self.epoch.get(ms, 0) + 1
+
+    def first_fit(
+        self, entries, ms: int, bps: int, cap: int, j: int, frozen: dict[int, int]
+    ) -> tuple[list[int], int, list[float]]:
+        """Walk ms's entries in candidate-list order, packing each packet
+        that is not frozen in another subband and still fits in cap slots
+        (a packet that does not fit is skipped, later ones may still fit)."""
+        key = (ms, bps, cap, j, self.epoch.get(ms, 0))
+        fit = self._fits.get(key)
+        if fit is not None:
+            return fit
+        needs = self._needs.get((ms, bps))
+        if needs is None:
+            needs = self._needs[ms, bps] = [-(-e.size_bytes // bps) for e in entries]
+        used = 0
+        packed: list[int] = []
+        utils: list[float] = []
+        for entry, need in zip(entries, needs):
+            if used + need <= cap and frozen.get(entry.id, j) == j:
+                used += need
+                packed.append(entry.id)
+                utils.append(entry.utility)
+                if used == cap:  # every packet needs at least one slot
+                    break
+        fit = self._fits[key] = (packed, used, utils)
+        return fit
+
+
 def pack_group_area(
     group: SdmaGroup,
     columns: int,
@@ -154,21 +205,22 @@ def pack_group_area(
     frozen: dict[int, int],
     scsb: int,
     col_hi: int,
+    memo: Optional[FitMemo] = None,
 ) -> Burst:
     """Fill a columns-wide area of the group's subband, one layer per member.
 
-    Walks each member's packets in candidate-list order (first-fit: a packet
-    that does not fit is skipped, later ones may still fit). Packets frozen
-    in other subbands are skipped; whatever this subband held before and no
-    longer packs is unfrozen, and every newly packed packet is frozen here.
-    A packet occupies ceil(size / bytes_per_slot) slots at the member's MCS.
+    Each member gets the first fit of its packets (see FitMemo.first_fit);
+    packets frozen in other subbands are skipped. A packet occupies
+    ceil(size / bytes_per_slot) slots at the member's MCS. Read-only:
+    `frozen` is not changed, committing the burst is the caller's job.
+    `memo` carries first-fit results between calls on the same candidates
+    and frozen map; without one every fit is computed afresh.
     """
     if columns < 1:
         raise ValueError("need at least one column")
+    if memo is None:
+        memo = FitMemo()
     j = group.subband
-    for pid in [pid for pid, sb in frozen.items() if sb == j]:
-        del frozen[pid]
-
     cap = columns * scsb
     member_mcs: dict[int, McsEntry] = {}
     member_packets: dict[int, list[int]] = {}
@@ -177,24 +229,15 @@ def pack_group_area(
     for lr in group.link:
         if lr.mcs is None:
             continue
-        bps = lr.mcs.bytes_per_slot
-        used = 0
-        packed: list[int] = []
-        for entry in candidates.by_ms.get(lr.ms, ()):
-            if frozen.get(entry.id) is not None:
-                continue
-            need = -(-entry.size_bytes // bps)
-            if used + need <= cap:
-                used += need
-                packed.append(entry.id)
-                utility += entry.utility
+        packed, used, utils = memo.first_fit(
+            candidates.by_ms.get(lr.ms, ()), lr.ms, lr.mcs.bytes_per_slot, cap, j, frozen
+        )
+        for u in utils:
+            utility += u
         if packed:
             member_mcs[lr.ms] = lr.mcs
             member_packets[lr.ms] = packed
             member_slots[lr.ms] = used
-    for pk in member_packets.values():
-        for pid in pk:
-            frozen[pid] = j
 
     used_cols = 0
     if member_slots:
@@ -233,7 +276,15 @@ def _min_slot_size(
 
 
 class _Packer:
-    """Shared state of one frame construction run."""
+    """Shared state of one frame construction run.
+
+    Trials are read-only: they pack against the committed frozen map
+    through the frame's FitMemo and leave both unchanged. `commit` alone
+    owns the frozen map. It releases the replaced burst's packets, freezes
+    the new burst's, bumps the memo epoch of every MS in either burst, and
+    recomputes the burst totals (whole frame and without each subband),
+    summed in `bursts` order.
+    """
 
     def __init__(self, geometry, table, map_model, candidates):
         self.g = geometry
@@ -243,10 +294,21 @@ class _Packer:
         self.candidates = candidates
         self.bursts: dict[int, Burst] = {}
         self.frozen: dict[int, int] = {}
+        self.memo = FitMemo()
         self.stats = BuildStats()
+        self._retotal()
+
+    def _retotal(self) -> None:
+        keys = [None, *range(self.g.num_subbands)]
+        items = self.bursts.items()
+        self._ies = {w: sum(b.ie_count for j, b in items if j != w) for w in keys}
+        self._utility = {w: sum(b.utility for j, b in items if j != w) for w in keys}
+        self._cols = {
+            w: max((b.columns for j, b in items if j != w), default=0) for w in keys
+        }
 
     def total_ies(self, without: Optional[int] = None) -> int:
-        return sum(b.ie_count for j, b in self.bursts.items() if j != without)
+        return self._ies[without]
 
     def map_slots(self, ies: Optional[int] = None) -> int:
         if ies is None:
@@ -254,11 +316,10 @@ class _Packer:
         return map_slots_for_ies(ies, self.map_model, self.robust)
 
     def utility(self, without: Optional[int] = None) -> float:
-        return sum(b.utility for j, b in self.bursts.items() if j != without)
+        return self._utility[without]
 
     def max_cols(self, without: Optional[int] = None) -> int:
-        cols = [b.columns for j, b in self.bursts.items() if j != without]
-        return max(cols, default=0)
+        return self._cols[without]
 
     def trial(self, group: SdmaGroup, offered_cols: int) -> Optional[Burst]:
         """Tentatively pack `group` at up to offered_cols columns, shrinking
@@ -270,9 +331,9 @@ class _Packer:
         base_ies = self.total_ies(without=j)
         other_cols = self.max_cols(without=j)
         while cols >= 1:
-            scratch = dict(self.frozen)
             burst = pack_group_area(
-                group, cols, self.candidates, scratch, self.scsb, self.g.num_columns
+                group, cols, self.candidates, self.frozen, self.scsb, self.g.num_columns,
+                self.memo,
             )
             if not burst.member_packets:
                 return None
@@ -286,13 +347,19 @@ class _Packer:
         return None
 
     def commit(self, burst: Burst) -> None:
-        # replaying first-fit at the trimmed width reproduces the trial's
-        # packed set exactly (the cap only shrinks onto already-used slots)
-        pack_group_area(
-            burst.group, burst.columns, self.candidates, self.frozen,
-            self.scsb, self.g.num_columns,
-        )
-        self.bursts[burst.subband] = burst
+        """Make `burst` its subband's burst, replacing any earlier one."""
+        j = burst.subband
+        changed = set(burst.member_packets)
+        old = self.bursts.get(j)
+        if old is not None:
+            changed.update(old.member_packets)
+            for pid in old.packet_ids():
+                del self.frozen[pid]
+        for pid in burst.packet_ids():
+            self.frozen[pid] = j
+        self.memo.bump(changed)
+        self.bursts[j] = burst
+        self._retotal()
 
     def finish(self) -> OfdmaFrame:
         slots = self.map_slots()

@@ -165,7 +165,6 @@ class CandidateList:
         self.by_ms: dict[int, list[CandidateEntry]] = {}
         for e in entries:
             self.by_ms.setdefault(e.ms, []).append(e)
-        self.by_id = {e.id: e for e in entries}
 
     def __len__(self) -> int:
         return len(self.entries)

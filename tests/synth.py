@@ -140,6 +140,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     assert region.slots == expect_slots
     assert region.columns == map_columns(region.slots, g)
 
+    by_id = {e.id: e for e in candidates.entries}
     grid = np.zeros((g.num_subchannels, g.num_columns), dtype=int)
     grid[:, : region.columns] += 1
     seen_ids: set[int] = set()
@@ -161,7 +162,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
             for pid in pids:
                 assert pid not in seen_ids, f"packet {pid} packed twice"
                 seen_ids.add(pid)
-                entry = candidates.by_id[pid]
+                entry = by_id[pid]
                 assert entry.ms == ms, f"packet {pid} packed for wrong MS"
                 slots += math.ceil(entry.size_bytes / bps)
                 total_util += entry.utility

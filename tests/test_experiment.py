@@ -158,6 +158,18 @@ def test_sweep_propagates_internal_errors(monkeypatch):
         run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0]}))
 
 
+def test_sweep_rejects_unknown_keys(tmp_path):
+    cfg = tiny_cfg()
+    with pytest.raises(ConfigurationError, match="antenna"):
+        SweepSpec.from_config(cfg, {"antenna": [2, 8]})  # a typo of "antennas"
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps({**cfg.to_dict(), "sweep": {"seed": [0]}}))
+    assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s").exists()
+    for path in [*STUDIES.glob("*.json"), *(Path(__file__).parent / "golden").glob("*.json")]:
+        SweepSpec.from_config(*load_config(str(path)))
+
+
 def test_study_configs_match_their_grids():
     grids = {
         "bandwidth_study": ([5.0, 10.0, 20.0], [2, 4, 8], [12], [1, 2, 3, 6], [True]),

@@ -9,6 +9,7 @@ from sdma_fss.frame import (
     MapRegion,
     OfdmaFrame,
     BuildStats,
+    _Packer,
     frame_construction,
     initial_vertical_limit,
     map_columns,
@@ -117,7 +118,7 @@ def test_pack_single_small_packet():
     assert burst.member_slots == {0: 1}
     assert burst.columns == 1
     assert burst.member_packets == {0: [0]}
-    assert frozen == {0: 0}
+    assert frozen == {}
 
 
 def test_pack_skips_packets_frozen_elsewhere():
@@ -131,13 +132,81 @@ def test_pack_skips_packets_frozen_elsewhere():
 
 
 def test_pack_releases_stale_own_freezes():
+    # packets frozen in the group's own subband are eligible again (99 is
+    # ours but gone from the list); 1 is foreign and stays skipped
     group = make_group(0, {0: 6})
-    cand = make_candidates([(1, 0, 6, 1.0)], {0: 6})
-    frozen = {99: 0, 1: 1}  # 99 held by us but gone from the list; 1 is foreign
+    cand = make_candidates([(1, 0, 6, 1.0), (2, 0, 6, 1.0)], {0: 6})
+    frozen = {99: 0, 1: 1, 2: 0}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
-    assert 99 not in frozen
-    assert frozen == {1: 1}
-    assert burst.member_packets == {}
+    assert frozen == {99: 0, 1: 1, 2: 0}
+    assert burst.member_packets == {0: [2]}
+
+
+def two_subband_packer(rows, per_subband):
+    """A _Packer over a 2-subband, 10-rows-per-subband frame."""
+    grouping = make_grouping(per_subband)
+    cand = make_candidates(rows, grouping.best_bytes_per_slot)
+    return _Packer(geo(sc=20, dl=17, sb=2), TABLE, MapModel(), cand)
+
+
+def test_commit_freezes_single_small_packet():
+    group = make_group(0, {0: 6})
+    packer = two_subband_packer([(0, 0, 6, 1.0)], [[group], []])
+    burst = packer.trial(group, 1)
+    assert packer.frozen == {}
+    packer.commit(burst)
+    assert packer.frozen == {0: 0}
+    assert packer.bursts == {0: burst}
+    assert (packer.total_ies(), packer.utility(), packer.max_cols()) == (1, 1.0, 1)
+    without = (packer.total_ies(without=0), packer.utility(without=0), packer.max_cols(without=0))
+    assert without == (0, 0, 0)
+
+
+def test_commit_keeps_packets_frozen_elsewhere():
+    g0 = make_group(0, {0: 6, 1: 6})
+    g1 = make_group(1, {0: 6})
+    packer = two_subband_packer([(0, 0, 6, 1.0), (2, 1, 6, 1.0)], [[g0], [g1]])
+    packer.commit(packer.trial(g1, 1))
+    assert packer.frozen == {0: 1}
+    burst = packer.trial(g0, 1)
+    assert burst.member_packets == {1: [2]}
+    packer.commit(burst)
+    assert packer.frozen == {0: 1, 2: 0}
+
+
+def test_commit_releases_stale_own_freezes():
+    # a displacing commit in subband 0 releases what the replaced burst held
+    # there and leaves the freeze in subband 1 alone
+    g0a = make_group(0, {0: 6})
+    g0b = make_group(0, {1: 6})
+    g1 = make_group(1, {2: 6})
+    rows = [(0, 0, 6, 1.0), (1, 2, 6, 1.0), (2, 1, 6, 1.0)]
+    packer = two_subband_packer(rows, [[g0a, g0b], [g1]])
+    packer.commit(packer.trial(g0a, 1))
+    packer.commit(packer.trial(g1, 1))
+    assert packer.frozen == {0: 0, 1: 1}
+    burst = packer.trial(g0b, 1)
+    packer.commit(burst)
+    assert packer.frozen == {1: 1, 2: 0}
+    assert packer.bursts[0] is burst
+    assert packer.total_ies() == 2
+
+
+def test_commit_retires_memoized_fits_of_its_members():
+    # MS 0 can be served in both subbands; after subband 1 takes its first
+    # two packets, a trial in subband 0 at the same width must not reuse the
+    # memoized fit that packed them
+    g0 = make_group(0, {0: 6})
+    g1 = make_group(1, {0: 6})
+    rows = [(i, 0, 40, 1.0) for i in range(4)]  # 7 slots each at 6 B/slot
+    packer = two_subband_packer(rows, [[g0], [g1]])
+    assert packer.trial(g0, 2).member_packets == {0: [0, 1]}
+    taken = packer.trial(g1, 2)
+    assert taken.member_packets == {0: [0, 1]}
+    packer.commit(taken)
+    again = packer.trial(g0, 2)
+    assert again.member_packets == {0: [2, 3]}
+    assert not set(again.packet_ids()) & set(taken.packet_ids())
 
 
 def first_fit_oracle(sizes, bps, cap):

@@ -1,4 +1,4 @@
-"""Golden pin: two small sweeps must reproduce their recorded CSV bytes.
+"""Golden pins: small sweeps and rendered frames must reproduce recorded bytes.
 
 Each `tests/golden/<name>.json` is a scenario config with a sweep section;
 `tests/golden/<name>/` holds the `rows.csv` and `flows.csv` it produced.
@@ -11,15 +11,101 @@ behaviour change. To re-record after one:
         --config tests/golden/<name>.json --out tests/golden/<name>
 
 and delete the `manifest.json` it writes next to the CSVs.
+
+`tests/golden/frames/<case>.txt` holds the `render_frame` text of the first
+FRAMES frames of one drop per case in FRAME_CASES, built through the calls
+`run_drop` makes. The CSV pins see only per-drop totals; these see every
+burst, member, MCS and packet id. Re-record them with
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
 
+from sdma_fss.channel import decimate_csi, generate_channel
 from sdma_fss.cli import main as cli_main
+from sdma_fss.experiment import ScenarioConfig
+from sdma_fss.frame import (
+    MapModel,
+    frame_construction,
+    initial_vertical_limit,
+    predict_map_size,
+    render_frame,
+)
+from sdma_fss.geometry import partition_frame
+from sdma_fss.grouping import form_groups
+from sdma_fss.qos import (
+    build_candidate_list,
+    commit_transmissions,
+    generate_traffic,
+    make_flows,
+    update_pf_averages,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
+FRAMES = 4
+FRAME_SEED = 0
+
+
+def _case(**fields) -> ScenarioConfig:
+    return ScenarioConfig(num_ms=12, frames_per_drop=FRAMES, **fields)
+
+
+FRAME_CASES = {
+    f"bw{bw:g}_m{m}_sb{sb}": _case(bandwidth_mhz=bw, num_antennas=m, num_subbands=sb)
+    for bw in (5.0, 20.0) for m in (2, 8) for sb in (1, 3, 6)
+}
+# with displacement on, both of these drops build frames that differ from
+# their grow-only twins
+FRAME_CASES.update(
+    displace_bw20_m2_sb6=_case(
+        bandwidth_mhz=20.0, num_antennas=2, num_subbands=6, allow_displacement=True
+    ),
+    displace_bw5_m8_sb6_nlos=_case(
+        bandwidth_mhz=5.0, num_antennas=8, num_subbands=6, los=False, allow_displacement=True
+    ),
+)
+
+
+def render_drop(cfg: ScenarioConfig, seed: int) -> str:
+    """`render_frame` of every frame of one saturated drop, each built as
+    `run_drop` builds it."""
+    geometry = cfg.geometry()
+    table = cfg.mcs_table()
+    map_model = MapModel()
+    robust = table.most_robust.bytes_per_slot
+    csi = decimate_csi(generate_channel(cfg.channel_params(), seed), cfg.csi_decimation,
+                       cfg.noise_power_w)
+    subbands = partition_frame(geometry)
+    flows = make_flows(cfg.num_ms, cfg.traffic_params())
+    ids = itertools.count()
+    init_columns = initial_vertical_limit(
+        geometry, cfg.num_antennas,
+        predict_map_size(geometry, table.entries[len(table.entries) // 2], map_model, robust),
+    )
+    grouping = None
+    active_prev = None
+    texts = []
+    for frame_index in range(cfg.frames_per_drop):
+        generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
+        active = tuple(f.ms for f in flows if f.buffer)
+        assert active, "saturated drops always have queued packets"
+        if active != active_prev:
+            grouping = form_groups(csi, subbands, active, table, cfg.tx_power_w,
+                                   cfg.max_groups_per_subband)
+            active_prev = active
+        candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
+        frame = frame_construction(
+            grouping, candidates, geometry, table, init_columns=init_columns,
+            map_model=map_model, allow_displacement=cfg.allow_displacement,
+        )
+        served = commit_transmissions(flows, frame.packed_packet_ids())
+        update_pf_averages(flows, served)
+        texts.append(f"# frame {frame_index}\n{render_frame(frame)}\n")
+    return "".join(texts)
 
 
 @pytest.mark.parametrize("name", ["saturated", "finite_rate"])
@@ -29,3 +115,16 @@ def test_sweep_matches_golden_bytes(name, tmp_path):
     for csv_name in ("rows.csv", "flows.csv"):
         got = (tmp_path / csv_name).read_bytes()
         assert got == (GOLDEN / name / csv_name).read_bytes(), csv_name
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_rendered_frames_match_golden_bytes(case):
+    got = render_drop(FRAME_CASES[case], FRAME_SEED).encode()
+    assert got == (GOLDEN / "frames" / f"{case}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    out = GOLDEN / "frames"
+    out.mkdir(exist_ok=True)
+    for case, cfg in FRAME_CASES.items():
+        (out / f"{case}.txt").write_bytes(render_drop(cfg, FRAME_SEED).encode())
