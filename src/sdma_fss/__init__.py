@@ -18,13 +18,12 @@ from .frame import (
     OfdmaFrame,
     frame_construction,
     initial_vertical_limit,
-    map_size_slots,
     pack_group_area,
     predict_map_size,
     render_frame,
 )
 from .geometry import ConfigurationError, FrameGeometry, SubbandSpec, partition_frame
-from .grouping import GroupingResult, SdmaGroup, form_groups, group_metric
+from .grouping import GroupingResult, SdmaGroup, form_groups
 from .phy import (
     LinkResult,
     McsEntry,
@@ -49,6 +48,7 @@ from .experiment import (
     RunMetrics,
     ScenarioConfig,
     SweepSpec,
+    drop_frames,
     report,
     run_drop,
     run_sweep,

@@ -29,10 +29,13 @@ def _load_config(path: str | None) -> tuple[ScenarioConfig, dict]:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",")]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return list(range(int(lo), int(hi)))
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"bad --seeds {spec!r}: want lo:hi or a comma list") from None
 
 
 def main(argv: list[str] | None = None) -> int:

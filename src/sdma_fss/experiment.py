@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +26,9 @@ from . import __version__
 from .channel import AntennaArrayConfig, ChannelParams, decimate_csi, generate_channel
 from .frame import (
     MapModel,
+    OfdmaFrame,
     frame_construction,
     initial_vertical_limit,
-    map_columns,
-    map_slots_for_ies,
     predict_map_size,
 )
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
@@ -36,6 +36,7 @@ from .grouping import form_groups
 from .phy import McsTable, default_mcs_table
 from .qos import (
     TrafficParams,
+    TrafficStats,
     build_candidate_list,
     commit_transmissions,
     generate_traffic,
@@ -104,6 +105,16 @@ class ScenarioConfig:
             raise ConfigurationError("need frames_per_drop >= 1 and frame_duration_s > 0")
         if self.offered_bytes_per_frame_total < 0:
             raise ConfigurationError("offered_bytes_per_frame_total must be >= 0")
+        if not self.min_distance_m <= self.cell_radius_m:  # equal: every MS on one circle
+            raise ConfigurationError("need min_distance_m <= cell_radius_m")
+        if self.buffer_capacity_bytes < 0:
+            raise ConfigurationError("buffer_capacity_bytes must be >= 0")
+        if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.noise_density_dbm_hz)):
+            raise ConfigurationError("tx_power_dbm and noise_density_dbm_hz must be finite")
+        if self.num_taps < 1 or not self.rms_delay_spread_us > 0:
+            raise ConfigurationError("need num_taps >= 1 and rms_delay_spread_us > 0")
+        if self.max_groups_per_subband is not None and self.max_groups_per_subband < 1:
+            raise ConfigurationError("max_groups_per_subband must be >= 1")
 
     def geometry(self) -> FrameGeometry:
         return FrameGeometry(
@@ -189,35 +200,21 @@ def jain_index(values: Sequence[float]) -> float:
     return float(x.sum() ** 2 / (x.size * (x**2).sum()))
 
 
-def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
-    """Simulate one drop: static channel, frames_per_drop MAC frames."""
-    t0 = time.perf_counter()
+def drop_frames(
+    cfg: ScenarioConfig, seed: int
+) -> Iterator[tuple[TrafficStats, OfdmaFrame, dict[int, int]]]:
+    """One drop frame by frame: a static channel, then frames_per_drop MAC
+    frames, each through traffic -> grouping -> candidate list -> frame
+    construction -> commit and PF update. Yields each frame's traffic
+    stats, the frame and the bytes it served per MS; a frame with no packet
+    queued is MAP-only."""
     geometry = cfg.geometry()
     table = cfg.mcs_table()
     map_model = MapModel()
-    robust = table.most_robust.bytes_per_slot
-    frames = cfg.frames_per_drop
-
-    if cfg.num_ms == 0:
-        slots = map_slots_for_ies(0, map_model, robust)
-        cols = map_columns(slots, geometry)
-        return RunMetrics(
-            goodput_bytes_per_s=0.0,
-            map_overhead_fraction=slots / geometry.frame_size_slots,
-            map_overhead_columns_fraction=cols / geometry.num_columns,
-            per_ms_served_bytes=[],
-            jain_fairness=1.0,
-            util_evals=0,
-            util_evals_max_frame=0,
-            frames=frames,
-            transmitted_bytes=0,
-            generated_bytes=0,
-            dropped_bytes=0,
-            wall_time_s=time.perf_counter() - t0,
-        )
-
-    ch = generate_channel(cfg.channel_params(), seed)
-    csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
+    csi = None  # with no MS there is no channel to draw
+    if cfg.num_ms:
+        ch = generate_channel(cfg.channel_params(), seed)
+        csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
     subbands = partition_frame(geometry)
     flows = make_flows(cfg.num_ms, cfg.traffic_params())
     ids = itertools.count()
@@ -226,12 +223,37 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
     init_columns = initial_vertical_limit(
         geometry,
         cfg.num_antennas,
-        predict_map_size(geometry, avg_mcs, map_model, robust),
+        predict_map_size(geometry, avg_mcs, map_model, table.most_robust.bytes_per_slot),
     )
 
     grouping = None
     active_prev: Optional[tuple[int, ...]] = None
-    tx_bytes = 0
+    for frame_index in range(cfg.frames_per_drop):
+        tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
+        active = tuple(f.ms for f in flows if f.buffer)
+        if active != active_prev:
+            grouping = form_groups(
+                csi, subbands, active, table, cfg.tx_power_w, cfg.max_groups_per_subband,
+            )
+            active_prev = active
+        candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
+        frame = frame_construction(
+            grouping, candidates, geometry, table,
+            init_columns=init_columns,
+            map_model=map_model,
+            allow_displacement=cfg.allow_displacement,
+        )
+        served = commit_transmissions(flows, frame.packed_packet_ids())
+        update_pf_averages(flows, served)
+        yield tstats, frame, served
+
+
+def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
+    """Simulate one drop and total its frames (see drop_frames)."""
+    t0 = time.perf_counter()
+    geometry = cfg.geometry()
+    frames = cfg.frames_per_drop
+    per_ms = [0] * cfg.num_ms
     gen_bytes = 0
     drop_bytes = 0
     map_slot_sum = 0
@@ -239,39 +261,17 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
     util_evals = 0
     util_evals_max = 0
 
-    for frame_index in range(frames):
-        tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
+    for tstats, frame, served in drop_frames(cfg, seed):
         gen_bytes += tstats.generated_bytes
         drop_bytes += tstats.dropped_bytes
-        active = tuple(f.ms for f in flows if f.buffer)
-        if active:
-            if active != active_prev:
-                grouping = form_groups(
-                    csi, subbands, active, table, cfg.tx_power_w,
-                    cfg.max_groups_per_subband,
-                )
-                active_prev = active
-            candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
-            frame = frame_construction(
-                grouping, candidates, geometry, table,
-                init_columns=init_columns,
-                map_model=map_model,
-                allow_displacement=cfg.allow_displacement,
-            )
-            served = commit_transmissions(flows, frame.packed_packet_ids())
-            tx_bytes += sum(served.values())
-            util_evals += frame.build_stats.util_evals
-            util_evals_max = max(util_evals_max, frame.build_stats.util_evals)
-            map_slot_sum += frame.map_region.slots
-            map_col_sum += frame.map_region.columns
-        else:
-            served = {}
-            slots = map_slots_for_ies(0, map_model, robust)
-            map_slot_sum += slots
-            map_col_sum += map_columns(slots, geometry)
-        update_pf_averages(flows, served)
+        for ms, nbytes in served.items():
+            per_ms[ms] += nbytes
+        map_slot_sum += frame.map_region.slots
+        map_col_sum += frame.map_region.columns
+        util_evals += frame.build_stats.util_evals
+        util_evals_max = max(util_evals_max, frame.build_stats.util_evals)
 
-    per_ms = [f.served_bytes for f in flows]
+    tx_bytes = sum(per_ms)
     return RunMetrics(
         goodput_bytes_per_s=tx_bytes / (frames * cfg.frame_duration_s),
         map_overhead_fraction=map_slot_sum / (frames * geometry.frame_size_slots),

@@ -97,12 +97,6 @@ def map_slots_for_ies(ie_count: int, map_model: MapModel, robust_bytes_per_slot:
     return math.ceil(bits / (8 * robust_bytes_per_slot))
 
 
-def map_size_slots(frame: OfdmaFrame) -> int:
-    """MAP size implied by the frame's current burst set, in slots."""
-    ies = sum(b.ie_count for b in frame.bursts.values())
-    return map_slots_for_ies(ies, frame.map_model, frame.robust_bytes_per_slot)
-
-
 def map_columns(slots: int, geometry: FrameGeometry) -> int:
     return math.ceil(slots / geometry.num_subchannels)
 
@@ -401,25 +395,26 @@ def frame_construction(
     min_slots = _min_slot_size(candidates, grouping.best_bytes_per_slot, scsb, max_area)
     step = -(-min_slots // scsb) * scsb
     v_limit = max(init_columns * scsb, step)
-    used_space = [0] * g.num_subbands
     utility_total = 0.0
 
     while v_limit * g.num_subbands + packer.map_slots() < g.frame_size_slots:
         packer.stats.rounds += 1
         j_set = set(range(g.num_subbands))
         while j_set:
-            best: Optional[tuple[float, int, int, Burst]] = None
+            best: Optional[tuple[float, Burst]] = None
             for j in sorted(j_set):
                 committed = packer.bursts.get(j)
                 if committed is not None and not allow_displacement:
                     cand = [committed.group]
                 else:
-                    cand = list(grouping.per_subband[j])
-                for gi, grp in enumerate(cand):
-                    current = committed.columns * scsb if (
-                        committed is not None and grp is committed.group
-                    ) else 0
-                    offered = (v_limit - used_space[j] + current) // scsb
+                    cand = grouping.per_subband[j]
+                for grp in cand:
+                    # the committed group is offered the whole limit, a
+                    # competitor what the committed burst leaves of it
+                    taken = 0
+                    if committed is not None and grp is not committed.group:
+                        taken = committed.columns * scsb
+                    offered = (v_limit - taken) // scsb
                     if offered < 1:
                         continue
                     packer.stats.util_evals += 1
@@ -428,16 +423,14 @@ def frame_construction(
                         continue
                     util_new = packer.utility(without=j) + burst.utility
                     if best is None or util_new > best[0]:
-                        best = (util_new, j, gi, burst)
+                        best = (util_new, burst)
             if best is None or best[0] <= utility_total:
                 j_set.clear()
                 continue
-            util_new, j, _, burst = best
+            utility_total, burst = best
             packer.commit(burst)
-            utility_total = util_new
-            packer.stats.accepted_utilities.append(util_new)
-            used_space[j] = burst.columns * scsb
-            j_set.discard(j)
+            packer.stats.accepted_utilities.append(utility_total)
+            j_set.discard(burst.subband)
         free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
         step = min(max(free_cols, 1) * scsb, step)
         v_limit += step

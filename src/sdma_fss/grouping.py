@@ -32,23 +32,16 @@ class SdmaGroup:
     members: tuple[int, ...]
     weights: np.ndarray  # (G, M), unit-norm rows aligned with members
     link: list[LinkResult]
-    metric: float
+    metric: float  # capacity score: members' slot payloads summed, infeasible ones add 0
 
 
 @dataclass
 class GroupingResult:
     per_subband: list[list[SdmaGroup]]  # aligned with the subband list, best first
     best_bytes_per_slot: dict[int, int]  # per MS, best singleton MCS payload anywhere
-    feasible_ms: frozenset[int]
 
     def groups(self) -> list[SdmaGroup]:
         return [g for lst in self.per_subband for g in lst]
-
-
-def group_metric(group: SdmaGroup) -> float:
-    """Capacity score: sum of members' slot payloads; infeasible members
-    contribute nothing."""
-    return float(sum(lr.mcs.bytes_per_slot for lr in group.link if lr.mcs is not None))
 
 
 class SubbandLinkEvaluator:
@@ -147,7 +140,7 @@ def greedy_capacity_grouper(
 
 
 def form_groups(
-    csi: CsiReport,
+    csi: Optional[CsiReport],
     subbands: Sequence[SubbandSpec],
     active_ms: Sequence[int],
     table: McsTable,
@@ -157,16 +150,17 @@ def form_groups(
     """Run the greedy grouper independently on every subband.
 
     active_ms are the MSs with queued traffic. MSs with no feasible MCS on
-    a subband are simply left ungrouped there; MSs feasible nowhere end up
-    outside feasible_ms entirely.
+    a subband are simply left ungrouped there; MSs feasible nowhere are
+    absent from best_bytes_per_slot. With no active MS every subband gets
+    an empty group list and csi is not read (it may be None).
     """
     active = sorted(set(active_ms))
+    if max_groups_per_subband is not None and max_groups_per_subband < 1:
+        raise ValueError("max_groups_per_subband must be >= 1")
     if not active:
-        raise ValueError("active_ms must be nonempty")
+        return GroupingResult(per_subband=[[] for _ in subbands], best_bytes_per_slot={})
     if max_groups_per_subband is None:
         max_groups_per_subband = len(active)
-    if max_groups_per_subband < 1:
-        raise ValueError("max_groups_per_subband must be >= 1")
 
     gain = 10.0 ** (-csi.pathloss_db / 10.0)
     amp = np.sqrt(gain)[:, None, None]
@@ -198,8 +192,4 @@ def form_groups(
         built.sort(key=lambda g: (-g.metric, g.members))
         per_subband.append(built)
 
-    return GroupingResult(
-        per_subband=per_subband,
-        best_bytes_per_slot=best_bps,
-        feasible_ms=frozenset(best_bps),
-    )
+    return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

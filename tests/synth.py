@@ -58,9 +58,7 @@ def make_grouping(per_subband: list[list[SdmaGroup]]) -> GroupingResult:
             for lr in g.link:
                 if lr.mcs is not None:
                     best[lr.ms] = max(best.get(lr.ms, 0), lr.mcs.bytes_per_slot)
-    return GroupingResult(
-        per_subband=per_subband, best_bytes_per_slot=best, feasible_ms=frozenset(best)
-    )
+    return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best)
 
 
 def init_columns_for(geometry: FrameGeometry, num_antennas: int = 4) -> int:

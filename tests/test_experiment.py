@@ -43,12 +43,18 @@ def tiny_cfg(**kw):
     return ScenarioConfig(**base)
 
 
-def test_zero_users_map_only():
-    m = run_drop(tiny_cfg(num_ms=0), seed=0)
+@pytest.mark.parametrize("cfg", [
+    tiny_cfg(num_ms=0),
+    # no packet ever arrives: every frame is idle, over a drawn channel
+    tiny_cfg(num_ms=12, saturated_traffic=False, offered_bytes_per_frame_total=0.0),
+], ids=["no_users", "zero_load"])
+def test_zero_users_map_only(cfg):
+    m = run_drop(cfg, seed=0)
     assert m.goodput_bytes_per_s == 0.0
     assert m.transmitted_bytes == 0
     # fixed MAP part only: ceil(88/48) = 2 slots out of 48
     assert m.map_overhead_fraction == pytest.approx(2 / 48)
+    assert m.per_ms_served_bytes == [0] * cfg.num_ms
     assert m.jain_fairness == 1.0
 
 
@@ -249,6 +255,21 @@ def test_config_validation():
         tiny_cfg(frame_duration_s=0.0)  # likewise
     with pytest.raises(ConfigurationError):
         tiny_cfg(saturated_traffic=False, offered_bytes_per_frame_total=-1.0)
+    # each of these used to run: on an inverted annulus, transmitting 0
+    # bytes, or raising ValueError in every drop
+    for bad in [
+        dict(min_distance_m=500.0),
+        dict(cell_radius_m=math.nan),
+        dict(buffer_capacity_bytes=-1),
+        dict(tx_power_dbm=math.inf),
+        dict(tx_power_dbm=math.nan),
+        dict(noise_density_dbm_hz=-math.inf),
+        dict(num_taps=0),
+        dict(rms_delay_spread_us=0.0),
+        dict(max_groups_per_subband=0),
+    ]:
+        with pytest.raises(ConfigurationError):
+            tiny_cfg(**bad)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -286,6 +307,16 @@ def test_cli_bad_config_exit_code(tmp_path):
                                "fft_size": 256}))
     assert cli_main(["run", "--config", str(bad)]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2"])
+def test_cli_bad_seeds_exit_code(tmp_path, capsys, seeds):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_cfg(frames_per_drop=1).to_dict()))
+    out = tmp_path / "s"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--seeds", seeds]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_seed_override(tmp_path):

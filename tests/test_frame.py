@@ -6,14 +6,11 @@ import pytest
 from sdma_fss.frame import (
     Burst,
     MapModel,
-    MapRegion,
     OfdmaFrame,
-    BuildStats,
     _Packer,
     frame_construction,
     initial_vertical_limit,
     map_columns,
-    map_size_slots,
     map_slots_for_ies,
     pack_group_area,
     predict_map_size,
@@ -86,7 +83,6 @@ def test_map_slots_bit_arithmetic_oracle():
 
 
 def test_map_size_counts_member_allocations_not_bursts():
-    g = geo(sc=10, dl=10, sb=1, msb=6)
     mk = lambda members: Burst(
         subband=0, group=make_group(0, {ms: 6 for ms in members}), columns=1,
         col_lo=9, col_hi=10,
@@ -95,17 +91,11 @@ def test_map_size_counts_member_allocations_not_bursts():
         member_slots={ms: 1 for ms in members},
         utility=1.0,
     )
-    def frame_with(bursts):
-        ies = sum(b.ie_count for b in bursts.values())
-        slots = map_slots_for_ies(ies, MapModel(), 6)
-        return OfdmaFrame(
-            geometry=g, map_model=MapModel(), robust_bytes_per_slot=6,
-            map_region=MapRegion(ies, slots, map_columns(slots, g)),
-            bursts=bursts, utility=0.0, build_stats=BuildStats(),
-        )
-    ten_single = frame_with({i: mk([i]) for i in range(10)})
-    five_double = frame_with({i: mk([2 * i, 2 * i + 1]) for i in range(5)})
-    assert map_size_slots(ten_single) == map_size_slots(five_double)
+    ten_single = [mk([i]) for i in range(10)]
+    five_double = [mk([2 * i, 2 * i + 1]) for i in range(5)]
+    ies = [sum(b.ie_count for b in bursts) for bursts in (ten_single, five_double)]
+    assert ies == [10, 10]
+    assert map_slots_for_ies(ies[0], MapModel(), 6) == map_slots_for_ies(ies[1], MapModel(), 6)
 
 
 # ------------------------------------------------- pack_group_area

@@ -12,38 +12,22 @@ behaviour change. To re-record after one:
 
 and delete the `manifest.json` it writes next to the CSVs.
 
-`tests/golden/frames/<case>.txt` holds the `render_frame` text of the first
-FRAMES frames of one drop per case in FRAME_CASES, built through the calls
-`run_drop` makes. The CSV pins see only per-drop totals; these see every
-burst, member, MCS and packet id. Re-record them with
+`tests/golden/frames/<case>.txt` holds the `render_frame` text of the
+FRAMES frames of one drop per case in FRAME_CASES, as `drop_frames` (the
+generator whose frames `run_drop` totals) yields them. The CSV pins see
+only per-drop totals; these see every burst, member, MCS and packet id.
+Re-record them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import itertools
 from pathlib import Path
 
 import pytest
 
-from sdma_fss.channel import decimate_csi, generate_channel
 from sdma_fss.cli import main as cli_main
-from sdma_fss.experiment import ScenarioConfig
-from sdma_fss.frame import (
-    MapModel,
-    frame_construction,
-    initial_vertical_limit,
-    predict_map_size,
-    render_frame,
-)
-from sdma_fss.geometry import partition_frame
-from sdma_fss.grouping import form_groups
-from sdma_fss.qos import (
-    build_candidate_list,
-    commit_transmissions,
-    generate_traffic,
-    make_flows,
-    update_pf_averages,
-)
+from sdma_fss.experiment import ScenarioConfig, drop_frames
+from sdma_fss.frame import render_frame
 
 GOLDEN = Path(__file__).parent / "golden"
 FRAMES = 4
@@ -71,41 +55,11 @@ FRAME_CASES.update(
 
 
 def render_drop(cfg: ScenarioConfig, seed: int) -> str:
-    """`render_frame` of every frame of one saturated drop, each built as
-    `run_drop` builds it."""
-    geometry = cfg.geometry()
-    table = cfg.mcs_table()
-    map_model = MapModel()
-    robust = table.most_robust.bytes_per_slot
-    csi = decimate_csi(generate_channel(cfg.channel_params(), seed), cfg.csi_decimation,
-                       cfg.noise_power_w)
-    subbands = partition_frame(geometry)
-    flows = make_flows(cfg.num_ms, cfg.traffic_params())
-    ids = itertools.count()
-    init_columns = initial_vertical_limit(
-        geometry, cfg.num_antennas,
-        predict_map_size(geometry, table.entries[len(table.entries) // 2], map_model, robust),
+    """`render_frame` of every frame `drop_frames` builds for one drop."""
+    return "".join(
+        f"# frame {i}\n{render_frame(frame)}\n"
+        for i, (_, frame, _) in enumerate(drop_frames(cfg, seed))
     )
-    grouping = None
-    active_prev = None
-    texts = []
-    for frame_index in range(cfg.frames_per_drop):
-        generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
-        active = tuple(f.ms for f in flows if f.buffer)
-        assert active, "saturated drops always have queued packets"
-        if active != active_prev:
-            grouping = form_groups(csi, subbands, active, table, cfg.tx_power_w,
-                                   cfg.max_groups_per_subband)
-            active_prev = active
-        candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
-        frame = frame_construction(
-            grouping, candidates, geometry, table, init_columns=init_columns,
-            map_model=map_model, allow_displacement=cfg.allow_displacement,
-        )
-        served = commit_transmissions(flows, frame.packed_packet_ids())
-        update_pf_averages(flows, served)
-        texts.append(f"# frame {frame_index}\n{render_frame(frame)}\n")
-    return "".join(texts)
 
 
 @pytest.mark.parametrize("name", ["saturated", "finite_rate"])

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from sdma_fss.channel import CsiReport
 from sdma_fss.geometry import SubbandSpec
@@ -8,7 +9,6 @@ from sdma_fss.grouping import (
     SubbandLinkEvaluator,
     form_groups,
     greedy_capacity_grouper,
-    group_metric,
 )
 from sdma_fss.phy import default_mcs_table
 from test_phy import oracle_minmse, oracle_select, oracle_sinr_scalar
@@ -77,7 +77,7 @@ def test_group_metric_single_member_qpsk():
     result = form_groups(csi, bands(4), [0], TABLE, total_power_w=100.0)
     g = result.per_subband[0][0]
     assert g.link[0].mcs is not None and g.link[0].mcs.name == "QPSK 1/2"
-    assert group_metric(g) == 6
+    assert g.metric == 6
 
 
 def test_group_metric_infeasible_members_zero():
@@ -86,7 +86,19 @@ def test_group_metric_infeasible_members_zero():
     result = form_groups(csi, bands(4), [0, 1], TABLE, total_power_w=1.0)
     assert result.per_subband[0] == []
     assert result.best_bytes_per_slot == {}
-    assert result.feasible_ms == frozenset()
+
+
+def test_no_active_ms_gives_empty_groups():
+    # an idle frame groups nobody; it still rejects a bad group cap
+    csi = random_csi(np.random.default_rng(3), k=3, n=12, m=2)
+    for channel in (csi, None):
+        result = form_groups(channel, bands(12, 3), [], TABLE, total_power_w=10.0)
+        assert result.per_subband == [[], [], []]
+        assert result.best_bytes_per_slot == {}
+    with pytest.raises(ValueError):
+        form_groups(csi, bands(12, 3), [], TABLE, 10.0, max_groups_per_subband=0)
+    with pytest.raises(ValueError):
+        form_groups(csi, bands(12, 3), [0, 1], TABLE, 10.0, max_groups_per_subband=0)
 
 
 def test_evaluator_matches_scalar_phy_path():
