@@ -13,7 +13,6 @@ bit-identical realization.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,71 +226,3 @@ def subband_csi(csi: CsiReport, subband: SubbandSpec) -> tuple[np.ndarray, np.nd
             f"[{subband.subcarrier_lo}, {subband.subcarrier_hi}) has no samples at D={csi.decimation}"
         )
     return csi.samples[:, mask, :], csi.sample_indices[mask]
-
-
-def coherence_bandwidth_50(ch: ChannelRealization) -> float:
-    """50%-correlation width of the frequency autocorrelation, in Hz.
-
-    Averages H(f) H*(f+lag) over MSs, antennas and frequency, normalizes by
-    the zero-lag value, and returns the first lag (linearly interpolated)
-    where the magnitude drops below one half.
-    """
-    h = ch.h
-    s = ch.num_subcarriers
-    corr = np.empty(s)
-    for lag in range(s):
-        prod = h[:, : s - lag, :] * np.conj(h[:, lag:, :])
-        corr[lag] = np.abs(prod.mean())
-    corr /= corr[0]
-    below = np.nonzero(corr < 0.5)[0]
-    if below.size == 0:
-        return s * ch.subcarrier_spacing_hz
-    i = below[0]
-    if i == 0:
-        return 0.0
-    frac = (corr[i - 1] - 0.5) / (corr[i - 1] - corr[i])
-    return (i - 1 + frac) * ch.subcarrier_spacing_hz
-
-
-_DUMP_MAGIC = b"HMATv1\x00\x00"
-
-
-def dump_channel(ch: ChannelRealization, path) -> None:
-    """Binary channel dump for cross-implementation comparison.
-
-    Layout: 8-byte magic, int64 K, S, M, float64 subcarrier spacing,
-    float64 pathloss[K], uint8 los[K], float64 distances[K], then the
-    response MS-major, subcarrier, antenna with each complex value stored
-    as interleaved re/im 64-bit floats.
-    """
-    with open(path, "wb") as f:
-        f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<qqqd", ch.num_ms, ch.num_subcarriers, ch.num_antennas,
-                            ch.subcarrier_spacing_hz))
-        ch.pathloss_db.astype("<f8").tofile(f)
-        ch.los.astype(np.uint8).tofile(f)
-        ch.distances_m.astype("<f8").tofile(f)
-        inter = np.empty(ch.h.shape + (2,))
-        inter[..., 0] = ch.h.real
-        inter[..., 1] = ch.h.imag
-        inter.astype("<f8").tofile(f)
-
-
-def load_channel_dump(path) -> ChannelRealization:
-    """Inverse of dump_channel."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"not a channel dump (magic {magic!r})")
-        k, s, m, spacing = struct.unpack("<qqqd", f.read(32))
-        pathloss = np.fromfile(f, dtype="<f8", count=k)
-        los = np.fromfile(f, dtype=np.uint8, count=k).astype(bool)
-        dist = np.fromfile(f, dtype="<f8", count=k)
-        inter = np.fromfile(f, dtype="<f8", count=k * s * m * 2).reshape(k, s, m, 2)
-    return ChannelRealization(
-        h=inter[..., 0] + 1j * inter[..., 1],
-        pathloss_db=pathloss,
-        los=los,
-        distances_m=dist,
-        subcarrier_spacing_hz=spacing,
-    )

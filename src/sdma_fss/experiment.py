@@ -105,14 +105,19 @@ class ScenarioConfig:
             raise ConfigurationError("need frames_per_drop >= 1 and frame_duration_s > 0")
         if self.offered_bytes_per_frame_total < 0:
             raise ConfigurationError("offered_bytes_per_frame_total must be >= 0")
-        if not self.min_distance_m <= self.cell_radius_m:  # equal: every MS on one circle
-            raise ConfigurationError("need min_distance_m <= cell_radius_m")
+        if not 0 < self.min_distance_m <= self.cell_radius_m:  # equal: every MS on one circle
+            raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m")
         if self.buffer_capacity_bytes < 0:
             raise ConfigurationError("buffer_capacity_bytes must be >= 0")
-        if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.noise_density_dbm_hz)):
-            raise ConfigurationError("tx_power_dbm and noise_density_dbm_hz must be finite")
-        if self.num_taps < 1 or not self.rms_delay_spread_us > 0:
-            raise ConfigurationError("need num_taps >= 1 and rms_delay_spread_us > 0")
+        for name in ("tx_power_dbm", "noise_density_dbm_hz", "ricean_k_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
+        for name in ("subcarrier_spacing_hz", "rms_delay_spread_us",
+                     "pathloss_exponent_los", "pathloss_exponent_nlos"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
+        if self.num_taps < 1:
+            raise ConfigurationError("need num_taps >= 1")
         if self.max_groups_per_subband is not None and self.max_groups_per_subband < 1:
             raise ConfigurationError("max_groups_per_subband must be >= 1")
 

@@ -146,7 +146,7 @@ def initial_vertical_limit(
 class FitMemo:
     """Per-member first-fit results within one frame construction.
 
-    A member's first fit depends on its queue and the candidate list (fixed
+    A member's first fit depends on its queue in the candidate list (fixed
     for the frame), its MCS, the area's slot cap, the subband, and which of
     its packets are frozen in other subbands. Only a commit that takes or
     releases the MS's packets changes the last, and such a commit bumps
@@ -166,26 +166,27 @@ class FitMemo:
             self.epoch[ms] = self.epoch.get(ms, 0) + 1
 
     def first_fit(
-        self, entries, ms: int, bps: int, cap: int, j: int, frozen: dict[int, int]
+        self, queue, ms: int, bps: int, cap: int, j: int, frozen: dict[int, int]
     ) -> tuple[list[int], int, list[float]]:
-        """Walk ms's entries in candidate-list order, packing each packet
-        that is not frozen in another subband and still fits in cap slots
-        (a packet that does not fit is skipped, later ones may still fit)."""
+        """Walk ms's (packet, utility) queue in FIFO order, packing each
+        packet that is not frozen in another subband and still fits in cap
+        slots (a packet that does not fit is skipped, later ones may still
+        fit)."""
         key = (ms, bps, cap, j, self.epoch.get(ms, 0))
         fit = self._fits.get(key)
         if fit is not None:
             return fit
         needs = self._needs.get((ms, bps))
         if needs is None:
-            needs = self._needs[ms, bps] = [-(-e.size_bytes // bps) for e in entries]
+            needs = self._needs[ms, bps] = [-(-pkt.size_bytes // bps) for pkt, _ in queue]
         used = 0
         packed: list[int] = []
         utils: list[float] = []
-        for entry, need in zip(entries, needs):
-            if used + need <= cap and frozen.get(entry.id, j) == j:
+        for (pkt, u), need in zip(queue, needs):
+            if used + need <= cap and frozen.get(pkt.id, j) == j:
                 used += need
-                packed.append(entry.id)
-                utils.append(entry.utility)
+                packed.append(pkt.id)
+                utils.append(u)
                 if used == cap:  # every packet needs at least one slot
                     break
         fit = self._fits[key] = (packed, used, utils)
@@ -259,11 +260,12 @@ def _min_slot_size(
     never be packed at this subband height, so they must not drive the
     step size (they would stall the whole frame); first-fit skips them."""
     worst = 0
-    for ms, entries in candidates.by_ms.items():
+    for ms, queue in candidates.by_ms.items():
         bps = best_bps.get(ms, 0)
-        if not entries or bps <= 0:
+        if bps <= 0:
             continue
-        need = -(-entries[0].size_bytes // bps)
+        head, _ = queue[0]
+        need = -(-head.size_bytes // bps)
         if need <= max_area_slots:
             worst = max(worst, need)
     return worst if worst > 0 else scsb
@@ -391,6 +393,8 @@ def frame_construction(
     g = geometry
     scsb = g.rows_per_subband
     packer = _Packer(g, table, map_model, candidates)
+    if not candidates.by_ms:  # nothing to offer: a MAP-only frame, no rounds
+        return packer.finish()
     max_area = (g.num_columns - 1) * scsb  # at least one column is MAP
     min_slots = _min_slot_size(candidates, grouping.best_bytes_per_slot, scsb, max_area)
     step = -(-min_slots // scsb) * scsb

@@ -30,7 +30,6 @@ class SdmaGroup:
 
     subband: int
     members: tuple[int, ...]
-    weights: np.ndarray  # (G, M), unit-norm rows aligned with members
     link: list[LinkResult]
     metric: float  # capacity score: members' slot payloads summed, infeasible ones add 0
 
@@ -69,7 +68,7 @@ class SubbandLinkEvaluator:
         self.table = table
         self.rep_idx = eff_channels.shape[1] // 2
         self.num_antennas = eff_channels.shape[2]
-        self._cache: dict[tuple[int, ...], tuple[np.ndarray, list[LinkResult], float]] = {}
+        self._cache: dict[tuple[int, ...], tuple[list[LinkResult], float]] = {}
 
     def metrics_for(self, member_tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
         missing = [t for t in member_tuples if t not in self._cache]
@@ -78,9 +77,9 @@ class SubbandLinkEvaluator:
             by_size.setdefault(len(t), []).append(t)
         for size, tuples in by_size.items():
             self._eval_batch(tuples, size)
-        return np.array([self._cache[t][2] for t in member_tuples])
+        return np.array([self._cache[t][1] for t in member_tuples])
 
-    def result(self, members: tuple[int, ...]) -> tuple[np.ndarray, list[LinkResult], float]:
+    def result(self, members: tuple[int, ...]) -> tuple[list[LinkResult], float]:
         if members not in self._cache:
             self._eval_batch([members], len(members))
         return self._cache[members]
@@ -100,7 +99,7 @@ class SubbandLinkEvaluator:
                 links.append(LinkResult(ms=ms, sinr=sinr[r, u], eff_sinr=geff, mcs=mcs))
                 if mcs is not None:
                     metric += mcs.bytes_per_slot
-            self._cache[t] = (w[r], links, metric)
+            self._cache[t] = (links, metric)
 
 
 def greedy_capacity_grouper(
@@ -176,18 +175,16 @@ def form_groups(
         single = ev.metrics_for([(ms,) for ms in active])
         feasible = [ms for ms, met in zip(active, single) if met > 0]
         for ms in feasible:
-            _, links, _ = ev.result((ms,))
+            links, _ = ev.result((ms,))
             bps = links[0].mcs.bytes_per_slot
             best_bps[ms] = max(best_bps.get(ms, 0), bps)
 
         built = []
         if feasible:
             for members in greedy_capacity_grouper(ev, feasible, max_groups_per_subband):
-                w, links, metric = ev.result(members)
+                links, metric = ev.result(members)
                 built.append(
-                    SdmaGroup(
-                        subband=sb.index, members=members, weights=w, link=links, metric=metric
-                    )
+                    SdmaGroup(subband=sb.index, members=members, link=links, metric=metric)
                 )
         built.sort(key=lambda g: (-g.metric, g.members))
         per_subband.append(built)

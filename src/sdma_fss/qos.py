@@ -3,8 +3,9 @@
 Packet sizes follow a trimodal internet mix (TCP-dominated). Offered load
 is either saturated (buffers topped up every frame) or finite-rate with an
 unbalanced split where half of the MSs generate 80% of the bytes. Before
-each frame the queued packets are tagged with a proportional-fair utility
-and ordered into the candidate list the frame constructor consumes.
+each frame every queued packet of an MS with a feasible MCS is tagged with
+a proportional-fair utility; the candidate list the frame constructor
+consumes is each such MS's FIFO queue with those utilities.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ PACKET_SIZE_PROBS = (0.5, 0.2, 0.3)
 @dataclass
 class Packet:
     id: int
-    ms: int
     size_bytes: int
 
     def __post_init__(self):
@@ -45,10 +45,6 @@ class Flow:
     occupancy_bytes: int = 0
     avg_throughput: float = EPSILON_BYTES_PER_FRAME
     offered_credit_bytes: float = 0.0
-    generated_bytes: int = 0
-    enqueued_bytes: int = 0
-    dropped_bytes: int = 0
-    served_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,15 +110,12 @@ def generate_traffic(
             while True:
                 size = int(rng.choice(sizes, p=probs))
                 stats.generated_bytes += size
-                flow.generated_bytes += size
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
-                    flow.dropped_bytes += size
                     break
-                flow.buffer.append(Packet(id=next(ids), ms=flow.ms, size_bytes=size))
+                flow.buffer.append(Packet(id=next(ids), size_bytes=size))
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
-                flow.enqueued_bytes += size
         else:
             # byte credit carried across frames so the long-run generated
             # volume matches the configured weight exactly
@@ -131,82 +124,42 @@ def generate_traffic(
                 size = int(rng.choice(sizes, p=probs))
                 flow.offered_credit_bytes -= size
                 stats.generated_bytes += size
-                flow.generated_bytes += size
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
-                    flow.dropped_bytes += size
                     continue
-                flow.buffer.append(Packet(id=next(ids), ms=flow.ms, size_bytes=size))
+                flow.buffer.append(Packet(id=next(ids), size_bytes=size))
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
-                flow.enqueued_bytes += size
     return stats
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
-    id: int
-    ms: int
-    size_bytes: int
-    utility: float
-    utility_per_slot: float
-
-
+@dataclass
 class CandidateList:
-    """Utility-ordered view of all schedulable queued packets.
+    """The schedulable queued packets, per MS.
 
-    Global order is by utility per slot descending; within one flow the
-    FIFO queue order is preserved (the flow's packets are re-laid into the
-    positions the sort gave that flow).
+    by_ms maps every MS with a feasible MCS and a nonempty queue to its
+    packets in FIFO order, each with its PF utility.
     """
 
-    def __init__(self, entries: list[CandidateEntry]):
-        self.entries = entries
-        self.by_ms: dict[int, list[CandidateEntry]] = {}
-        for e in entries:
-            self.by_ms.setdefault(e.ms, []).append(e)
+    by_ms: dict[int, list[tuple[Packet, float]]]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(q) for q in self.by_ms.values())
 
 
 def build_candidate_list(
     flows: Sequence[Flow], best_bytes_per_slot: dict[int, int]
 ) -> CandidateList:
-    """Tag queued packets with PF utility and order them for packing.
+    """Tag queued packets with PF utility = size / (avg throughput + epsilon).
 
-    utility = size / (avg throughput + epsilon); utility per slot divides by
-    the slots the packet needs at the MS's best feasible MCS anywhere in the
-    band. MSs with no feasible MCS are excluded entirely.
+    MSs with no feasible MCS anywhere in the band are excluded entirely.
     """
-    raw: list[tuple[float, int, int, CandidateEntry]] = []
+    by_ms: dict[int, list[tuple[Packet, float]]] = {}
     for flow in flows:
-        bps = best_bytes_per_slot.get(flow.ms, 0)
-        if bps <= 0:
-            continue
-        denom = flow.avg_throughput + EPSILON_BYTES_PER_FRAME
-        for fifo_idx, pkt in enumerate(flow.buffer):
-            u = pkt.size_bytes / denom
-            slots = -(-pkt.size_bytes // bps)
-            e = CandidateEntry(
-                id=pkt.id, ms=pkt.ms, size_bytes=pkt.size_bytes,
-                utility=u, utility_per_slot=u / slots,
-            )
-            raw.append((e.utility_per_slot, flow.ms, fifo_idx, e))
-
-    order = sorted(raw, key=lambda r: (-r[0], r[1], r[2]))
-    # re-lay each flow's packets into its sorted positions in FIFO order
-    per_ms_positions: dict[int, list[int]] = {}
-    for pos, (_, ms, _, _) in enumerate(order):
-        per_ms_positions.setdefault(ms, []).append(pos)
-    final: list[Optional[CandidateEntry]] = [None] * len(order)
-    fifo_by_ms: dict[int, list[CandidateEntry]] = {}
-    for _, ms, _, e in raw:
-        fifo_by_ms.setdefault(ms, []).append(e)
-    for ms, positions in per_ms_positions.items():
-        for pos, e in zip(positions, fifo_by_ms[ms]):
-            final[pos] = e
-    return CandidateList([e for e in final if e is not None])
+        if flow.buffer and best_bytes_per_slot.get(flow.ms, 0) > 0:
+            denom = flow.avg_throughput + EPSILON_BYTES_PER_FRAME
+            by_ms[flow.ms] = [(pkt, pkt.size_bytes / denom) for pkt in flow.buffer]
+    return CandidateList(by_ms)
 
 
 def update_pf_averages(flows: Sequence[Flow], served_bytes: dict[int, int]) -> None:
@@ -239,7 +192,6 @@ def commit_transmissions(
             if pkt.id in wanted:
                 wanted.discard(pkt.id)
                 flow.occupancy_bytes -= pkt.size_bytes
-                flow.served_bytes += pkt.size_bytes
                 served[flow.ms] = served.get(flow.ms, 0) + pkt.size_bytes
             else:
                 keep.append(pkt)

@@ -1,4 +1,12 @@
-import hypothesis
+import os
+
+# One BLAS thread, as perfbench/bench.py pins it: the kernels work on small
+# matrices, where extra OpenBLAS threads burn CPU without saving wall time.
+# Must precede the first numpy import (hypothesis does not import it).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hypothesis  # noqa: E402
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60, derandomize=True

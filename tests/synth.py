@@ -27,12 +27,12 @@ from sdma_fss.frame import (
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.grouping import GroupingResult, SdmaGroup
 from sdma_fss.phy import LinkResult, McsTable, default_mcs_table
-from sdma_fss.qos import CandidateEntry, CandidateList
+from sdma_fss.qos import CandidateList, Packet
 
 TABLE = default_mcs_table()
 
 
-def make_group(subband: int, member_bps: dict[int, int | None], num_antennas: int = 4) -> SdmaGroup:
+def make_group(subband: int, member_bps: dict[int, int | None]) -> SdmaGroup:
     """Group with prescribed per-member slot payloads (None = infeasible)."""
     members = tuple(sorted(member_bps))
     links = []
@@ -47,8 +47,7 @@ def make_group(subband: int, member_bps: dict[int, int | None], num_antennas: in
             LinkResult(ms=ms, sinr=np.array([100.0]), eff_sinr=100.0, mcs=entry)
         )
         metric += bps
-    w = np.ones((len(members), num_antennas), dtype=complex) / math.sqrt(num_antennas)
-    return SdmaGroup(subband=subband, members=members, weights=w, link=links, metric=metric)
+    return SdmaGroup(subband=subband, members=members, link=links, metric=metric)
 
 
 def make_grouping(per_subband: list[list[SdmaGroup]]) -> GroupingResult:
@@ -71,16 +70,23 @@ def init_columns_for(geometry: FrameGeometry, num_antennas: int = 4) -> int:
     )
 
 
-def make_candidates(rows: list[tuple[int, int, int, float]], best_bps: dict[int, int]) -> CandidateList:
-    """rows: (id, ms, size_bytes, utility) in the desired final order."""
-    entries = []
+def make_candidates(rows: list[tuple[int, int, int, float]]) -> CandidateList:
+    """rows: (id, ms, size_bytes, utility); each MS's rows, in the given
+    order, become its FIFO queue."""
+    by_ms: dict[int, list[tuple[Packet, float]]] = {}
     for pid, ms, size, util in rows:
-        slots = math.ceil(size / best_bps.get(ms, 6))
-        entries.append(
-            CandidateEntry(id=pid, ms=ms, size_bytes=size, utility=util,
-                           utility_per_slot=util / slots)
-        )
-    return CandidateList(entries)
+        by_ms.setdefault(ms, []).append((Packet(id=pid, size_bytes=size), util))
+    return CandidateList(by_ms)
+
+
+def candidate_rows(candidates: CandidateList) -> list[tuple[int, int, int, float]]:
+    """The (id, ms, size_bytes, utility) rows of a candidate list, MS by
+    MS in FIFO order."""
+    return [
+        (pkt.id, ms, pkt.size_bytes, util)
+        for ms, queue in candidates.by_ms.items()
+        for pkt, util in queue
+    ]
 
 
 def random_instance(rng: np.random.Generator, *, max_sb: int = 3, max_k: int = 6,
@@ -122,8 +128,7 @@ def random_instance(rng: np.random.Generator, *, max_sb: int = 3, max_k: int = 6
         util = float(rng.uniform(0.1, 10.0))
         rows.append((pid, ms, size, util))
     rows.sort(key=lambda r: -r[3])
-    candidates = make_candidates(rows, grouping.best_bytes_per_slot)
-    return grouping, candidates, geometry
+    return grouping, make_candidates(rows), geometry
 
 
 def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> None:
@@ -138,7 +143,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     assert region.slots == expect_slots
     assert region.columns == map_columns(region.slots, g)
 
-    by_id = {e.id: e for e in candidates.entries}
+    by_id = {pid: (ms, size, util) for pid, ms, size, util in candidate_rows(candidates)}
     grid = np.zeros((g.num_subchannels, g.num_columns), dtype=int)
     grid[:, : region.columns] += 1
     seen_ids: set[int] = set()
@@ -160,10 +165,10 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
             for pid in pids:
                 assert pid not in seen_ids, f"packet {pid} packed twice"
                 seen_ids.add(pid)
-                entry = by_id[pid]
-                assert entry.ms == ms, f"packet {pid} packed for wrong MS"
-                slots += math.ceil(entry.size_bytes / bps)
-                total_util += entry.utility
+                owner, size, util = by_id[pid]
+                assert owner == ms, f"packet {pid} packed for wrong MS"
+                slots += math.ceil(size / bps)
+                total_util += util
             assert slots == b.member_slots[ms]
             assert slots <= b.columns * g.rows_per_subband, "member overflows burst area"
     assert (grid <= 1).all(), "slot covered twice"

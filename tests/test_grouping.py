@@ -110,10 +110,9 @@ def test_evaluator_matches_scalar_phy_path():
     noise, power = 0.7, 55.0
     ev = SubbandLinkEvaluator(bands(9)[0], h, list(range(6)), noise, power, TABLE)
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
-        w, links, _ = ev.result(members)
+        links, _ = ev.result(members)
         rep = h[list(members), 9 // 2, :]
         w_ref = oracle_minmse(rep, noise, power)
-        assert np.allclose(w, w_ref, atol=1e-12)
         p = power / len(members)
         sinr_ref = np.array(
             [oracle_sinr_scalar(w_ref, h[list(members), n], p, noise) for n in range(9)]
@@ -126,7 +125,7 @@ def test_group_metric_matches_per_member_recomputation():
     rng = np.random.default_rng(11)
     h = rng.standard_normal((5, 9, 4)) + 1j * rng.standard_normal((5, 9, 4))
     ev = SubbandLinkEvaluator(bands(9)[0], h, list(range(5)), 1.0, 60.0, TABLE)
-    _, links, metric = ev.result((0, 2, 4))
+    links, metric = ev.result((0, 2, 4))
     total = 0
     for lr in links:
         entry, _ = oracle_select(lr.sinr, TABLE)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -60,11 +59,16 @@ def test_tail_drop_keeps_oldest():
 def test_byte_conservation():
     params = TrafficParams(saturated=True, buffer_capacity_bytes=5000)
     flows = make_flows(3, params)
+    ids = itertools.count()  # ids unique across frames, as in a drop
+    enqueued = served = 0
     for i in range(5):
-        stats = generate_traffic(flows, i, seed=9, params=params)
+        stats = generate_traffic(flows, i, seed=9, params=params, id_source=ids)
         assert stats.generated_bytes == stats.enqueued_bytes + stats.dropped_bytes
+        enqueued += stats.enqueued_bytes
+        every_other = [p.id for f in flows for p in f.buffer[::2]]
+        served += sum(commit_transmissions(flows, every_other).values())
+        assert enqueued == served + sum(p.size_bytes for f in flows for p in f.buffer)
     for f in flows:
-        assert f.generated_bytes == f.enqueued_bytes + f.dropped_bytes
         assert f.occupancy_bytes == sum(p.size_bytes for p in f.buffer)
 
 
@@ -74,37 +78,44 @@ def test_traffic_deterministic_per_seed_and_frame():
     b = make_flows(2, params)
     generate_traffic(a, 4, seed=7, params=params)
     generate_traffic(b, 4, seed=7, params=params)
-    assert [(p.ms, p.size_bytes) for f in a for p in f.buffer] == [
-        (p.ms, p.size_bytes) for f in b for p in f.buffer
+    assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] == [
+        (f.ms, p.size_bytes) for f in b for p in f.buffer
     ]
     c = make_flows(2, params)
     generate_traffic(c, 5, seed=7, params=params)
-    assert [(p.ms, p.size_bytes) for f in a for p in f.buffer] != [
-        (p.ms, p.size_bytes) for f in c for p in f.buffer
+    assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] != [
+        (f.ms, p.size_bytes) for f in c for p in f.buffer
     ]
 
 
 def test_heavy_half_generates_80_percent():
     params = finite_params(4000)
     flows = make_flows(4, params)
+    generated = [0] * len(flows)
     for frame in range(10_000):
-        generate_traffic(flows, frame, seed=13, params=params)
+        stats = generate_traffic(flows, frame, seed=13, params=params)
+        assert stats.dropped_bytes == 0
         for f in flows:  # drain so quota, not capacity, limits arrivals
+            generated[f.ms] += sum(p.size_bytes for p in f.buffer)
             f.buffer.clear()
             f.occupancy_bytes = 0
-    total = sum(f.generated_bytes for f in flows)
-    heavy = sum(f.generated_bytes for f in flows[:2])
-    assert heavy / total == pytest.approx(0.8, abs=0.02)
+    heavy = sum(generated[:2])
+    assert heavy / sum(generated) == pytest.approx(0.8, abs=0.02)
+
+
+def queues(cl):
+    """{ms: [(id, utility), ...]} of a candidate list."""
+    return {ms: [(p.id, u) for p, u in q] for ms, q in cl.by_ms.items()}
 
 
 def test_candidate_order_equal_utility_ties():
     flows = [Flow(ms=i) for i in range(3)]
     for i, f in enumerate(flows):
-        f.buffer = [Packet(id=10 * i, ms=i, size_bytes=576)]
+        f.buffer = [Packet(id=10 * i, size_bytes=576)]
     best = {0: 6, 1: 27, 2: 27}
     cl = build_candidate_list(flows, best)
-    # better MCS -> fewer slots -> higher utility/slot; tie broken by MS id
-    assert [e.ms for e in cl.entries] == [1, 2, 0]
+    # the MCS does not enter the utility: equal sizes and averages tie
+    assert queues(cl) == {0: [(0, 288.0)], 1: [(10, 288.0)], 2: [(20, 288.0)]}
 
 
 def test_candidate_starved_ms_ranks_first():
@@ -112,35 +123,21 @@ def test_candidate_starved_ms_ranks_first():
     flows[0].avg_throughput = 5000.0
     flows[1].avg_throughput = EPSILON_BYTES_PER_FRAME
     for f in flows:
-        f.buffer = [Packet(id=f.ms, ms=f.ms, size_bytes=1500)]
+        f.buffer = [Packet(id=f.ms, size_bytes=1500)]
     cl = build_candidate_list(flows, {0: 18, 1: 18})
-    assert [e.ms for e in cl.entries] == [1, 0]
+    assert queues(cl) == {0: [(0, 1500 / 5001)], 1: [(1, 750.0)]}
+    assert cl.by_ms[1][0][1] > cl.by_ms[0][0][1]
 
 
 def oracle_candidates(flows, best):
-    """Independent re-sort: recompute utilities, sort, then restore FIFO
-    inside each flow by re-laying its packets into its positions."""
-    rows = []
-    for f in flows:
-        bps = best.get(f.ms, 0)
-        if bps <= 0:
-            continue
-        for fifo, p in enumerate(f.buffer):
-            u = p.size_bytes / (f.avg_throughput + EPSILON_BYTES_PER_FRAME)
-            ups = u / math.ceil(p.size_bytes / bps)
-            rows.append({"ups": ups, "ms": f.ms, "fifo": fifo, "id": p.id})
-    order = sorted(rows, key=lambda r: (-r["ups"], r["ms"], r["fifo"]))
-    slots_per_ms = {}
-    for pos, r in enumerate(order):
-        slots_per_ms.setdefault(r["ms"], []).append(pos)
-    fifo_ids = {}
-    for r in rows:
-        fifo_ids.setdefault(r["ms"], []).append(r["id"])
-    out = [None] * len(order)
-    for ms, positions in slots_per_ms.items():
-        for pos, pid in zip(positions, fifo_ids[ms]):
-            out[pos] = pid
-    return out
+    """Each feasible MS's buffer ids in FIFO order, with the PF utility
+    size / (avg + epsilon) of each."""
+    return {
+        f.ms: [(p.id, p.size_bytes / (f.avg_throughput + EPSILON_BYTES_PER_FRAME))
+               for p in f.buffer]
+        for f in flows
+        if f.buffer and best.get(f.ms, 0) > 0
+    }
 
 
 def test_candidate_list_matches_resort_oracle():
@@ -150,12 +147,12 @@ def test_candidate_list_matches_resort_oracle():
     for f in flows:
         f.avg_throughput = float(rng.uniform(1, 4000))
         f.buffer = [
-            Packet(id=next(pid), ms=f.ms, size_bytes=int(rng.choice([40, 576, 1500])))
+            Packet(id=next(pid), size_bytes=int(rng.choice([40, 576, 1500])))
             for _ in range(int(rng.integers(1, 8)))
         ]
     best = {0: 6, 1: 18, 2: 27}
     cl = build_candidate_list(flows, best)
-    assert [e.id for e in cl.entries] == oracle_candidates(flows, best)
+    assert queues(cl) == oracle_candidates(flows, best)  # utilities bit for bit
 
 
 @given(
@@ -167,23 +164,22 @@ def test_candidate_list_matches_resort_oracle():
 def test_candidate_list_preserves_fifo_within_flow(sizes, sizes_b, avg_a, avg_b):
     flows = [Flow(ms=0), Flow(ms=1)]
     flows[0].avg_throughput, flows[1].avg_throughput = avg_a, avg_b
-    flows[0].buffer = [Packet(id=i, ms=0, size_bytes=s) for i, s in enumerate(sizes)]
-    flows[1].buffer = [
-        Packet(id=100 + i, ms=1, size_bytes=s) for i, s in enumerate(sizes_b)
-    ]
+    flows[0].buffer = [Packet(id=i, size_bytes=s) for i, s in enumerate(sizes)]
+    flows[1].buffer = [Packet(id=100 + i, size_bytes=s) for i, s in enumerate(sizes_b)]
     cl = build_candidate_list(flows, {0: 18, 1: 6})
-    for ms in (0, 1):
-        ids = [e.id for e in cl.entries if e.ms == ms]
-        assert ids == sorted(ids)
-    assert len(cl.entries) == len(sizes) + len(sizes_b)
+    assert list(cl.by_ms) == ([0, 1] if sizes_b else [0])
+    for f in flows:
+        assert [p.id for p, _ in cl.by_ms.get(f.ms, [])] == [p.id for p in f.buffer]
+    assert len(cl) == len(sizes) + len(sizes_b)
 
 
 def test_candidate_list_excludes_unschedulable():
     flows = [Flow(ms=0), Flow(ms=1)]
     for f in flows:
-        f.buffer = [Packet(id=f.ms, ms=f.ms, size_bytes=40)]
+        f.buffer = [Packet(id=f.ms, size_bytes=40)]
     cl = build_candidate_list(flows, {0: 6})
-    assert [e.ms for e in cl.entries] == [0]
+    assert list(cl.by_ms) == [0]
+    assert len(cl) == 1
 
 
 def test_pf_decay_to_floor():
@@ -216,19 +212,18 @@ def test_pf_matches_reference_recurrence():
 
 def test_commit_transmissions_audit():
     flow = Flow(ms=0)
-    flow.buffer = [Packet(id=i, ms=0, size_bytes=100) for i in range(4)]
+    flow.buffer = [Packet(id=i, size_bytes=100) for i in range(4)]
     flow.occupancy_bytes = 400
     served = commit_transmissions([flow], [1, 3])
     assert served == {0: 200}
     assert [p.id for p in flow.buffer] == [0, 2]
     assert flow.occupancy_bytes == 200
-    assert flow.served_bytes == 200
 
 
 def test_commit_rejects_duplicate_and_unknown_ids():
     def one_flow():
         flow = Flow(ms=0)
-        flow.buffer = [Packet(id=i, ms=0, size_bytes=100) for i in range(4)]
+        flow.buffer = [Packet(id=i, size_bytes=100) for i in range(4)]
         flow.occupancy_bytes = 400
         return flow
 
