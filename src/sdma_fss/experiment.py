@@ -101,18 +101,18 @@ class ScenarioConfig:
             )
         if not 1 <= self.csi_decimation <= self.geometry().num_subcarriers:
             raise ConfigurationError(f"bad CSI decimation {self.csi_decimation}")
-        if self.frames_per_drop < 1 or self.frame_duration_s <= 0:
-            raise ConfigurationError("need frames_per_drop >= 1 and frame_duration_s > 0")
-        if self.offered_bytes_per_frame_total < 0:
-            raise ConfigurationError("offered_bytes_per_frame_total must be >= 0")
-        if not 0 < self.min_distance_m <= self.cell_radius_m:  # equal: every MS on one circle
-            raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m")
-        if self.buffer_capacity_bytes < 0:
-            raise ConfigurationError("buffer_capacity_bytes must be >= 0")
+        if self.frames_per_drop < 1:
+            raise ConfigurationError("need frames_per_drop >= 1")
+        if not 0 <= self.offered_bytes_per_frame_total < math.inf:  # inf: endless credit loop
+            raise ConfigurationError("offered_bytes_per_frame_total must be finite and >= 0")
+        if not 0 < self.min_distance_m <= self.cell_radius_m < math.inf:  # equal: one circle
+            raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m < inf")
+        if not 0 <= self.buffer_capacity_bytes < math.inf:  # inf: endless saturated top-up
+            raise ConfigurationError("buffer_capacity_bytes must be finite and >= 0")
         for name in ("tx_power_dbm", "noise_density_dbm_hz", "ricean_k_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
-        for name in ("subcarrier_spacing_hz", "rms_delay_spread_us",
+        for name in ("frame_duration_s", "subcarrier_spacing_hz", "rms_delay_spread_us",
                      "pathloss_exponent_los", "pathloss_exponent_nlos"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be finite and > 0")

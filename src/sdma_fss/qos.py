@@ -1,18 +1,19 @@
 """Traffic generation, per-MS buffers and proportional-fair packet tagging.
 
-Packet sizes follow a trimodal internet mix (TCP-dominated). Offered load
-is either saturated (buffers topped up every frame) or finite-rate with an
-unbalanced split where half of the MSs generate 80% of the bytes. Before
-each frame every queued packet of an MS with a feasible MCS is tagged with
-a proportional-fair utility; the candidate list the frame constructor
+Packet sizes follow a trimodal internet mix (TCP-dominated); a frame's
+sizes are drawn TRAFFIC_BLOCK_DRAWS at a time from one generator per (seed,
+frame index) and read in order across the flows. Offered load is either
+saturated (buffers topped up every frame) or finite-rate with an unbalanced
+split where half of the MSs generate 80% of the bytes. Before each frame
+every queued packet of an MS with a feasible MCS is tagged with a
+proportional-fair utility; the candidate list the frame constructor
 consumes is each such MS's FIFO queue with those utilities.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ DEFAULT_BUFFER_CAPACITY_BYTES = 13271  # 12.96 KiB per MS
 
 PACKET_SIZES = (40, 576, 1500)
 PACKET_SIZE_PROBS = (0.5, 0.2, 0.3)
+TRAFFIC_BLOCK_DRAWS = 64  # packet sizes per rng.choice call
 
 
 @dataclass
@@ -84,36 +86,44 @@ class TrafficStats:
     dropped_bytes: int = 0
 
 
+def _packet_sizes(rng: np.random.Generator, params: TrafficParams) -> Iterator[int]:
+    """Endless packet sizes, one rng.choice per TRAFFIC_BLOCK_DRAWS: bit for
+    bit those of one scalar choice per packet (same doubles, same CDF)."""
+    while True:
+        yield from rng.choice(
+            params.packet_sizes, size=TRAFFIC_BLOCK_DRAWS, p=params.packet_size_probs
+        ).tolist()
+
+
 def generate_traffic(
     flows: Sequence[Flow],
     frame_index: int,
     seed: int,
-    params: TrafficParams = TrafficParams(),
-    id_source: Optional[Iterator[int]] = None,
+    params: TrafficParams,
+    id_source: Iterator[int],
 ) -> TrafficStats:
     """Draw this frame's arrivals into the buffers (tail drop when full).
 
-    Deterministic per (seed, frame_index). In saturated mode each buffer is
-    topped up until the next arrival no longer fits; in finite-rate mode
-    each flow draws its share of the per-frame offered bytes and arrivals
-    that do not fit are dropped.
+    Deterministic per (seed, frame_index); the flows read their sizes in
+    order from one block-drawn stream. In saturated mode each buffer is
+    topped up until the next arrival no longer fits; in finite-rate mode each
+    flow draws its share of the per-frame offered bytes and arrivals that do
+    not fit are dropped. id_source must stay unique across a drop's frames.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([0x7AFF1C, seed & 0xFFFFFFFFFFFFFFFF, frame_index])
     )
-    ids = id_source if id_source is not None else itertools.count()
-    sizes = np.asarray(params.packet_sizes)
-    probs = np.asarray(params.packet_size_probs)
+    draw = _packet_sizes(rng, params)
     stats = TrafficStats()
     for flow in flows:
         if params.saturated:
             while True:
-                size = int(rng.choice(sizes, p=probs))
+                size = next(draw)
                 stats.generated_bytes += size
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     break
-                flow.buffer.append(Packet(id=next(ids), size_bytes=size))
+                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
         else:
@@ -121,13 +131,13 @@ def generate_traffic(
             # volume matches the configured weight exactly
             flow.offered_credit_bytes += params.offered_bytes_per_frame_total * flow.load_weight
             while flow.offered_credit_bytes > 0:
-                size = int(rng.choice(sizes, p=probs))
+                size = next(draw)
                 flow.offered_credit_bytes -= size
                 stats.generated_bytes += size
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     continue
-                flow.buffer.append(Packet(id=next(ids), size_bytes=size))
+                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
     return stats

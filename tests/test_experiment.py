@@ -275,6 +275,11 @@ def test_config_validation():
         dict(cell_radius_m=-100.0, min_distance_m=-200.0),
         dict(min_distance_m=0.0),
         dict(ricean_k_db=math.nan),
+        dict(saturated_traffic=False, offered_bytes_per_frame_total=math.inf),  # never returned
+        dict(saturated_traffic=False, offered_bytes_per_frame_total=math.nan),
+        dict(cell_radius_m=math.inf),
+        dict(frame_duration_s=math.inf),
+        dict(buffer_capacity_bytes=math.inf),  # saturated top-up would never stop
     ]:
         with pytest.raises(ConfigurationError):
             tiny_cfg(**bad)

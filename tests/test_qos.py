@@ -11,6 +11,7 @@ from sdma_fss.qos import (
     Flow,
     Packet,
     TrafficParams,
+    TrafficStats,
     build_candidate_list,
     commit_transmissions,
     generate_traffic,
@@ -37,7 +38,9 @@ def test_make_flows_weight_split():
 
 def test_zero_offered_load():
     flows = make_flows(4, finite_params(0.0))
-    stats = generate_traffic(flows, 0, seed=1, params=finite_params(0.0))
+    stats = generate_traffic(
+        flows, 0, seed=1, params=finite_params(0.0), id_source=itertools.count()
+    )
     assert stats.generated_bytes == 0
     assert all(not f.buffer for f in flows)
 
@@ -45,13 +48,14 @@ def test_zero_offered_load():
 def test_tail_drop_keeps_oldest():
     params = TrafficParams(saturated=True, buffer_capacity_bytes=2000)
     flows = make_flows(1, params)
-    generate_traffic(flows, 0, seed=3, params=params)
+    ids = itertools.count()
+    generate_traffic(flows, 0, seed=3, params=params, id_source=ids)
     flow = flows[0]
     first_ids = [p.id for p in flow.buffer]
     occupancy = flow.occupancy_bytes
     assert occupancy <= 2000
     # refill attempt: buffer already full-ish, the oldest packets stay
-    generate_traffic(flows, 1, seed=3, params=params)
+    generate_traffic(flows, 1, seed=3, params=params, id_source=ids)
     assert [p.id for p in flow.buffer][: len(first_ids)] == first_ids
     assert flow.occupancy_bytes <= 2000
 
@@ -76,13 +80,13 @@ def test_traffic_deterministic_per_seed_and_frame():
     params = finite_params(3000)
     a = make_flows(2, params)
     b = make_flows(2, params)
-    generate_traffic(a, 4, seed=7, params=params)
-    generate_traffic(b, 4, seed=7, params=params)
+    generate_traffic(a, 4, seed=7, params=params, id_source=itertools.count())
+    generate_traffic(b, 4, seed=7, params=params, id_source=itertools.count())
     assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] == [
         (f.ms, p.size_bytes) for f in b for p in f.buffer
     ]
     c = make_flows(2, params)
-    generate_traffic(c, 5, seed=7, params=params)
+    generate_traffic(c, 5, seed=7, params=params, id_source=itertools.count())
     assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] != [
         (f.ms, p.size_bytes) for f in c for p in f.buffer
     ]
@@ -92,8 +96,9 @@ def test_heavy_half_generates_80_percent():
     params = finite_params(4000)
     flows = make_flows(4, params)
     generated = [0] * len(flows)
+    ids = itertools.count()
     for frame in range(10_000):
-        stats = generate_traffic(flows, frame, seed=13, params=params)
+        stats = generate_traffic(flows, frame, seed=13, params=params, id_source=ids)
         assert stats.dropped_bytes == 0
         for f in flows:  # drain so quota, not capacity, limits arrivals
             generated[f.ms] += sum(p.size_bytes for p in f.buffer)
@@ -101,6 +106,68 @@ def test_heavy_half_generates_80_percent():
             f.occupancy_bytes = 0
     heavy = sum(generated[:2])
     assert heavy / sum(generated) == pytest.approx(0.8, abs=0.02)
+
+
+def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
+    """The per-packet loop that generate_traffic replaced: one scalar
+    rng.choice per packet from the same per-frame generator."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([0x7AFF1C, seed & 0xFFFFFFFFFFFFFFFF, frame_index])
+    )
+    sizes = np.asarray(params.packet_sizes)
+    probs = np.asarray(params.packet_size_probs)
+    stats = TrafficStats()
+    for flow in flows:
+        if params.saturated:
+            while True:
+                size = int(rng.choice(sizes, p=probs))
+                stats.generated_bytes += size
+                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                    stats.dropped_bytes += size
+                    break
+                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                flow.occupancy_bytes += size
+                stats.enqueued_bytes += size
+        else:
+            flow.offered_credit_bytes += params.offered_bytes_per_frame_total * flow.load_weight
+            while flow.offered_credit_bytes > 0:
+                size = int(rng.choice(sizes, p=probs))
+                flow.offered_credit_bytes -= size
+                stats.generated_bytes += size
+                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                    stats.dropped_bytes += size
+                    continue
+                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                flow.occupancy_bytes += size
+                stats.enqueued_bytes += size
+    return stats
+
+
+@pytest.mark.parametrize("params", [
+    TrafficParams(saturated=True),  # ~270 draws in frame 0: block edges mid-flow
+    TrafficParams(saturated=True, buffer_capacity_bytes=0),
+    TrafficParams(saturated=True, buffer_capacity_bytes=2000),
+    TrafficParams(saturated=False, offered_bytes_per_frame_total=0.0),
+    TrafficParams(saturated=False, offered_bytes_per_frame_total=8000.0),
+    TrafficParams(saturated=False, offered_bytes_per_frame_total=1e5),  # tail drops
+])
+def test_block_draws_match_scalar_oracle(params):
+    state = []
+    for gen in (generate_traffic, scalar_generate_traffic):
+        flows = make_flows(12, params)
+        ids = itertools.count()
+        frames = []
+        for frame_index in range(6):
+            stats = gen(flows, frame_index, 5, params, ids)
+            frames.append((
+                stats,
+                [[(p.id, p.size_bytes) for p in f.buffer] for f in flows],
+                [(f.occupancy_bytes, f.offered_credit_bytes) for f in flows],
+            ))
+            # serve every third packet so the next top-up draws again
+            commit_transmissions(flows, [p.id for f in flows for p in f.buffer[::3]])
+        state.append(frames)
+    assert state[0] == state[1]
 
 
 def queues(cl):
