@@ -30,7 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
-RUN_KEYS = ("workload", "seed", "seconds", "trace")  # manifest keys that vary per run
+# manifest keys that vary per run or per workload
+RUN_KEYS = ("workload", "seed", "seconds", "trace", "drop_ms_p90_percentile")
 
 
 def count_metrics() -> list[str]:
@@ -76,6 +77,7 @@ def record(pr: str, runs: list[dict], traced: dict[str, dict], counts: list[str]
         workloads[name] = {
             "seeds": [r["manifest"]["seed"] for r in mine],
             "seconds": mine[0]["manifest"]["seconds"],
+            "drop_ms_p90_percentile": mine[0]["manifest"]["drop_ms_p90_percentile"],
             "correct": all(r["correct"] for r in mine) and t["correct"],
             "attempted": sum(r["attempted"] for r in mine),
             "failed": sum(r["failed"] for r in mine),

@@ -150,7 +150,7 @@ def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
     TrafficParams(saturated=False, offered_bytes_per_frame_total=0.0),
     TrafficParams(saturated=False, offered_bytes_per_frame_total=8000.0),
     TrafficParams(saturated=False, offered_bytes_per_frame_total=1e5),  # tail drops
-])
+], ids=["saturated", "capacity0", "capacity2000", "rate0", "rate8000", "rate1e5"])
 def test_block_draws_match_scalar_oracle(params):
     state = []
     for gen in (generate_traffic, scalar_generate_traffic):
