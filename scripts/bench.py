@@ -1,14 +1,15 @@
 """Record points of the BENCH trajectory: one BENCH_<pr>.json per checkout.
 
-    python3 scripts/bench.py 7=. [6=../parent-checkout ...] [--runs 5] [--seconds 30]
+    python3 scripts/bench.py 7=. [6=../parent-checkout ...]
 
-Each ``PR=DIR`` names a checkout of the repository at that PR. For run
-i = 0..runs-1 and for each workload in turn, every checkout runs
-``perfbench/run.py --trace 0 --seed <seed + i>``, the checkouts in an order
-that alternates from run to run, so checkouts recorded together see the same
-machine. Then each checkout runs once traced per workload at ``--seed``.
+Each ``PR=DIR`` names a checkout of the repository at that PR. For seed
+i = 0..RUNS-1 and for each workload in turn, every checkout runs
+``perfbench/run.py --trace 0 --seed i`` for BENCHMARK.json's ``run_seconds``,
+the checkouts in an order that alternates from run to run, so checkouts
+recorded together see the same machine. Then each checkout runs once traced
+per workload at seed 0. RUNS = 10 gives the ten pairs a speed claim needs.
 
-``<out>/BENCH_<pr>.json`` gets the checkout's git rev and manifest and, per
+``BENCH_<pr>.json`` at the repository root gets the checkout's git rev and manifest and, per
 workload: the seeds, every run's output digest and correctness, the median,
 quartiles and IQR of each end-to-end metric, the median calibration
 slowdown, and the traced run's per-layer metrics with its count metrics
@@ -30,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
+RUNS = 10
 # manifest keys that vary per run or per workload
 RUN_KEYS = ("workload", "seed", "seconds", "trace", "drop_ms_p90_percentile")
 
@@ -41,8 +43,9 @@ def count_metrics() -> list[str]:
                 and getattr(node.targets[0], "id", None) == "COUNT_METRICS")
 
 
-def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def perfbench_run(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     """One perfbench/run.py run in checkout, parsed from its output."""
+    seconds = SPEC["run_seconds"]
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
@@ -98,10 +101,6 @@ def record(pr: str, runs: list[dict], traced: dict[str, dict], counts: list[str]
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkouts", nargs="+", metavar="PR=DIR")
-    ap.add_argument("--runs", type=int, default=5, help="untraced runs per workload (>= 5)")
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     checkouts = {}
     for arg in args.checkouts:
@@ -109,25 +108,21 @@ def main(argv=None) -> int:
         if not pr.isdigit() or not (Path(path) / "perfbench" / "run.py").is_file():
             ap.error(f"{arg!r}: need PR=DIR with DIR a checkout holding perfbench/run.py")
         checkouts[pr] = Path(path).resolve()
-    if args.runs < 5:
-        ap.error("need --runs >= 5 for a median and quartiles")
 
     runs = {pr: [] for pr in checkouts}
     order = list(checkouts)
-    for i in range(args.runs):
+    for i in range(RUNS):
         for workload in WORKLOADS:
             for pr in order if i % 2 == 0 else order[::-1]:
-                runs[pr].append(perfbench_run(
-                    checkouts[pr], workload, args.seed + i, args.seconds, False))
+                runs[pr].append(perfbench_run(checkouts[pr], workload, i, False))
     traced = {pr: {} for pr in checkouts}
     for workload in WORKLOADS:
         for pr in order:
-            traced[pr][workload] = perfbench_run(
-                checkouts[pr], workload, args.seed, args.seconds, True)
+            traced[pr][workload] = perfbench_run(checkouts[pr], workload, 0, True)
 
     counts = count_metrics()
     for pr in checkouts:
-        path = args.out / f"BENCH_{pr}.json"
+        path = ROOT / f"BENCH_{pr}.json"
         path.write_text(json.dumps(record(pr, runs[pr], traced[pr], counts), indent=1) + "\n")
         print(f"wrote {path}")
     return 0
