@@ -8,19 +8,23 @@ frequency selectivity compressed by EESM.
 
 The search is a greedy best-fit: seed with the best uncovered singleton,
 then keep adding the MS that maximizes the metric while it strictly
-improves.
+improves. Subbands with equal CSI sample counts are searched in lockstep,
+one kernel batch per greedy step; the kernels are row-independent, so the
+bits are those of searching one subband at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
 from .phy import LinkResult, McsTable, compute_sinr, minmse_weights, select_mcs_batch
+
+Key = tuple[int, tuple[int, ...]]  # (subband position in the stack, sorted members)
 
 
 @dataclass
@@ -44,98 +48,99 @@ class GroupingResult:
 
 
 class SubbandLinkEvaluator:
-    """Evaluates member sets on one subband: MinMSE weights from the center
-    CSI sample, per-sample SINR across the whole subband, EESM + MCS per
-    member. Results are cached per member tuple."""
+    """Evaluates member sets on a stack of subbands with equal CSI sample
+    counts: MinMSE weights from the center CSI sample, per-sample SINR
+    across the whole subband, EESM + MCS per member. Metrics are cached per
+    (subband, members) key; link results are built on request."""
 
-    def __init__(
-        self,
-        subband: SubbandSpec,
-        eff_channels: np.ndarray,  # (K, N, M) pathloss-scaled CSI samples
-        ms_ids: Sequence[int],
-        noise_power_w: float,
-        total_power_w: float,
-        table: McsTable,
-    ):
-        if noise_power_w <= 0:
-            raise ValueError("noise power must be positive")
-        self.subband = subband
-        self.eff = eff_channels
-        self.ms_ids = list(ms_ids)
-        self.row = {ms: i for i, ms in enumerate(self.ms_ids)}
-        self.noise = noise_power_w
-        self.total_power = total_power_w
-        self.table = table
-        self.rep_idx = eff_channels.shape[1] // 2
-        self.num_antennas = eff_channels.shape[2]
-        self._cache: dict[tuple[int, ...], tuple[list[LinkResult], float]] = {}
+    def __init__(self, eff_channels: np.ndarray, ms_ids: Sequence[int],
+                 noise_power_w: float, total_power_w: float, table: McsTable):
+        self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI samples of S subbands
+        self.row = {ms: i for i, ms in enumerate(ms_ids)}
+        self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
+        self.mcs = [*table.entries, None]  # entry index -1 (none feasible) -> None, 0 bytes
+        self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0.0])
+        self.rep_idx = eff_channels.shape[2] // 2
+        self.num_antennas = eff_channels.shape[3]
+        self._cache: dict[Key, float] = {}
 
-    def metrics_for(self, member_tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
-        missing = [t for t in member_tuples if t not in self._cache]
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for t in missing:
-            by_size.setdefault(len(t), []).append(t)
-        for size, tuples in by_size.items():
-            self._eval_batch(tuples, size)
-        return np.array([self._cache[t][1] for t in member_tuples])
+    def metrics_for(self, keys: Sequence[Key]) -> np.ndarray:
+        for g, batch in _by_size([k for k in keys if k not in self._cache]).items():
+            self._eval_batch(batch, g)
+        return np.array([self._cache[k] for k in keys])
 
-    def result(self, members: tuple[int, ...]) -> tuple[list[LinkResult], float]:
-        if members not in self._cache:
-            self._eval_batch([members], len(members))
-        return self._cache[members]
+    def links(self, keys: Sequence[Key]) -> dict[Key, list[LinkResult]]:
+        """Link results per key, from one kernel batch per group size."""
+        out = {}
+        for g, batch in _by_size(keys).items():
+            sinr, idx, geff = self._eval_batch(batch, g)
+            rows = zip(batch, idx.reshape(-1, g).tolist(), geff.reshape(-1, g).tolist())
+            for r, (key, i, e) in enumerate(rows):
+                out[key] = [LinkResult(ms, sinr[r, u], e[u], self.mcs[i[u]])
+                            for u, ms in enumerate(key[1])]
+        return out
 
-    def _eval_batch(self, tuples: list[tuple[int, ...]], g: int) -> None:
-        rows = np.array([[self.row[ms] for ms in t] for t in tuples])  # (R, G)
-        w = minmse_weights(self.eff[rows, self.rep_idx, :], self.noise, self.total_power)
-        sinr = compute_sinr(w, self.eff[rows], self.total_power / g, self.noise)  # (R, G, N)
+    def _eval_batch(self, keys: list[Key], g: int):
+        sb = np.array([[s] for s, _ in keys])  # (R, 1)
+        rows = np.array([[self.row[ms] for ms in t] for _, t in keys])  # (R, G)
+        w = minmse_weights(self.eff[sb, rows, self.rep_idx, :], self.noise, self.total_power)
+        sinr = compute_sinr(w, self.eff[sb, rows], self.total_power / g, self.noise)  # (R, G, N)
 
-        n = sinr.shape[2]
-        picks = select_mcs_batch(sinr.reshape(-1, n), self.table)
-        for r, t in enumerate(tuples):
-            links = []
-            metric = 0.0
-            for u, ms in enumerate(t):
-                mcs, geff = picks[r * g + u]
-                links.append(LinkResult(ms=ms, sinr=sinr[r, u], eff_sinr=geff, mcs=mcs))
-                if mcs is not None:
-                    metric += mcs.bytes_per_slot
-            self._cache[t] = (links, metric)
+        idx, geff = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
+        # small integer payloads: the float sums are exact
+        self._cache.update(zip(keys, self.payload[idx].reshape(-1, g).sum(axis=1).tolist()))
+        return sinr, idx, geff
+
+
+def _by_size(keys: list[Key]) -> dict[int, list[Key]]:
+    return {g: [k for k in keys if len(k[1]) == g] for g in sorted({len(t) for _, t in keys})}
 
 
 def greedy_capacity_grouper(
-    ev: SubbandLinkEvaluator, feasible: list[int], max_groups: int
-) -> list[tuple[int, ...]]:
+    singleton: dict[int, float], feasible: list[int], max_groups: int, num_antennas: int
+) -> Generator:
     """Best-fit construction; argmax ties always break to the lowest MS id.
 
-    Every feasible MS ends up in at least one group (each new group is
-    seeded with an uncovered MS), so the frame constructor can schedule any
-    MS on any subband.
+    A generator: it yields each step's trial member tuples, is sent their
+    metrics, and returns the groups. Every feasible MS ends up in at least
+    one group (each new group is seeded with an uncovered MS), so the frame
+    constructor can schedule any MS on any subband.
     """
-    singleton = {ms: float(ev.metrics_for([(ms,)])[0]) for ms in feasible}
     uncovered = set(feasible)
     groups: list[tuple[int, ...]] = []
     while uncovered and len(groups) < max_groups:
         seed = max(sorted(uncovered), key=lambda ms: (singleton[ms], -ms))
-        members = (seed,)
-        metric = singleton[seed]
-        while len(members) < ev.num_antennas:
-            cands = [ms for ms in feasible if ms not in members]
-            if not cands:
+        members, metric = (seed,), singleton[seed]
+        while len(members) < num_antennas:
+            trials = [tuple(sorted(members + (c,))) for c in feasible if c not in members]
+            if not trials:
                 break
-            trials = [tuple(sorted(members + (c,))) for c in cands]
-            scores = ev.metrics_for(trials)
-            best_i = None
-            best_score = metric
-            for i, c in enumerate(cands):
-                if scores[i] > best_score:
-                    best_i, best_score = i, scores[i]
-            if best_i is None:
+            scores = yield trials
+            best = int(np.argmax(scores))
+            if not scores[best] > metric:
                 break
-            members = trials[best_i]
-            metric = float(best_score)
+            members, metric = trials[best], float(scores[best])
         groups.append(members)
         uncovered -= set(members)
     return groups
+
+
+def run_lockstep(ev: SubbandLinkEvaluator, searches: list[Generator]) -> list[list[tuple]]:
+    """Drive one greedy search per subband of ev's stack in lockstep: each
+    round scores the trials of every live search in one metrics_for call."""
+    found: list[list[tuple[int, ...]]] = [[] for _ in searches]
+    scores: dict[int, Optional[np.ndarray]] = dict.fromkeys(range(len(searches)))
+    while scores:
+        trials = {}
+        for s, sent in scores.items():
+            try:
+                trials[s] = searches[s].send(sent)
+            except StopIteration as done:
+                found[s] = done.value
+        flat = ev.metrics_for([(s, t) for s, ts in trials.items() for t in ts])
+        cuts = np.cumsum([len(ts) for ts in trials.values()])[:-1]
+        scores = dict(zip(trials, np.split(flat, cuts)))
+    return found
 
 
 def form_groups(
@@ -158,35 +163,33 @@ def form_groups(
         raise ValueError("max_groups_per_subband must be >= 1")
     if not active:
         return GroupingResult(per_subband=[[] for _ in subbands], best_bytes_per_slot={})
-    if max_groups_per_subband is None:
-        max_groups_per_subband = len(active)
+    max_groups = max_groups_per_subband or len(active)
 
-    gain = 10.0 ** (-csi.pathloss_db / 10.0)
-    amp = np.sqrt(gain)[:, None, None]
+    amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
+    eff = [(subband_csi(csi, sb)[0] * amp)[active] for sb in subbands]
+    counts = [e.shape[1] for e in eff]  # subbands with equal sample counts share a stack
 
-    per_subband: list[list[SdmaGroup]] = []
+    per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
-    for sb in subbands:
-        samples, _ = subband_csi(csi, sb)
-        eff = (samples * amp)[active]
+    for n in dict.fromkeys(counts):
+        pos = [j for j, c in enumerate(counts) if c == n]
         ev = SubbandLinkEvaluator(
-            sb, eff, active, csi.noise_power_w, total_power_w, table
+            np.stack([eff[j] for j in pos]), active, csi.noise_power_w, total_power_w, table
         )
-        single = ev.metrics_for([(ms,) for ms in active])
-        feasible = [ms for ms, met in zip(active, single) if met > 0]
-        for ms in feasible:
-            links, _ = ev.result((ms,))
-            bps = links[0].mcs.bytes_per_slot
-            best_bps[ms] = max(best_bps.get(ms, 0), bps)
-
-        built = []
-        if feasible:
-            for members in greedy_capacity_grouper(ev, feasible, max_groups_per_subband):
-                links, metric = ev.result(members)
-                built.append(
-                    SdmaGroup(subband=sb.index, members=members, link=links, metric=metric)
-                )
+        single = ev.metrics_for([(s, (ms,)) for s in range(len(pos)) for ms in active])
+        searches = []
+        for row in single.reshape(len(pos), len(active)).tolist():
+            singleton = dict(zip(active, row))
+            feasible = [ms for ms in active if singleton[ms] > 0]
+            for ms in feasible:  # a one-member metric is the member's payload
+                best_bps[ms] = max(best_bps.get(ms, 0), int(singleton[ms]))
+            searches.append(greedy_capacity_grouper(singleton, feasible, max_groups, ev.num_antennas))
+        keys = [(s, m) for s, found in enumerate(run_lockstep(ev, searches)) for m in found]
+        links = ev.links(keys)
+        for (s, members), metric in zip(keys, ev.metrics_for(keys).tolist()):
+            per_subband[pos[s]].append(
+                SdmaGroup(subbands[pos[s]].index, members, links[s, members], metric)
+            )
+    for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
-        per_subband.append(built)
-
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

@@ -177,25 +177,18 @@ def eesm_batch(samples: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(val, hi), lo)
 
 
-def select_mcs_batch(samples: np.ndarray, table: McsTable) -> list[tuple[Optional[McsEntry], float]]:
+def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, np.ndarray]:
     """Highest MCS whose own-beta effective SINR meets its threshold, for
     each row of samples (R, N).
 
     Each candidate entry is judged by the effective SINR computed with that
-    entry's beta. A row with no feasible entry gives (None, gamma_eff under
-    the most robust entry's beta).
+    entry's beta. Returns (R,) entry indices into table.entries and (R,)
+    effective SINRs of the chosen entries; a row with no feasible entry
+    gives index -1 and gamma_eff under the most robust entry's beta.
     """
     betas = np.array([e.beta for e in table.entries])
     thr = np.array([db_to_linear(e.min_sinr_db) for e in table.entries])
     geff = eesm_batch(samples, betas)  # (R, B)
-    out: list[tuple[Optional[McsEntry], float]] = []
-    for row in geff:
-        chosen: Optional[McsEntry] = None
-        used = float(row[0])
-        for i in range(len(table.entries) - 1, -1, -1):
-            if row[i] >= thr[i]:
-                chosen = table.entries[i]
-                used = float(row[i])
-                break
-        out.append((chosen, used))
-    return out
+    ok = geff >= thr
+    idx = np.where(ok.any(axis=1), len(thr) - 1 - ok[:, ::-1].argmax(axis=1), -1)
+    return idx, geff[np.arange(len(geff)), np.maximum(idx, 0)]

@@ -3,17 +3,40 @@ import itertools
 import numpy as np
 import pytest
 
-from sdma_fss.channel import CsiReport
+from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
 from sdma_fss.grouping import (
     SubbandLinkEvaluator,
     form_groups,
     greedy_capacity_grouper,
+    run_lockstep,
 )
-from sdma_fss.phy import default_mcs_table
+from sdma_fss.phy import (
+    LinkResult,
+    compute_sinr,
+    default_mcs_table,
+    minmse_weights,
+    select_mcs_batch,
+)
 from test_phy import oracle_minmse, oracle_select, oracle_sinr_scalar
 
 TABLE = default_mcs_table()
+
+
+def evaluator(h, noise=1.0, power=1.0):
+    """Evaluator over one subband's (K, N, M) CSI, MS ids 0..K-1."""
+    return SubbandLinkEvaluator(h[None], list(range(h.shape[0])), noise, power, TABLE)
+
+
+def metric(ev, members) -> float:
+    return float(ev.metrics_for([(0, members)])[0])
+
+
+def greedy_groups(ev, feasible, max_groups):
+    """The greedy search alone on the evaluator's subband 0."""
+    single = {ms: metric(ev, (ms,)) for ms in feasible}
+    search = greedy_capacity_grouper(single, feasible, max_groups, ev.num_antennas)
+    return run_lockstep(ev, [search])[0]
 
 
 def make_csi(samples: np.ndarray, noise: float = 1.0) -> CsiReport:
@@ -63,9 +86,9 @@ def test_orthogonal_pair_grouped_together():
     assert groups[0].members == (0, 1)
     singles = {}
     ev_groups = {g.members: g.metric for g in groups}
-    ev = SubbandLinkEvaluator(bands(n)[0], h, [0, 1], 1.0, 100.0, TABLE)
-    singles[0] = float(ev.metrics_for([(0,)])[0])
-    singles[1] = float(ev.metrics_for([(1,)])[0])
+    ev = evaluator(h, 1.0, 100.0)
+    singles[0] = metric(ev, (0,))
+    singles[1] = metric(ev, (1,))
     assert ev_groups[(0, 1)] > singles[0]
     assert ev_groups[(0, 1)] > singles[1]
 
@@ -108,9 +131,9 @@ def test_evaluator_matches_scalar_phy_path():
     rng = np.random.default_rng(40)
     h = rng.standard_normal((6, 9, 4)) + 1j * rng.standard_normal((6, 9, 4))
     noise, power = 0.7, 55.0
-    ev = SubbandLinkEvaluator(bands(9)[0], h, list(range(6)), noise, power, TABLE)
+    ev = evaluator(h, noise, power)
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
-        links, _ = ev.result(members)
+        links = ev.links([(0, members)])[0, members]
         rep = h[list(members), 9 // 2, :]
         w_ref = oracle_minmse(rep, noise, power)
         p = power / len(members)
@@ -124,8 +147,8 @@ def test_evaluator_matches_scalar_phy_path():
 def test_group_metric_matches_per_member_recomputation():
     rng = np.random.default_rng(11)
     h = rng.standard_normal((5, 9, 4)) + 1j * rng.standard_normal((5, 9, 4))
-    ev = SubbandLinkEvaluator(bands(9)[0], h, list(range(5)), 1.0, 60.0, TABLE)
-    links, metric = ev.result((0, 2, 4))
+    ev = evaluator(h, 1.0, 60.0)
+    links = ev.links([(0, (0, 2, 4))])[0, (0, 2, 4)]
     total = 0
     for lr in links:
         entry, _ = oracle_select(lr.sinr, TABLE)
@@ -133,7 +156,7 @@ def test_group_metric_matches_per_member_recomputation():
         if entry is not None:
             assert entry is lr.mcs
             total += entry.bytes_per_slot
-    assert metric == total
+    assert metric(ev, (0, 2, 4)) == total
 
 
 def test_greedy_vs_exhaustive_enumeration():
@@ -142,16 +165,16 @@ def test_greedy_vs_exhaustive_enumeration():
     for trial in range(20):
         k, m, n = 4, 2, 6
         h = rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))
-        ev = SubbandLinkEvaluator(bands(n)[0], h, list(range(k)), 1.0, 40.0, TABLE)
-        feasible = [ms for ms in range(k) if ev.metrics_for([(ms,)])[0] > 0]
+        ev = evaluator(h, 1.0, 40.0)
+        feasible = [ms for ms in range(k) if metric(ev, (ms,)) > 0]
         if not feasible:
             continue
-        groups = greedy_capacity_grouper(ev, feasible, max_groups=k)
-        greedy_best = max(float(ev.metrics_for([g])[0]) for g in groups)
+        groups = greedy_groups(ev, feasible, max_groups=k)
+        greedy_best = max(metric(ev, g) for g in groups)
         best = 0.0
         for size in (1, 2):
             for combo in itertools.combinations(feasible, size):
-                best = max(best, float(ev.metrics_for([tuple(combo)])[0]))
+                best = max(best, metric(ev, tuple(combo)))
         assert greedy_best <= best + 1e-9
         assert greedy_best >= 0.5 * best
         ratios.append(greedy_best / best)
@@ -208,16 +231,148 @@ def test_groups_sorted_by_metric():
 def test_metric_strictly_increases_along_greedy_construction():
     rng = np.random.default_rng(9)
     h = 1.4 * (rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4)))
-    ev = SubbandLinkEvaluator(bands(6)[0], h, list(range(5)), 1.0, 90.0, TABLE)
-    feasible = [ms for ms in range(5) if ev.metrics_for([(ms,)])[0] > 0]
-    for members in greedy_capacity_grouper(ev, feasible, max_groups=5):
+    ev = evaluator(h, 1.0, 90.0)
+    feasible = [ms for ms in range(5) if metric(ev, (ms,)) > 0]
+    for members in greedy_groups(ev, feasible, max_groups=5):
         # replaying prefixes in construction order must strictly increase
         if len(members) < 2:
             continue
         # construction order is not recorded; check the full group beats
         # every proper subset obtained by removing one member
-        full = float(ev.metrics_for([members])[0])
+        full = metric(ev, members)
         for drop in members:
             sub = tuple(ms for ms in members if ms != drop)
-            assert full > float(ev.metrics_for([sub])[0])
+            assert full > metric(ev, sub)
 
+
+
+# ---------------------------------------------------------------- sequential oracle
+# The grouper as it was before lockstep: one subband at a time, one kernel
+# batch per group size per request, (links, metric) cached per member tuple.
+
+class SequentialEvaluator:
+    def __init__(self, eff, ms_ids, noise, power, table):
+        self.eff, self.noise, self.power, self.table = eff, noise, power, table
+        self.row = {ms: i for i, ms in enumerate(ms_ids)}
+        self.rep_idx = eff.shape[1] // 2
+        self.num_antennas = eff.shape[2]
+        self.cache = {}
+
+    def metrics_for(self, tuples):
+        by_size = {}
+        for t in tuples:
+            if t not in self.cache:
+                by_size.setdefault(len(t), []).append(t)
+        for size, batch in by_size.items():
+            self._eval_batch(batch, size)
+        return np.array([self.cache[t][1] for t in tuples])
+
+    def _eval_batch(self, tuples, g):
+        rows = np.array([[self.row[ms] for ms in t] for t in tuples])
+        w = minmse_weights(self.eff[rows, self.rep_idx, :], self.noise, self.power)
+        sinr = compute_sinr(w, self.eff[rows], self.power / g, self.noise)
+        idx, geff = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
+        for r, t in enumerate(tuples):
+            links, total = [], 0.0
+            for u, ms in enumerate(t):
+                i = idx[r * g + u]
+                mcs = self.table.entries[i] if i >= 0 else None
+                links.append(LinkResult(ms, sinr[r, u], float(geff[r * g + u]), mcs))
+                if mcs is not None:
+                    total += mcs.bytes_per_slot
+            self.cache[t] = (links, total)
+
+
+def sequential_greedy(ev, feasible, max_groups):
+    singleton = {ms: float(ev.metrics_for([(ms,)])[0]) for ms in feasible}
+    uncovered = set(feasible)
+    groups = []
+    while uncovered and len(groups) < max_groups:
+        seed = max(sorted(uncovered), key=lambda ms: (singleton[ms], -ms))
+        members, best_metric = (seed,), singleton[seed]
+        while len(members) < ev.num_antennas:
+            cands = [ms for ms in feasible if ms not in members]
+            if not cands:
+                break
+            trials = [tuple(sorted(members + (c,))) for c in cands]
+            scores = ev.metrics_for(trials)
+            best_i, best_score = None, best_metric
+            for i in range(len(cands)):
+                if scores[i] > best_score:
+                    best_i, best_score = i, scores[i]
+            if best_i is None:
+                break
+            members, best_metric = trials[best_i], float(best_score)
+        groups.append(members)
+        uncovered -= set(members)
+    return groups
+
+
+def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=None):
+    """(per-subband [(subband, members, links, metric)], best_bytes_per_slot)."""
+    active = sorted(set(active_ms))
+    max_groups = len(active) if max_groups is None else max_groups
+    amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
+    per_subband, best_bps = [], {}
+    for sb in subbands:
+        samples, _ = subband_csi(csi, sb)
+        ev = SequentialEvaluator((samples * amp)[active], active, csi.noise_power_w, power, table)
+        single = ev.metrics_for([(ms,) for ms in active])
+        feasible = [ms for ms, met in zip(active, single) if met > 0]
+        for ms in feasible:
+            best_bps[ms] = max(best_bps.get(ms, 0), ev.cache[(ms,)][0][0].mcs.bytes_per_slot)
+        built = []
+        if feasible:
+            for members in sequential_greedy(ev, feasible, max_groups):
+                links, total = ev.cache[members]
+                built.append((sb.index, members, links, total))
+        built.sort(key=lambda g: (-g[3], g[1]))
+        per_subband.append(built)
+    return per_subband, best_bps
+
+
+def unequal_bands(edges):
+    return [SubbandSpec(index=j, row_lo=j, row_hi=j + 1, subcarrier_lo=lo, subcarrier_hi=hi)
+            for j, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+
+
+GEOMETRIES = {
+    "sb1": bands(24, 1),
+    "sb3": bands(24, 3),
+    "sb6": bands(24, 6),
+    # sample counts 5, 3, 5, 2, 9: four stacks, one of them two subbands high
+    "unequal": unequal_bands([0, 5, 8, 13, 15, 24]),
+}
+
+
+@pytest.mark.parametrize("max_groups", [None, 1, 2])
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+def test_lockstep_matches_sequential_oracle(geometry, max_groups):
+    # lockstep across subbands gives bit for bit the groups, metrics, MCS
+    # and SINRs of searching the subbands one after another
+    subbands = GEOMETRIES[geometry]
+    rng = np.random.default_rng([len(subbands), max_groups or 0])
+    checked = 0
+    for trial in range(6):
+        k, m = int(rng.integers(3, 10)), int(rng.choice([2, 4]))
+        cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)  # mildly selective
+        csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
+        active = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+        power = float(rng.uniform(5.0, 80.0))
+
+        got = form_groups(csi, subbands, active, TABLE, power, max_groups)
+        want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power, max_groups)
+        assert got.best_bytes_per_slot == want_bps
+        assert len(got.per_subband) == len(want)
+        for groups, ref in zip(got.per_subband, want):
+            assert [(g.subband, g.members, g.metric) for g in groups] == [
+                (sb, members, total) for sb, members, _, total in ref
+            ]
+            for g, (_, _, links, _) in zip(groups, ref):
+                for lr, lr_ref in zip(g.link, links, strict=True):
+                    assert lr.ms == lr_ref.ms and lr.mcs is lr_ref.mcs
+                    assert np.array_equal(lr.eff_sinr, lr_ref.eff_sinr)
+                    assert np.array_equal(lr.sinr, lr_ref.sinr)
+                    checked += 1
+    assert checked > 0

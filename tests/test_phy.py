@@ -38,8 +38,15 @@ def eesm_one(samples, beta):
     return float(eesm_batch(np.asarray(samples, dtype=float)[None], [beta])[0, 0])
 
 
+def select_rows(samples, table=TABLE):
+    """select_mcs_batch's index and effective-SINR arrays as one (entry or
+    None, gamma_eff) pair per row."""
+    idx, geff = select_mcs_batch(samples, table)
+    return [(table.entries[i] if i >= 0 else None, float(e)) for i, e in zip(idx, geff)]
+
+
 def select_one(samples, table=TABLE):
-    return select_mcs_batch(np.asarray(samples, dtype=float)[None], table)[0]
+    return select_rows(np.asarray(samples, dtype=float)[None], table)[0]
 
 
 # ---------------------------------------------------------------- minmse
@@ -120,17 +127,26 @@ def test_minmse_rejects_nonpositive_noise():
 
 
 def test_kernels_batch_rows_independent():
-    # a batch of R groups gives exactly what R batch-of-one calls give
+    # a batch of R groups gives bit for bit what R batch-of-one calls give;
+    # grouping stacks subbands and greedy steps into one batch on this
     rng = np.random.default_rng(8)
-    h = rng.standard_normal((5, 3, 7, 4)) + 1j * rng.standard_normal((5, 3, 7, 4))
-    w = minmse_weights(h[:, :, 3, :], 0.2, 9.0)
-    gamma = compute_sinr(w, h, 3.0, 0.2)
-    assert w.shape == (5, 3, 4) and gamma.shape == (5, 3, 7)
-    for r in range(5):
-        w_r = minmse_weights(h[r : r + 1, :, 3, :], 0.2, 9.0)
-        assert np.allclose(w_r[0], w[r], rtol=1e-13, atol=0)
-        g_r = compute_sinr(w_r, h[r : r + 1], 3.0, 0.2)
-        assert np.allclose(g_r[0], gamma[r], rtol=1e-12, atol=0)
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for r_total, g in ((5, 3), (60, 2), (61, 4)):
+        # mildly frequency-selective, so the rows span the MCS ladder
+        h = cn(r_total, g, 1, 4) + 0.3 * cn(r_total, g, 7, 4)
+        w = minmse_weights(h[:, :, 3, :], 0.2, 9.0)
+        gamma = compute_sinr(w, h, 3.0, 0.2)
+        idx, geff = select_mcs_batch(gamma.reshape(-1, 7), TABLE)
+        assert w.shape == (r_total, g, 4) and gamma.shape == (r_total, g, 7)
+        for r in range(r_total):
+            w_r = minmse_weights(h[r : r + 1, :, 3, :], 0.2, 9.0)
+            assert np.array_equal(w_r[0], w[r])
+            g_r = compute_sinr(w_r, h[r : r + 1], 3.0, 0.2)
+            assert np.array_equal(g_r[0], gamma[r])
+            i_r, e_r = select_mcs_batch(g_r[0], TABLE)  # the group's g member rows
+            assert np.array_equal(i_r, idx[r * g : (r + 1) * g])
+            assert np.array_equal(e_r, geff[r * g : (r + 1) * g])
+        assert len(set(idx.tolist())) > 2  # the rows pick different MCS entries
 
 
 # ---------------------------------------------------------------- Eq. 1 SINR
@@ -375,7 +391,7 @@ def test_select_mcs_matches_bruteforce_scan():
 def test_select_mcs_batch_consistent():
     rng = np.random.default_rng(23)
     x = rng.uniform(0, 300, size=(40, 6))
-    batch = select_mcs_batch(x, TABLE)
+    batch = select_rows(x)
     for i in range(40):
         assert batch[i] == select_one(x[i])
         entry, geff = oracle_select(x[i], TABLE)
