@@ -103,8 +103,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"bad CSI decimation {self.csi_decimation}")
         if self.frames_per_drop < 1:
             raise ConfigurationError("need frames_per_drop >= 1")
-        if not 0 <= self.offered_bytes_per_frame_total < math.inf:  # inf: endless credit loop
-            raise ConfigurationError("offered_bytes_per_frame_total must be finite and >= 0")
+        if not 0 <= self.offered_bytes_per_frame_total < 2.0**53:  # beyond, credit -= size stalls
+            raise ConfigurationError("offered_bytes_per_frame_total must be >= 0 and < 2**53")
         if not 0 < self.min_distance_m <= self.cell_radius_m < math.inf:  # equal: one circle
             raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m < inf")
         if not 0 <= self.buffer_capacity_bytes < math.inf:  # inf: endless saturated top-up

@@ -277,6 +277,8 @@ def test_config_validation():
         dict(ricean_k_db=math.nan),
         dict(saturated_traffic=False, offered_bytes_per_frame_total=math.inf),  # never returned
         dict(saturated_traffic=False, offered_bytes_per_frame_total=math.nan),
+        dict(saturated_traffic=False, offered_bytes_per_frame_total=1e300),  # never returned
+        dict(saturated_traffic=False, offered_bytes_per_frame_total=2.0**53),
         dict(cell_radius_m=math.inf),
         dict(frame_duration_s=math.inf),
         dict(buffer_capacity_bytes=math.inf),  # saturated top-up would never stop
