@@ -1,20 +1,26 @@
-"""Record points of the BENCH trajectory: one BENCH_<pr>.json per checkout.
+"""Record a point of the BENCH trajectory: BENCH_<pr>.json for one checkout,
+with its parent measured in the same session.
 
-    python3 scripts/bench.py 7=. [6=../parent-checkout ...]
+    python3 scripts/bench.py 8=. 7=../parent-checkout
 
-Each ``PR=DIR`` names a checkout of the repository at that PR. For seed
-i = 0..RUNS-1 and for each workload in turn, every checkout runs
+Each ``PR=DIR`` names a checkout of the repository at that PR; the first is
+the one recorded, the others are its baselines. For seed i = 0..RUNS-1 and
+for each workload in turn, every checkout runs
 ``perfbench/run.py --trace 0 --seed i`` for BENCHMARK.json's ``run_seconds``,
 the checkouts in an order that alternates from run to run, so checkouts
 recorded together see the same machine. Then each checkout runs once traced
-per workload at seed 0. RUNS = 10 gives the ten pairs a speed claim needs.
+per workload at seed 0, and once ``pytest -m slow`` (acceptance 6, the
+trend grid) with BLAS on one thread. RUNS = 10 gives the ten pairs a speed
+claim needs.
 
-``BENCH_<pr>.json`` at the repository root gets the checkout's git rev and manifest and, per
-workload: the seeds, every run's output digest and correctness, the median,
+``BENCH_<pr>.json`` at the repository root gets, for the first checkout and
+under ``baselines`` for each other one: the git rev and manifest; per
+workload the seeds, every run's output digest and correctness, the median,
 quartiles and IQR of each end-to-end metric, the median calibration
 slowdown, and the traced run's per-layer metrics with its count metrics
-listed apart. Timings are perfbench's: scaled by each chunk's slowdown
-(end-to-end) or raw (per-layer); see perfbench/README.md.
+listed apart; and the wall and CPU seconds of the ``pytest -m slow`` run.
+perfbench timings are scaled by each chunk's slowdown (end-to-end) or raw
+(per-layer), see perfbench/README.md; the pytest times are raw.
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,12 +75,30 @@ def perfbench_run(checkout: Path, workload: str, seed: int, trace: bool) -> dict
     return rec
 
 
+def slow_tests(checkout: Path) -> dict:
+    """Wall and CPU seconds of one ``pytest -m slow`` run in checkout, BLAS
+    pinned to one thread as perfbench pins it."""
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-m", "slow"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=3600)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    result = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    print(f"{checkout} pytest -m slow: {result!r} wall {wall:.1f} s cpu {cpu:.1f} s", flush=True)
+    return {"command": "OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q -m slow",
+            "passed": proc.returncode == 0, "result": result, "wall_s": wall, "cpu_s": cpu}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(pr: str, runs: list[dict], traced: dict[str, dict], counts: list[str]) -> dict:
+def record(pr: str, runs: list[dict], traced: dict[str, dict], slow: dict, counts: list[str]) -> dict:
     manifest = {k: v for k, v in runs[0]["manifest"].items() if k not in RUN_KEYS}
     workloads = {}
     for name in WORKLOADS:
@@ -95,7 +122,7 @@ def record(pr: str, runs: list[dict], traced: dict[str, dict], counts: list[str]
             },
         }
     return {"pr": int(pr), "git_rev": manifest.pop("git_rev"), "manifest": manifest,
-            "workloads": workloads}
+            "workloads": workloads, "acceptance_6": slow}
 
 
 def main(argv=None) -> int:
@@ -120,11 +147,15 @@ def main(argv=None) -> int:
         for pr in order:
             traced[pr][workload] = perfbench_run(checkouts[pr], workload, 0, True)
 
+    slow = {pr: slow_tests(checkouts[pr]) for pr in order}
+
     counts = count_metrics()
-    for pr in checkouts:
-        path = ROOT / f"BENCH_{pr}.json"
-        path.write_text(json.dumps(record(pr, runs[pr], traced[pr], counts), indent=1) + "\n")
-        print(f"wrote {path}")
+    recs = {pr: record(pr, runs[pr], traced[pr], slow[pr], counts) for pr in order}
+    subject = recs.pop(order[0])
+    subject["baselines"] = recs
+    path = ROOT / f"BENCH_{order[0]}.json"
+    path.write_text(json.dumps(subject, indent=1) + "\n")
+    print(f"wrote {path}")
     return 0
 
 
