@@ -87,7 +87,7 @@ def slow_tests(checkout: Path) -> dict:
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    result = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    result = (proc.stdout.strip().splitlines() or [""])[-1]
     print(f"{checkout} pytest -m slow: {result!r} wall {wall:.1f} s cpu {cpu:.1f} s", flush=True)
     return {"command": "OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q -m slow",
             "passed": proc.returncode == 0, "result": result, "wall_s": wall, "cpu_s": cpu}
