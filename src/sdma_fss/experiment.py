@@ -17,6 +17,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -82,6 +83,11 @@ class ScenarioConfig:
     allow_displacement: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # a JSON config may carry 2.5 or NaN where a count belongs
+            v = getattr(self, f.name)
+            optional = v is None and f.type == "Optional[int]"
+            if "int" in f.type and not (isinstance(v, Integral) or optional):
+                raise ConfigurationError(f"{f.name} must be an integer, got {v!r}")
         if self.fft_size is None or self.num_subchannels is None:
             if self.bandwidth_mhz not in BANDWIDTH_DEFAULTS:
                 raise ConfigurationError(
@@ -99,25 +105,34 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"{self.geometry().num_subcarriers} data subcarriers exceed FFT size {self.fft_size}"
             )
-        if not 1 <= self.csi_decimation <= self.geometry().num_subcarriers:
-            raise ConfigurationError(f"bad CSI decimation {self.csi_decimation}")
+        d = self.csi_decimation  # CSI samples sit at multiples of d; each subband needs one
+        if not 1 <= d <= self.geometry().num_subcarriers or any(
+            -(-sb.subcarrier_lo // d) * d >= sb.subcarrier_hi
+            for sb in partition_frame(self.geometry())
+        ):
+            raise ConfigurationError(f"bad CSI decimation {d}")
         if self.frames_per_drop < 1:
             raise ConfigurationError("need frames_per_drop >= 1")
         if not 0 <= self.offered_bytes_per_frame_total < 2.0**53:  # beyond, credit -= size stalls
             raise ConfigurationError("offered_bytes_per_frame_total must be >= 0 and < 2**53")
-        if not 0 < self.min_distance_m <= self.cell_radius_m < math.inf:  # equal: one circle
-            raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m < inf")
-        if not 0 <= self.buffer_capacity_bytes < math.inf:  # inf: endless saturated top-up
-            raise ConfigurationError("buffer_capacity_bytes must be finite and >= 0")
+        if not 0 < self.min_distance_m <= self.cell_radius_m < 1e150:  # the radius is squared
+            raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m < 1e150")
+        if not 0 <= self.buffer_capacity_bytes < 2**53:  # beyond, the saturated top-up stalls
+            raise ConfigurationError("buffer_capacity_bytes must be >= 0 and < 2**53")
         for name in ("tx_power_dbm", "noise_density_dbm_hz", "ricean_k_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
+            if not abs(getattr(self, name)) < 3000:  # 10 ** (dB / 10) must stay a finite float
+                raise ConfigurationError(f"{name} must be finite and within +-3000 dB")
         for name in ("frame_duration_s", "subcarrier_spacing_hz", "rms_delay_spread_us",
                      "pathloss_exponent_los", "pathloss_exponent_nlos"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be finite and > 0")
         if self.num_taps < 1:
             raise ConfigurationError("need num_taps >= 1")
+        if not (0 < self.noise_power_w < math.inf and self.tx_power_w > 0):
+            raise ConfigurationError("noise and transmit power must be finite and > 0 W")
+        tau = self.rms_delay_spread_us * 1e-6  # in seconds, as ChannelParams reads it
+        if not 0 < tau * 2 * math.pi * self.num_taps * self.occupied_bandwidth_hz < math.inf:
+            raise ConfigurationError("the largest tap phase in the band must be finite and > 0")
         if self.max_groups_per_subband is not None and self.max_groups_per_subband < 1:
             raise ConfigurationError("max_groups_per_subband must be >= 1")
 
@@ -233,12 +248,14 @@ def drop_frames(
 
     grouping = None
     active_prev: Optional[tuple[int, ...]] = None
+    metric_cache: dict = {}  # the channel is static, so group metrics hold for the drop
     for frame_index in range(cfg.frames_per_drop):
         tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
         active = tuple(f.ms for f in flows if f.buffer)
         if active != active_prev:
             grouping = form_groups(
                 csi, subbands, active, table, cfg.tx_power_w, cfg.max_groups_per_subband,
+                cache=metric_cache,
             )
             active_prev = active
         candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)

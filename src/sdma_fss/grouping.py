@@ -10,7 +10,8 @@ The search is a greedy best-fit: seed with the best uncovered singleton,
 then keep adding the MS that maximizes the metric while it strictly
 improves. Subbands with equal CSI sample counts are searched in lockstep,
 one kernel batch per greedy step; the kernels are row-independent, so the
-bits are those of searching one subband at a time.
+bits are those of searching one subband at a time. For the same reason a
+metric cache may outlive one call while the channel stays the same.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
 from .phy import LinkResult, McsTable, compute_sinr, minmse_weights, select_mcs_batch
 
-Key = tuple[int, tuple[int, ...]]  # (subband position in the stack, sorted members)
+Key = tuple[int, tuple[int, ...]]  # (position in the subbands list, sorted members)
 
 
 @dataclass
@@ -50,24 +51,28 @@ class GroupingResult:
 class SubbandLinkEvaluator:
     """Evaluates member sets on a stack of subbands with equal CSI sample
     counts: MinMSE weights from the center CSI sample, per-sample SINR
-    across the whole subband, EESM + MCS per member. Metrics are cached per
-    (subband, members) key; link results are built on request."""
+    across the whole subband, EESM + MCS per member. Keys name a subband by
+    its position in the caller's subbands list, not in the stack (stacks
+    vary with the sample counts) nor by SubbandSpec.index (it may repeat).
+    metrics_for looks keys up in the caller's cache and evaluates only the
+    misses; link results are built on request."""
 
-    def __init__(self, eff_channels: np.ndarray, ms_ids: Sequence[int],
-                 noise_power_w: float, total_power_w: float, table: McsTable):
+    def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], ms_ids: Sequence[int],
+                 noise_power_w: float, total_power_w: float, table: McsTable, cache: dict):
         self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI samples of S subbands
+        self.stack = {j: s for s, j in enumerate(positions)}  # list position -> stack index
         self.row = {ms: i for i, ms in enumerate(ms_ids)}
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
         self.mcs = [*table.entries, None]  # entry index -1 (none feasible) -> None, 0 bytes
         self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0.0])
         self.rep_idx = eff_channels.shape[2] // 2
         self.num_antennas = eff_channels.shape[3]
-        self._cache: dict[Key, float] = {}
+        self.cache: dict[Key, float] = cache
 
     def metrics_for(self, keys: Sequence[Key]) -> np.ndarray:
-        for g, batch in _by_size([k for k in keys if k not in self._cache]).items():
+        for g, batch in _by_size([k for k in keys if k not in self.cache]).items():
             self._eval_batch(batch, g)
-        return np.array([self._cache[k] for k in keys])
+        return np.array([self.cache[k] for k in keys])
 
     def links(self, keys: Sequence[Key]) -> dict[Key, list[LinkResult]]:
         """Link results per key, from one kernel batch per group size."""
@@ -81,14 +86,14 @@ class SubbandLinkEvaluator:
         return out
 
     def _eval_batch(self, keys: list[Key], g: int):
-        sb = np.array([[s] for s, _ in keys])  # (R, 1)
+        sb = np.array([[self.stack[j]] for j, _ in keys])  # (R, 1)
         rows = np.array([[self.row[ms] for ms in t] for _, t in keys])  # (R, G)
         w = minmse_weights(self.eff[sb, rows, self.rep_idx, :], self.noise, self.total_power)
         sinr = compute_sinr(w, self.eff[sb, rows], self.total_power / g, self.noise)  # (R, G, N)
 
         idx, geff = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
         # small integer payloads: the float sums are exact
-        self._cache.update(zip(keys, self.payload[idx].reshape(-1, g).sum(axis=1).tolist()))
+        self.cache.update(zip(keys, self.payload[idx].reshape(-1, g).sum(axis=1).tolist()))
         return sinr, idx, geff
 
 
@@ -125,19 +130,20 @@ def greedy_capacity_grouper(
     return groups
 
 
-def run_lockstep(ev: SubbandLinkEvaluator, searches: list[Generator]) -> list[list[tuple]]:
-    """Drive one greedy search per subband of ev's stack in lockstep: each
-    round scores the trials of every live search in one metrics_for call."""
-    found: list[list[tuple[int, ...]]] = [[] for _ in searches]
-    scores: dict[int, Optional[np.ndarray]] = dict.fromkeys(range(len(searches)))
+def run_lockstep(ev: SubbandLinkEvaluator, searches: dict[int, Generator]) -> dict[int, list]:
+    """Drive one greedy search per subband of ev's stack, keyed by list
+    position, in lockstep: each round scores the trials of every live search
+    in one metrics_for call."""
+    found: dict[int, list[tuple[int, ...]]] = dict.fromkeys(searches)
+    scores: dict[int, Optional[np.ndarray]] = dict.fromkeys(searches)
     while scores:
         trials = {}
-        for s, sent in scores.items():
+        for j, sent in scores.items():
             try:
-                trials[s] = searches[s].send(sent)
+                trials[j] = searches[j].send(sent)
             except StopIteration as done:
-                found[s] = done.value
-        flat = ev.metrics_for([(s, t) for s, ts in trials.items() for t in ts])
+                found[j] = done.value
+        flat = ev.metrics_for([(j, t) for j, ts in trials.items() for t in ts])
         cuts = np.cumsum([len(ts) for ts in trials.values()])[:-1]
         scores = dict(zip(trials, np.split(flat, cuts)))
     return found
@@ -150,6 +156,7 @@ def form_groups(
     table: McsTable,
     total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
+    cache: Optional[dict[Key, float]] = None,
 ) -> GroupingResult:
     """Run the greedy grouper independently on every subband.
 
@@ -157,7 +164,14 @@ def form_groups(
     a subband are simply left ungrouped there; MSs feasible nowhere are
     absent from best_bytes_per_slot. With no active MS every subband gets
     an empty group list and csi is not read (it may be None).
+
+    cache maps (position in subbands, sorted members) to a group's metric;
+    None uses a fresh dict. Calls with the same csi, subbands, table and
+    power may share one (drop_frames shares one per drop): a metric depends
+    only on its members' CSI, and the kernels are row-independent, so a
+    cached metric has the bits a fresh batch would give it.
     """
+    cache = {} if cache is None else cache
     active = sorted(set(active_ms))
     if max_groups_per_subband is not None and max_groups_per_subband < 1:
         raise ValueError("max_groups_per_subband must be >= 1")
@@ -173,23 +187,20 @@ def form_groups(
     best_bps: dict[int, int] = {}
     for n in dict.fromkeys(counts):
         pos = [j for j, c in enumerate(counts) if c == n]
-        ev = SubbandLinkEvaluator(
-            np.stack([eff[j] for j in pos]), active, csi.noise_power_w, total_power_w, table
-        )
-        single = ev.metrics_for([(s, (ms,)) for s in range(len(pos)) for ms in active])
-        searches = []
-        for row in single.reshape(len(pos), len(active)).tolist():
+        ev = SubbandLinkEvaluator(np.stack([eff[j] for j in pos]), pos, active,
+                                  csi.noise_power_w, total_power_w, table, cache)
+        single = ev.metrics_for([(j, (ms,)) for j in pos for ms in active])
+        searches = {}
+        for j, row in zip(pos, single.reshape(len(pos), len(active)).tolist()):
             singleton = dict(zip(active, row))
             feasible = [ms for ms in active if singleton[ms] > 0]
             for ms in feasible:  # a one-member metric is the member's payload
                 best_bps[ms] = max(best_bps.get(ms, 0), int(singleton[ms]))
-            searches.append(greedy_capacity_grouper(singleton, feasible, max_groups, ev.num_antennas))
-        keys = [(s, m) for s, found in enumerate(run_lockstep(ev, searches)) for m in found]
+            searches[j] = greedy_capacity_grouper(singleton, feasible, max_groups, ev.num_antennas)
+        keys = [(j, m) for j, found in run_lockstep(ev, searches).items() for m in found]
         links = ev.links(keys)
-        for (s, members), metric in zip(keys, ev.metrics_for(keys).tolist()):
-            per_subband[pos[s]].append(
-                SdmaGroup(subbands[pos[s]].index, members, links[s, members], metric)
-            )
+        for (j, members), metric in zip(keys, ev.metrics_for(keys).tolist()):
+            per_subband[j].append(SdmaGroup(subbands[j].index, members, links[j, members], metric))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

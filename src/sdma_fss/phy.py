@@ -116,7 +116,10 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     ht = ch.transpose(0, 2, 1)  # (R, M, G) members as columns
     gram = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True)
     reg = g * noise_power_w / total_power_w
-    raw = np.linalg.solve(gram + reg * np.eye(m), ht)  # (R, M, G)
+    try:
+        raw = np.linalg.solve(gram + reg * np.eye(m), ht)  # (R, M, G)
+    except np.linalg.LinAlgError:  # reg lost next to a rank-deficient Gram: the ZF limit
+        raw = np.linalg.pinv(gram + reg * np.eye(m)) @ ht
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms = np.where(norms == 0, 1.0, norms)
     return (raw / norms).transpose(0, 2, 1)

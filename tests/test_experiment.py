@@ -282,6 +282,18 @@ def test_config_validation():
         dict(cell_radius_m=math.inf),
         dict(frame_duration_s=math.inf),
         dict(buffer_capacity_bytes=math.inf),  # saturated top-up would never stop
+        # found by tests/test_config_fuzz.py: each raised mid-run or never returned
+        dict(buffer_capacity_bytes=1e300),
+        dict(num_ms=2.5),
+        dict(num_antennas=math.nan),
+        dict(dl_columns=2.5),
+        dict(csi_decimation=100),  # subband 1, subcarriers [48, 96), holds no multiple of 100
+        dict(cell_radius_m=1e300),
+        dict(los=True, ricean_k_db=1e300),
+        dict(tx_power_dbm=1e300),
+        dict(rms_delay_spread_us=5e-324),
+        dict(subcarrier_spacing_hz=5e-324),  # the noise power underflows to 0 W
+        dict(subcarrier_spacing_hz=1e300, rms_delay_spread_us=1e300),  # tap phases overflow
     ]:
         with pytest.raises(ConfigurationError):
             tiny_cfg(**bad)

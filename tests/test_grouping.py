@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sdma_fss import experiment
 from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
 from sdma_fss.grouping import (
@@ -25,7 +26,7 @@ TABLE = default_mcs_table()
 
 def evaluator(h, noise=1.0, power=1.0):
     """Evaluator over one subband's (K, N, M) CSI, MS ids 0..K-1."""
-    return SubbandLinkEvaluator(h[None], list(range(h.shape[0])), noise, power, TABLE)
+    return SubbandLinkEvaluator(h[None], [0], list(range(h.shape[0])), noise, power, TABLE, {})
 
 
 def metric(ev, members) -> float:
@@ -36,7 +37,7 @@ def greedy_groups(ev, feasible, max_groups):
     """The greedy search alone on the evaluator's subband 0."""
     single = {ms: metric(ev, (ms,)) for ms in feasible}
     search = greedy_capacity_grouper(single, feasible, max_groups, ev.num_antennas)
-    return run_lockstep(ev, [search])[0]
+    return run_lockstep(ev, {0: search})[0]
 
 
 def make_csi(samples: np.ndarray, noise: float = 1.0) -> CsiReport:
@@ -376,3 +377,57 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
                     assert np.array_equal(lr.sinr, lr_ref.sinr)
                     checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------- drop-scoped cache
+
+# 10 MHz carries 720 subcarriers, CSI every 8th: sample counts 12, 8, 12, 3,
+# 55 give four stacks, one of them two subbands high, and SubbandSpec.index
+# repeats (0, 0, 1, 1, 2)
+UNEQUAL_10MHZ = [
+    SubbandSpec(index=j // 2, row_lo=j, row_hi=j + 1, subcarrier_lo=lo, subcarrier_hi=hi)
+    for j, (lo, hi) in enumerate(zip([0, 96, 160, 256, 280], [96, 160, 256, 280, 720]))
+]
+
+
+def assert_same_grouping(got, want):
+    assert got.best_bytes_per_slot == want.best_bytes_per_slot
+    assert len(got.per_subband) == len(want.per_subband)
+    for groups, ref in zip(got.per_subband, want.per_subband):
+        assert [(g.subband, g.members, g.metric) for g in groups] == [
+            (g.subband, g.members, g.metric) for g in ref
+        ]
+        for g, r in zip(groups, ref):
+            for lr, lr_ref in zip(g.link, r.link, strict=True):
+                assert lr.ms == lr_ref.ms and lr.mcs is lr_ref.mcs
+                assert np.array_equal(lr.eff_sinr, lr_ref.eff_sinr)
+                assert np.array_equal(lr.sinr, lr_ref.sinr)
+
+
+@pytest.mark.parametrize("num_subbands", [1, 3, 6])
+def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
+    # drop_frames shares one metric cache across a drop's frames; on every
+    # frame the grouping must equal one from a fresh cache, bit for bit, on
+    # the drop's subbands and on a list with unequal sample counts
+    form = experiment.form_groups
+    hits = []
+
+    def checked(csi, subbands, active, *args, cache):
+        hits.append(sum(k in cache for k in itertools.product(range(len(subbands)),
+                                                                  [(ms,) for ms in active])))
+        got = form(csi, subbands, active, *args, cache=cache)
+        assert_same_grouping(got, form(csi, subbands, active, *args))
+        unequal = form(csi, UNEQUAL_10MHZ, active, *args, cache=unequal_cache)
+        assert_same_grouping(unequal, form(csi, UNEQUAL_10MHZ, active, *args))
+        assert got.groups() and unequal.groups()
+        return got
+
+    monkeypatch.setattr(experiment, "form_groups", checked)
+    cfg = experiment.ScenarioConfig(
+        bandwidth_mhz=10.0, num_antennas=4, num_ms=12, num_subbands=num_subbands,
+        saturated_traffic=False, offered_bytes_per_frame_total=8000.0, frames_per_drop=10,
+    )
+    for seed in (0, 1):
+        unequal_cache = {}  # one per drop, as drop_frames keeps its own
+        assert sum(1 for _ in experiment.drop_frames(cfg, seed)) == cfg.frames_per_drop
+    assert len(hits) > 10 and sum(h > 0 for h in hits) > len(hits) // 2  # the cache is reused

@@ -112,6 +112,19 @@ def test_minmse_unit_norm_rows():
         assert np.allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-12)
 
 
+def test_minmse_zero_forcing_limit_when_regularizer_underflows():
+    # G sigma^2 / P below the Gram's rounding leaves H H^H + reg I exactly
+    # singular for G < M; the weights are then the limit reg -> 0, zero-forcing
+    h = np.array([[2.0, 1j, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
+    for members in (h[:1], h):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(members.T @ members.conj() + 1e-320 * np.eye(4), members.T)
+        w = minmse_one(members, noise=1e-300, power=1e20)
+        zf = (members.T @ np.linalg.inv(members.conj() @ members.T)).T  # rows of H (H^H H)^-1
+        zf /= np.linalg.norm(zf, axis=1, keepdims=True)
+        assert np.allclose(w, zf, atol=1e-12)
+
+
 def test_minmse_rejects_oversized_group():
     with pytest.raises(ValueError):
         minmse_one(np.ones((3, 2), dtype=complex), 0.1, 1.0)
