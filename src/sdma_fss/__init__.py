@@ -25,7 +25,6 @@ from .frame import (
 from .geometry import ConfigurationError, FrameGeometry, SubbandSpec, partition_frame
 from .grouping import GroupingResult, SdmaGroup, form_groups
 from .phy import (
-    LinkResult,
     McsEntry,
     McsTable,
     compute_sinr,

@@ -56,9 +56,6 @@ class Burst:
     subband: int
     group: SdmaGroup
     columns: int
-    col_lo: int
-    col_hi: int
-    member_mcs: dict[int, McsEntry]
     member_packets: dict[int, list[int]]
     member_slots: dict[int, int]
     utility: float
@@ -199,17 +196,17 @@ def pack_group_area(
     candidates: CandidateList,
     frozen: dict[int, int],
     scsb: int,
-    col_hi: int,
     memo: Optional[FitMemo] = None,
 ) -> Burst:
     """Fill a columns-wide area of the group's subband, one layer per member.
 
-    Each member gets the first fit of its packets (see FitMemo.first_fit);
-    packets frozen in other subbands are skipped. A packet occupies
-    ceil(size / bytes_per_slot) slots at the member's MCS. Read-only:
-    `frozen` is not changed, committing the burst is the caller's job.
-    `memo` carries first-fit results between calls on the same candidates
-    and frozen map; without one every fit is computed afresh.
+    Each member with a feasible MCS gets the first fit of its packets (see
+    FitMemo.first_fit); packets frozen in other subbands are skipped. A
+    packet occupies ceil(size / bytes_per_slot) slots at the member's MCS.
+    Read-only: `frozen` is not changed, committing the burst is the
+    caller's job. `memo` carries first-fit results between calls on the
+    same candidates and frozen map; without one every fit is computed
+    afresh.
     """
     if columns < 1:
         raise ValueError("need at least one column")
@@ -217,22 +214,20 @@ def pack_group_area(
         memo = FitMemo()
     j = group.subband
     cap = columns * scsb
-    member_mcs: dict[int, McsEntry] = {}
     member_packets: dict[int, list[int]] = {}
     member_slots: dict[int, int] = {}
     utility = 0.0
-    for lr in group.link:
-        if lr.mcs is None:
+    for ms, mcs in zip(group.members, group.mcs):
+        if mcs is None:
             continue
         packed, used, utils = memo.first_fit(
-            candidates.by_ms.get(lr.ms, ()), lr.ms, lr.mcs.bytes_per_slot, cap, j, frozen
+            candidates.by_ms.get(ms, ()), ms, mcs.bytes_per_slot, cap, j, frozen
         )
         for u in utils:
             utility += u
         if packed:
-            member_mcs[lr.ms] = lr.mcs
-            member_packets[lr.ms] = packed
-            member_slots[lr.ms] = used
+            member_packets[ms] = packed
+            member_slots[ms] = used
 
     used_cols = 0
     if member_slots:
@@ -241,9 +236,6 @@ def pack_group_area(
         subband=j,
         group=group,
         columns=used_cols,
-        col_lo=col_hi - used_cols,
-        col_hi=col_hi,
-        member_mcs=member_mcs,
         member_packets=member_packets,
         member_slots=member_slots,
         utility=utility,
@@ -327,10 +319,7 @@ class _Packer:
         base_ies = self.total_ies(without=j)
         other_cols = self.max_cols(without=j)
         while cols >= 1:
-            burst = pack_group_area(
-                group, cols, self.candidates, self.frozen, self.scsb, self.g.num_columns,
-                self.memo,
-            )
+            burst = pack_group_area(group, cols, self.candidates, self.frozen, self.scsb, self.memo)
             if not burst.member_packets:
                 return None
             new_map_cols = map_columns(
@@ -458,11 +447,12 @@ def render_frame(frame: OfdmaFrame) -> str:
             continue
         lines.append(
             f"subband {j}: members={list(b.group.members)} "
-            f"columns=[{b.col_lo},{b.col_hi}) util={b.utility:.6f}"
+            f"columns=[{g.num_columns - b.columns},{g.num_columns}) util={b.utility:.6f}"
         )
+        mcs = dict(zip(b.group.members, b.group.mcs))
         for ms in sorted(b.member_packets):
             lines.append(
-                f"  ms {ms} mcs={b.member_mcs[ms].name} slots={b.member_slots[ms]} "
+                f"  ms {ms} mcs={mcs[ms].name} slots={b.member_slots[ms]} "
                 f"packets={b.member_packets[ms]}"
             )
     return "\n".join(lines)

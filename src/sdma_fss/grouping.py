@@ -11,7 +11,9 @@ then keep adding the MS that maximizes the metric while it strictly
 improves. Subbands with equal CSI sample counts are searched in lockstep,
 one kernel batch per greedy step; the kernels are row-independent, so the
 bits are those of searching one subband at a time. For the same reason a
-metric cache may outlive one call while the channel stays the same.
+cache may outlive one call while the channel stays the same. It holds each
+scored group's metric and the MCS entry each member sustains, which is all a
+final group carries: a group goes through the kernels once per cache.
 """
 
 from __future__ import annotations
@@ -23,19 +25,21 @@ import numpy as np
 
 from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
-from .phy import LinkResult, McsTable, compute_sinr, minmse_weights, select_mcs_batch
+from .phy import McsEntry, McsTable, compute_sinr, minmse_weights, select_mcs_batch
 
 Key = tuple[int, tuple[int, ...]]  # (position in the subbands list, sorted members)
+# (metric, then each member's index into the MCS entries, -1 for none feasible)
+Scored = tuple[int, ...]
 
 
 @dataclass
 class SdmaGroup:
-    """A spatially compatible member set on one subband, with its link
-    results evaluated over that subband's CSI samples."""
+    """A spatially compatible member set on one subband, with the MCS each
+    member sustains there given the group's precoding."""
 
     subband: int
     members: tuple[int, ...]
-    link: list[LinkResult]
+    mcs: tuple[Optional[McsEntry], ...]  # aligned with members, None: no MCS feasible
     metric: float  # capacity score: members' slot payloads summed, infeasible ones add 0
 
 
@@ -55,7 +59,7 @@ class SubbandLinkEvaluator:
     its position in the caller's subbands list, not in the stack (stacks
     vary with the sample counts) nor by SubbandSpec.index (it may repeat).
     metrics_for looks keys up in the caller's cache and evaluates only the
-    misses; link results are built on request."""
+    misses."""
 
     def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], ms_ids: Sequence[int],
                  noise_power_w: float, total_power_w: float, table: McsTable, cache: dict):
@@ -63,38 +67,27 @@ class SubbandLinkEvaluator:
         self.stack = {j: s for s, j in enumerate(positions)}  # list position -> stack index
         self.row = {ms: i for i, ms in enumerate(ms_ids)}
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
-        self.mcs = [*table.entries, None]  # entry index -1 (none feasible) -> None, 0 bytes
-        self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0.0])
+        self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0])  # index -1: 0
         self.rep_idx = eff_channels.shape[2] // 2
         self.num_antennas = eff_channels.shape[3]
-        self.cache: dict[Key, float] = cache
+        self.cache: dict[Key, Scored] = cache
 
     def metrics_for(self, keys: Sequence[Key]) -> np.ndarray:
         for g, batch in _by_size([k for k in keys if k not in self.cache]).items():
             self._eval_batch(batch, g)
-        return np.array([self.cache[k] for k in keys])
+        return np.array([self.cache[k][0] for k in keys], dtype=float)
 
-    def links(self, keys: Sequence[Key]) -> dict[Key, list[LinkResult]]:
-        """Link results per key, from one kernel batch per group size."""
-        out = {}
-        for g, batch in _by_size(keys).items():
-            sinr, idx, geff = self._eval_batch(batch, g)
-            rows = zip(batch, idx.reshape(-1, g).tolist(), geff.reshape(-1, g).tolist())
-            for r, (key, i, e) in enumerate(rows):
-                out[key] = [LinkResult(ms, sinr[r, u], e[u], self.mcs[i[u]])
-                            for u, ms in enumerate(key[1])]
-        return out
-
-    def _eval_batch(self, keys: list[Key], g: int):
+    def _eval_batch(self, keys: list[Key], g: int) -> None:
         sb = np.array([[self.stack[j]] for j, _ in keys])  # (R, 1)
         rows = np.array([[self.row[ms] for ms in t] for _, t in keys])  # (R, G)
         w = minmse_weights(self.eff[sb, rows, self.rep_idx, :], self.noise, self.total_power)
         sinr = compute_sinr(w, self.eff[sb, rows], self.total_power / g, self.noise)  # (R, G, N)
 
-        idx, geff = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
-        # small integer payloads: the float sums are exact
-        self.cache.update(zip(keys, self.payload[idx].reshape(-1, g).sum(axis=1).tolist()))
-        return sinr, idx, geff
+        idx, _ = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
+        idx = idx.reshape(-1, g)
+        # small integer payloads: the sums are exact, as floats too
+        metrics = self.payload[idx].sum(axis=1).tolist()
+        self.cache.update((k, (m, *i)) for k, m, i in zip(keys, metrics, idx.tolist()))
 
 
 def _by_size(keys: list[Key]) -> dict[int, list[Key]]:
@@ -156,7 +149,7 @@ def form_groups(
     table: McsTable,
     total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
-    cache: Optional[dict[Key, float]] = None,
+    cache: Optional[dict[Key, Scored]] = None,
 ) -> GroupingResult:
     """Run the greedy grouper independently on every subband.
 
@@ -165,11 +158,12 @@ def form_groups(
     absent from best_bytes_per_slot. With no active MS every subband gets
     an empty group list and csi is not read (it may be None).
 
-    cache maps (position in subbands, sorted members) to a group's metric;
-    None uses a fresh dict. Calls with the same csi, subbands, table and
-    power may share one (drop_frames shares one per drop): a metric depends
-    only on its members' CSI, and the kernels are row-independent, so a
-    cached metric has the bits a fresh batch would give it.
+    cache maps (position in subbands, sorted members) to a group's metric
+    and its members' MCS entry indices; None uses a fresh dict. Calls with
+    the same csi, subbands, table and power may share one (drop_frames
+    shares one per drop): both depend only on the members' CSI, and the
+    kernels are row-independent, so a cached entry has the bits a fresh
+    batch would give it.
     """
     cache = {} if cache is None else cache
     active = sorted(set(active_ms))
@@ -183,6 +177,7 @@ def form_groups(
     eff = [(subband_csi(csi, sb)[0] * amp)[active] for sb in subbands]
     counts = [e.shape[1] for e in eff]  # subbands with equal sample counts share a stack
 
+    entries = [*table.entries, None]  # entry index -1 (none feasible) -> None
     per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
     for n in dict.fromkeys(counts):
@@ -197,10 +192,11 @@ def form_groups(
             for ms in feasible:  # a one-member metric is the member's payload
                 best_bps[ms] = max(best_bps.get(ms, 0), int(singleton[ms]))
             searches[j] = greedy_capacity_grouper(singleton, feasible, max_groups, ev.num_antennas)
-        keys = [(j, m) for j, found in run_lockstep(ev, searches).items() for m in found]
-        links = ev.links(keys)
-        for (j, members), metric in zip(keys, ev.metrics_for(keys).tolist()):
-            per_subband[j].append(SdmaGroup(subbands[j].index, members, links[j, members], metric))
+        for j, found in run_lockstep(ev, searches).items():
+            for members in found:  # every final group was scored during its search
+                metric, *idx = cache[j, members]
+                per_subband[j].append(SdmaGroup(subbands[j].index, members,
+                                                tuple(entries[i] for i in idx), float(metric)))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

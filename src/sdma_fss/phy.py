@@ -9,14 +9,15 @@ effective SIR mapping, with a per-MCS calibration factor beta.
 
 Each kernel has one implementation, batched over a leading axis of R rows:
 R groups for the weights and the SINR, R per-member sample vectors for EESM
-and MCS selection. A single group or vector is the case R = 1.
+and MCS selection. A single group or vector is the case R = 1. The SINRs
+and effective SINRs are only steps toward the MCS: select_mcs_batch returns
+entry indices, and a group keeps its members' entries, nothing more.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -82,16 +83,6 @@ def default_mcs_table() -> McsTable:
         ("64QAM 3/4", 21.0, 27, 13.8),
     ]
     return McsTable(tuple(McsEntry(*r) for r in rows))
-
-
-@dataclass
-class LinkResult:
-    """Per-member outcome on one subband."""
-
-    ms: int
-    sinr: np.ndarray  # linear, one per CSI sample
-    eff_sinr: float
-    mcs: Optional[McsEntry]
 
 
 def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from sdma_fss.frame import (
 )
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.grouping import GroupingResult, SdmaGroup
-from sdma_fss.phy import LinkResult, McsTable, default_mcs_table
+from sdma_fss.phy import McsTable, default_mcs_table
 from sdma_fss.qos import CandidateList, Packet
 
 TABLE = default_mcs_table()
@@ -35,28 +35,19 @@ TABLE = default_mcs_table()
 def make_group(subband: int, member_bps: dict[int, int | None]) -> SdmaGroup:
     """Group with prescribed per-member slot payloads (None = infeasible)."""
     members = tuple(sorted(member_bps))
-    links = []
-    metric = 0.0
-    for ms in members:
-        bps = member_bps[ms]
-        if bps is None:
-            links.append(LinkResult(ms=ms, sinr=np.array([0.0]), eff_sinr=0.0, mcs=None))
-            continue
-        entry = next(e for e in TABLE.entries if e.bytes_per_slot == bps)
-        links.append(
-            LinkResult(ms=ms, sinr=np.array([100.0]), eff_sinr=100.0, mcs=entry)
-        )
-        metric += bps
-    return SdmaGroup(subband=subband, members=members, link=links, metric=metric)
+    by_bps = {e.bytes_per_slot: e for e in reversed(TABLE.entries)}  # first entry per payload
+    mcs = tuple(None if member_bps[ms] is None else by_bps[member_bps[ms]] for ms in members)
+    metric = float(sum(e.bytes_per_slot for e in mcs if e is not None))
+    return SdmaGroup(subband=subband, members=members, mcs=mcs, metric=metric)
 
 
 def make_grouping(per_subband: list[list[SdmaGroup]]) -> GroupingResult:
     best: dict[int, int] = {}
     for groups in per_subband:
         for g in groups:
-            for lr in g.link:
-                if lr.mcs is not None:
-                    best[lr.ms] = max(best.get(lr.ms, 0), lr.mcs.bytes_per_slot)
+            for ms, mcs in zip(g.members, g.mcs):
+                if mcs is not None:
+                    best[ms] = max(best.get(ms, 0), mcs.bytes_per_slot)
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best)
 
 
@@ -151,16 +142,17 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     for j, b in frame.bursts.items():
         assert b.subband == j
         assert 1 <= b.columns <= g.num_columns
-        assert b.col_hi == g.num_columns and b.col_lo == g.num_columns - b.columns
-        assert b.col_lo >= region.columns, (
-            f"burst in subband {j} overlaps MAP: col_lo={b.col_lo} map={region.columns}"
+        first = g.num_columns - b.columns  # bursts are anchored at the right edge
+        assert first >= region.columns, (
+            f"burst in subband {j} overlaps MAP: first column {first} map={region.columns}"
         )
         rows = slice(j * g.rows_per_subband, (j + 1) * g.rows_per_subband)
-        grid[rows, b.col_lo : b.col_hi] += 1
+        grid[rows, first:] += 1
+        mcs = dict(zip(b.group.members, b.group.mcs))
         for ms, pids in b.member_packets.items():
             assert pids, "member allocation without packets"
-            assert ms in b.member_mcs
-            bps = b.member_mcs[ms].bytes_per_slot
+            assert mcs.get(ms) is not None, f"ms {ms} packed without a feasible MCS"
+            bps = mcs[ms].bytes_per_slot
             slots = 0
             for pid in pids:
                 assert pid not in seen_ids, f"packet {pid} packed twice"

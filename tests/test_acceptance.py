@@ -111,9 +111,9 @@ def exhaustive_optimum(grouping, candidates, geometry):
         for gsel in combo:
             d = {}
             if gsel is not None:
-                for lr in gsel.link:
-                    if lr.mcs is not None:
-                        d[lr.ms] = lr.mcs.bytes_per_slot
+                for ms, mcs in zip(gsel.members, gsel.mcs):
+                    if mcs is not None:
+                        d[ms] = mcs.bytes_per_slot
             bps.append(d)
         choices = [[-1] + [j for j in range(sb_n) if ms in bps[j]] for _, ms, _, _ in rows]
         for assign in itertools.product(*choices):

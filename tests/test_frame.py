@@ -85,8 +85,6 @@ def test_map_slots_bit_arithmetic_oracle():
 def test_map_size_counts_member_allocations_not_bursts():
     mk = lambda members: Burst(
         subband=0, group=make_group(0, {ms: 6 for ms in members}), columns=1,
-        col_lo=9, col_hi=10,
-        member_mcs={ms: TABLE.entries[0] for ms in members},
         member_packets={ms: [ms] for ms in members},
         member_slots={ms: 1 for ms in members},
         utility=1.0,
@@ -104,7 +102,7 @@ def test_pack_single_small_packet():
     group = make_group(0, {0: 6})
     cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {}
-    burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
+    burst = pack_group_area(group, 1, cand, frozen, scsb=10)
     assert burst.member_slots == {0: 1}
     assert burst.columns == 1
     assert burst.member_packets == {0: [0]}
@@ -115,7 +113,7 @@ def test_pack_skips_packets_frozen_elsewhere():
     group = make_group(0, {0: 6})
     cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {0: 1}
-    burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
+    burst = pack_group_area(group, 1, cand, frozen, scsb=10)
     assert burst.member_packets == {}
     assert burst.columns == 0
     assert frozen == {0: 1}
@@ -127,7 +125,7 @@ def test_pack_releases_stale_own_freezes():
     group = make_group(0, {0: 6})
     cand = make_candidates([(1, 0, 6, 1.0), (2, 0, 6, 1.0)])
     frozen = {99: 0, 1: 1, 2: 0}
-    burst = pack_group_area(group, 1, cand, frozen, scsb=10, col_hi=17)
+    burst = pack_group_area(group, 1, cand, frozen, scsb=10)
     assert frozen == {99: 0, 1: 1, 2: 0}
     assert burst.member_packets == {0: [2]}
 
@@ -215,7 +213,7 @@ def test_pack_matches_first_fit_oracle():
         group = make_group(0, {0: 18})
         rows = [(i, 0, s, 1.0) for i, s in enumerate(sizes)]
         cand = make_candidates(rows)
-        burst = pack_group_area(group, 2, cand, {}, scsb=10, col_hi=17)
+        burst = pack_group_area(group, 2, cand, {}, scsb=10)
         ref_packed, ref_used = first_fit_oracle(sizes, 18, cap=20)
         assert burst.member_packets.get(0, []) == ref_packed
         assert burst.member_slots.get(0, 0) == ref_used
@@ -225,7 +223,7 @@ def test_pack_rejects_nonpositive_columns():
     group = make_group(0, {0: 6})
     cand = make_candidates([])
     with pytest.raises(ValueError):
-        pack_group_area(group, 0, cand, {}, scsb=4, col_hi=10)
+        pack_group_area(group, 0, cand, {}, scsb=4)
 
 
 # ------------------------------------------------- frame construction
@@ -290,11 +288,11 @@ def assert_same_frames(a: OfdmaFrame, b: OfdmaFrame):
     for j in a.bursts:
         ba, bb = a.bursts[j], b.bursts[j]
         assert ba.group.members == bb.group.members
-        assert (ba.columns, ba.col_lo, ba.col_hi) == (bb.columns, bb.col_lo, bb.col_hi)
+        assert ba.columns == bb.columns
         assert ba.member_packets == bb.member_packets
-        assert {m: e.name for m, e in ba.member_mcs.items()} == {
-            m: e.name for m, e in bb.member_mcs.items()
-        }
+        sent = lambda b: {m: e.name for m, e in zip(b.group.members, b.group.mcs)
+                          if m in b.member_packets}
+        assert sent(ba) == sent(bb)
     assert a.utility == pytest.approx(b.utility, rel=1e-12)
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sdma_fss import experiment
+from sdma_fss import experiment, grouping
 from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
 from sdma_fss.grouping import (
@@ -13,7 +13,6 @@ from sdma_fss.grouping import (
     run_lockstep,
 )
 from sdma_fss.phy import (
-    LinkResult,
     compute_sinr,
     default_mcs_table,
     minmse_weights,
@@ -31,6 +30,20 @@ def evaluator(h, noise=1.0, power=1.0):
 
 def metric(ev, members) -> float:
     return float(ev.metrics_for([(0, members)])[0])
+
+
+def kernel_rows(monkeypatch) -> list[np.ndarray]:
+    """Wrap grouping.select_mcs_batch; the returned list collects the
+    (rows, samples) SINR block of every call the evaluator makes."""
+    seen = []
+    select = grouping.select_mcs_batch
+
+    def spy(samples, table):
+        seen.append(samples.copy())
+        return select(samples, table)
+
+    monkeypatch.setattr(grouping, "select_mcs_batch", spy)
+    return seen
 
 
 def greedy_groups(ev, feasible, max_groups):
@@ -100,7 +113,7 @@ def test_group_metric_single_member_qpsk():
     csi = make_csi(h, noise=1.0)
     result = form_groups(csi, bands(4), [0], TABLE, total_power_w=100.0)
     g = result.per_subband[0][0]
-    assert g.link[0].mcs is not None and g.link[0].mcs.name == "QPSK 1/2"
+    assert g.mcs[0] is not None and g.mcs[0].name == "QPSK 1/2"
     assert g.metric == 6
 
 
@@ -125,7 +138,7 @@ def test_no_active_ms_gives_empty_groups():
         form_groups(csi, bands(12, 3), [0, 1], TABLE, 10.0, max_groups_per_subband=0)
 
 
-def test_evaluator_matches_scalar_phy_path():
+def test_evaluator_matches_scalar_phy_path(monkeypatch):
     # the batched evaluator must agree with the scalar oracles applied by
     # hand: weights from the center sample, Eq.-1 SINR at every sample with
     # equal power split
@@ -133,31 +146,35 @@ def test_evaluator_matches_scalar_phy_path():
     h = rng.standard_normal((6, 9, 4)) + 1j * rng.standard_normal((6, 9, 4))
     noise, power = 0.7, 55.0
     ev = evaluator(h, noise, power)
+    seen = kernel_rows(monkeypatch)
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
-        links = ev.links([(0, members)])[0, members]
+        ev.metrics_for([(0, members)])
         rep = h[list(members), 9 // 2, :]
         w_ref = oracle_minmse(rep, noise, power)
         p = power / len(members)
         sinr_ref = np.array(
             [oracle_sinr_scalar(w_ref, h[list(members), n], p, noise) for n in range(9)]
         ).T
-        got = np.stack([lr.sinr for lr in links])
+        got = seen.pop()  # one kernel call, one row per member
+        assert not seen
         assert np.allclose(got, sinr_ref, rtol=1e-12)
 
 
-def test_group_metric_matches_per_member_recomputation():
+def test_group_metric_matches_per_member_recomputation(monkeypatch):
     rng = np.random.default_rng(11)
     h = rng.standard_normal((5, 9, 4)) + 1j * rng.standard_normal((5, 9, 4))
     ev = evaluator(h, 1.0, 60.0)
-    links = ev.links([(0, (0, 2, 4))])[0, (0, 2, 4)]
+    seen = kernel_rows(monkeypatch)
+    got = metric(ev, (0, 2, 4))
+    (rows,) = seen
+    _, *idx = ev.cache[0, (0, 2, 4)]
     total = 0
-    for lr in links:
-        entry, _ = oracle_select(lr.sinr, TABLE)
-        assert (entry is None) == (lr.mcs is None)
+    for row, i in zip(rows, idx, strict=True):
+        entry, _ = oracle_select(row, TABLE)
+        assert entry is (TABLE.entries[i] if i >= 0 else None)
         if entry is not None:
-            assert entry is lr.mcs
             total += entry.bytes_per_slot
-    assert metric(ev, (0, 2, 4)) == total
+    assert got == total
 
 
 def test_greedy_vs_exhaustive_enumeration():
@@ -201,7 +218,7 @@ def test_every_feasible_ms_covered_per_subband():
         covered = {ms for g in groups for ms in g.members}
         ev_feasible = {
             ms for ms in range(5)
-            if any(lr.ms == ms and lr.mcs is not None for g in groups for lr in g.link)
+            if any(m == ms and e is not None for g in groups for m, e in zip(g.members, g.mcs))
         }
         # every member that shows up feasible anywhere in this subband is covered
         assert ev_feasible <= covered
@@ -249,7 +266,8 @@ def test_metric_strictly_increases_along_greedy_construction():
 
 # ---------------------------------------------------------------- sequential oracle
 # The grouper as it was before lockstep: one subband at a time, one kernel
-# batch per group size per request, (links, metric) cached per member tuple.
+# batch per group size per request, (member MCS entries, metric) cached per
+# member tuple.
 
 class SequentialEvaluator:
     def __init__(self, eff, ms_ids, noise, power, table):
@@ -272,16 +290,16 @@ class SequentialEvaluator:
         rows = np.array([[self.row[ms] for ms in t] for t in tuples])
         w = minmse_weights(self.eff[rows, self.rep_idx, :], self.noise, self.power)
         sinr = compute_sinr(w, self.eff[rows], self.power / g, self.noise)
-        idx, geff = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
+        idx, _ = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
         for r, t in enumerate(tuples):
-            links, total = [], 0.0
-            for u, ms in enumerate(t):
+            entries, total = [], 0.0
+            for u in range(g):
                 i = idx[r * g + u]
                 mcs = self.table.entries[i] if i >= 0 else None
-                links.append(LinkResult(ms, sinr[r, u], float(geff[r * g + u]), mcs))
+                entries.append(mcs)
                 if mcs is not None:
                     total += mcs.bytes_per_slot
-            self.cache[t] = (links, total)
+            self.cache[t] = (tuple(entries), total)
 
 
 def sequential_greedy(ev, feasible, max_groups):
@@ -310,7 +328,7 @@ def sequential_greedy(ev, feasible, max_groups):
 
 
 def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=None):
-    """(per-subband [(subband, members, links, metric)], best_bytes_per_slot)."""
+    """(per-subband [(subband, members, member MCS entries, metric)], best_bytes_per_slot)."""
     active = sorted(set(active_ms))
     max_groups = len(active) if max_groups is None else max_groups
     amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
@@ -321,12 +339,12 @@ def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=No
         single = ev.metrics_for([(ms,) for ms in active])
         feasible = [ms for ms, met in zip(active, single) if met > 0]
         for ms in feasible:
-            best_bps[ms] = max(best_bps.get(ms, 0), ev.cache[(ms,)][0][0].mcs.bytes_per_slot)
+            best_bps[ms] = max(best_bps.get(ms, 0), ev.cache[(ms,)][0][0].bytes_per_slot)
         built = []
         if feasible:
             for members in sequential_greedy(ev, feasible, max_groups):
-                links, total = ev.cache[members]
-                built.append((sb.index, members, links, total))
+                entries, total = ev.cache[members]
+                built.append((sb.index, members, entries, total))
         built.sort(key=lambda g: (-g[3], g[1]))
         per_subband.append(built)
     return per_subband, best_bps
@@ -349,8 +367,8 @@ GEOMETRIES = {
 @pytest.mark.parametrize("max_groups", [None, 1, 2])
 @pytest.mark.parametrize("geometry", list(GEOMETRIES))
 def test_lockstep_matches_sequential_oracle(geometry, max_groups):
-    # lockstep across subbands gives bit for bit the groups, metrics, MCS
-    # and SINRs of searching the subbands one after another
+    # lockstep across subbands gives bit for bit the groups, metrics and
+    # MCS entries of searching the subbands one after another
     subbands = GEOMETRIES[geometry]
     rng = np.random.default_rng([len(subbands), max_groups or 0])
     checked = 0
@@ -370,11 +388,9 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
             assert [(g.subband, g.members, g.metric) for g in groups] == [
                 (sb, members, total) for sb, members, _, total in ref
             ]
-            for g, (_, _, links, _) in zip(groups, ref):
-                for lr, lr_ref in zip(g.link, links, strict=True):
-                    assert lr.ms == lr_ref.ms and lr.mcs is lr_ref.mcs
-                    assert np.array_equal(lr.eff_sinr, lr_ref.eff_sinr)
-                    assert np.array_equal(lr.sinr, lr_ref.sinr)
+            for g, (_, _, entries, _) in zip(groups, ref):
+                for mcs, mcs_ref in zip(g.mcs, entries, strict=True):
+                    assert mcs is mcs_ref
                     checked += 1
     assert checked > 0
 
@@ -398,10 +414,8 @@ def assert_same_grouping(got, want):
             (g.subband, g.members, g.metric) for g in ref
         ]
         for g, r in zip(groups, ref):
-            for lr, lr_ref in zip(g.link, r.link, strict=True):
-                assert lr.ms == lr_ref.ms and lr.mcs is lr_ref.mcs
-                assert np.array_equal(lr.eff_sinr, lr_ref.eff_sinr)
-                assert np.array_equal(lr.sinr, lr_ref.sinr)
+            for mcs, mcs_ref in zip(g.mcs, r.mcs, strict=True):
+                assert mcs is mcs_ref
 
 
 @pytest.mark.parametrize("num_subbands", [1, 3, 6])
@@ -431,3 +445,27 @@ def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
         unequal_cache = {}  # one per drop, as drop_frames keeps its own
         assert sum(1 for _ in experiment.drop_frames(cfg, seed)) == cfg.frames_per_drop
     assert len(hits) > 10 and sum(h > 0 for h in hits) > len(hits) // 2  # the cache is reused
+
+
+def test_warm_cache_runs_no_kernel(monkeypatch):
+    # the cache holds everything a final group carries, so grouping the
+    # same active set again with a warm cache evaluates nothing
+    calls = []
+    form = experiment.form_groups
+
+    def capture(*args, cache):
+        calls.append(args)
+        return form(*args, cache=cache)
+
+    monkeypatch.setattr(experiment, "form_groups", capture)
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=10.0, num_subbands=3, frames_per_drop=1)
+    next(experiment.drop_frames(cfg, 0))
+    (args,) = calls
+    seen = kernel_rows(monkeypatch)
+    cache = {}
+    cold = form_groups(*args, cache=cache)
+    assert seen and cold.groups()
+    seen.clear()
+    warm = form_groups(*args, cache=cache)
+    assert seen == []
+    assert_same_grouping(warm, cold)
