@@ -200,13 +200,12 @@ def pack_group_area(
 ) -> Burst:
     """Fill a columns-wide area of the group's subband, one layer per member.
 
-    Each member with a feasible MCS gets the first fit of its packets (see
-    FitMemo.first_fit); packets frozen in other subbands are skipped. A
-    packet occupies ceil(size / bytes_per_slot) slots at the member's MCS.
-    Read-only: `frozen` is not changed, committing the burst is the
-    caller's job. `memo` carries first-fit results between calls on the
-    same candidates and frozen map; without one every fit is computed
-    afresh.
+    Each member gets the first fit of its packets (see FitMemo.first_fit);
+    packets frozen in other subbands are skipped. A packet occupies
+    ceil(size / bytes_per_slot) slots at the member's MCS. Read-only:
+    `frozen` is not changed, committing the burst is the caller's job.
+    `memo` carries first-fit results between calls on the same candidates
+    and frozen map; without one every fit is computed afresh.
     """
     if columns < 1:
         raise ValueError("need at least one column")
