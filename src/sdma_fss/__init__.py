@@ -1,6 +1,13 @@
 """Packet-level SDMA-OFDMA downlink simulator with frequency-selective
 scheduling, per-subband SDMA grouping and explicit DL-MAP overhead."""
 
+import os
+
+# BLAS on one thread unless the caller set otherwise, before the submodules
+# import numpy; forked `sweep --jobs N` workers inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .channel import (

@@ -13,12 +13,14 @@ one subband: committing a burst freezes its packets in its subband, and
 only a later commit in that subband releases them again. Trials never
 change the frozen state; they read it, and a per-frame memo of per-member
 first-fit results that a commit retires for exactly the MSs it touched.
+A trial returns a slotted record; a commit updates the totals it changed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -48,24 +50,35 @@ class MapRegion:
     columns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Burst:
     """One SDMA group's allocation: the rightmost `columns` columns of its
-    subband, one spatial layer per member."""
+    subband, one spatial layer per member.
+
+    `fits` holds one (ms, packed ids, used slots) per member that got
+    packets, in member order; each is one MAP IE. The dict views are built
+    on read, so a trial burst that is never committed costs one record."""
 
     subband: int
     group: SdmaGroup
     columns: int
-    member_packets: dict[int, list[int]]
-    member_slots: dict[int, int]
+    fits: tuple[tuple[int, list[int], int], ...]
     utility: float
 
     @property
     def ie_count(self) -> int:
-        return len(self.member_packets)  # only members with packets are stored
+        return len(self.fits)
+
+    @property
+    def member_packets(self) -> dict[int, list[int]]:
+        return {ms: packed for ms, packed, _ in self.fits}
+
+    @property
+    def member_slots(self) -> dict[int, int]:
+        return {ms: used for ms, _, used in self.fits}
 
     def packet_ids(self) -> list[int]:
-        return [pid for pk in self.member_packets.values() for pid in pk]
+        return [pid for _, packed, _ in self.fits for pid in packed]
 
 
 @dataclass
@@ -146,48 +159,44 @@ class FitMemo:
     A member's first fit depends on its queue in the candidate list (fixed
     for the frame), its MCS, the area's slot cap, the subband, and which of
     its packets are frozen in other subbands. Only a commit that takes or
-    releases the MS's packets changes the last, and such a commit bumps
-    `epoch[ms]`, which is part of the key; entries of an older epoch are
-    never looked up again. Each entry is (packed ids, used slots, packet
-    utilities); the id lists are shared with the bursts built from them and
-    are never mutated.
+    releases the MS's packets changes the last, and it retires the MS's
+    dict `fits[ms]`, keyed (bytes per slot, cap, subband). An entry is
+    ((ms, packed ids, used slots), packet utilities); its first part goes
+    into the bursts built from it and is never mutated.
     """
 
     def __init__(self):
-        self.epoch: dict[int, int] = {}
-        self._fits: dict[tuple[int, int, int, int, int], tuple[list[int], int, list[float]]] = {}
-        self._needs: dict[tuple[int, int], list[int]] = {}
+        self.fits: defaultdict[int, dict] = defaultdict(dict)
+        self._rows: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
-    def bump(self, ms_set) -> None:
+    def retire(self, ms_set) -> None:
         for ms in ms_set:
-            self.epoch[ms] = self.epoch.get(ms, 0) + 1
+            self.fits.pop(ms, None)
 
-    def first_fit(
-        self, queue, ms: int, bps: int, cap: int, j: int, frozen: dict[int, int]
-    ) -> tuple[list[int], int, list[float]]:
-        """Walk ms's (packet, utility) queue in FIFO order, packing each
-        packet that is not frozen in another subband and still fits in cap
-        slots (a packet that does not fit is skipped, later ones may still
-        fit)."""
-        key = (ms, bps, cap, j, self.epoch.get(ms, 0))
-        fit = self._fits.get(key)
-        if fit is not None:
-            return fit
-        needs = self._needs.get((ms, bps))
-        if needs is None:
-            needs = self._needs[ms, bps] = [-(-pkt.size_bytes // bps) for pkt, _ in queue]
+    def first_fit(self, candidates: CandidateList, ms: int, key: tuple[int, int, int],
+                  frozen: dict[int, int]) -> tuple[tuple[int, list[int], int], list[float]]:
+        """The fit of ms at key = (bps, cap, j), computed and stored: walk
+        ms's queue in FIFO order, packing each packet that is not frozen in
+        another subband and still fits in cap slots (a packet that does not
+        fit is skipped, later ones may still fit)."""
+        bps, cap, j = key
+        rows = self._rows.get((ms, bps))
+        if rows is None:  # (id, slots needed, utility) of each queued packet
+            rows = self._rows[ms, bps] = [
+                (pkt.id, -(-pkt.size_bytes // bps), u) for pkt, u in candidates.by_ms.get(ms, ())
+            ]
         used = 0
         packed: list[int] = []
         utils: list[float] = []
-        for (pkt, u), need in zip(queue, needs):
-            if used + need <= cap and frozen.get(pkt.id, j) == j:
+        for pid, need, u in rows:
+            if used + need <= cap and frozen.get(pid, j) == j:
                 used += need
-                packed.append(pkt.id)
+                packed.append(pid)
                 utils.append(u)
                 if used == cap:  # every packet needs at least one slot
                     break
-        fit = self._fits[key] = (packed, used, utils)
-        return fit
+        entry = self.fits[ms][key] = ((ms, packed, used), utils)
+        return entry
 
 
 def pack_group_area(
@@ -209,36 +218,24 @@ def pack_group_area(
     """
     if columns < 1:
         raise ValueError("need at least one column")
-    if memo is None:
-        memo = FitMemo()
+    memo = FitMemo() if memo is None else memo
     j = group.subband
     cap = columns * scsb
-    member_packets: dict[int, list[int]] = {}
-    member_slots: dict[int, int] = {}
+    fits = []
+    top = 0
     utility = 0.0
     for ms, mcs in zip(group.members, group.mcs):
         if mcs is None:
             continue
-        packed, used, utils = memo.first_fit(
-            candidates.by_ms.get(ms, ()), ms, mcs.bytes_per_slot, cap, j, frozen
-        )
-        for u in utils:
-            utility += u
-        if packed:
-            member_packets[ms] = packed
-            member_slots[ms] = used
-
-    used_cols = 0
-    if member_slots:
-        used_cols = -(-max(member_slots.values()) // scsb)
-    return Burst(
-        subband=j,
-        group=group,
-        columns=used_cols,
-        member_packets=member_packets,
-        member_slots=member_slots,
-        utility=utility,
-    )
+        key = (mcs.bytes_per_slot, cap, j)
+        fit, utils = memo.fits[ms].get(key) or memo.first_fit(candidates, ms, key, frozen)
+        if utils:
+            for u in utils:
+                utility += u
+            fits.append(fit)
+            if fit[2] > top:
+                top = fit[2]
+    return Burst(j, group, -(-top // scsb), tuple(fits), utility)
 
 
 def _min_slot_size(
@@ -268,9 +265,11 @@ class _Packer:
     Trials are read-only: they pack against the committed frozen map
     through the frame's FitMemo and leave both unchanged. `commit` alone
     owns the frozen map. It releases the replaced burst's packets, freezes
-    the new burst's, bumps the memo epoch of every MS in either burst, and
-    recomputes the burst totals (whole frame and without each subband),
-    summed in `bursts` order.
+    the new burst's, retires the memoized fits of every MS in either burst,
+    and updates the totals: `ies` by the changed burst, and `cols`/`util`,
+    the column maximum and utility sum of the bursts without each subband
+    (key None: of all of them), recomputed with the sums in `bursts` order.
+    `limits[n]` memoizes the columns that a MAP of n IEs leaves to bursts.
     """
 
     def __init__(self, geometry, table, map_model, candidates):
@@ -283,30 +282,23 @@ class _Packer:
         self.frozen: dict[int, int] = {}
         self.memo = FitMemo()
         self.stats = BuildStats()
-        self._retotal()
-
-    def _retotal(self) -> None:
-        keys = [None, *range(self.g.num_subbands)]
-        items = self.bursts.items()
-        self._ies = {w: sum(b.ie_count for j, b in items if j != w) for w in keys}
-        self._utility = {w: sum(b.utility for j, b in items if j != w) for w in keys}
-        self._cols = {
-            w: max((b.columns for j, b in items if j != w), default=0) for w in keys
-        }
+        self.ies = 0
+        self.cols = dict.fromkeys([None, *range(geometry.num_subbands)], 0)
+        self.util = dict.fromkeys(self.cols, 0.0)
+        self.limits: dict[int, int] = {}
 
     def total_ies(self, without: Optional[int] = None) -> int:
-        return self._ies[without]
+        b = self.bursts.get(without)
+        return self.ies - (0 if b is None else b.ie_count)
 
-    def map_slots(self, ies: Optional[int] = None) -> int:
-        if ies is None:
-            ies = self.total_ies()
-        return map_slots_for_ies(ies, self.map_model, self.robust)
+    def map_slots(self) -> int:
+        return map_slots_for_ies(self.ies, self.map_model, self.robust)
 
     def utility(self, without: Optional[int] = None) -> float:
-        return self._utility[without]
+        return self.util[without]
 
     def max_cols(self, without: Optional[int] = None) -> int:
-        return self._cols[without]
+        return self.cols[without]
 
     def trial(self, group: SdmaGroup, offered_cols: int) -> Optional[Burst]:
         """Tentatively pack `group` at up to offered_cols columns, shrinking
@@ -315,16 +307,18 @@ class _Packer:
         committed state."""
         j = group.subband
         cols = offered_cols
-        base_ies = self.total_ies(without=j)
-        other_cols = self.max_cols(without=j)
+        base_ies = self.total_ies(j)
+        other_cols = self.cols[j]
         while cols >= 1:
             burst = pack_group_area(group, cols, self.candidates, self.frozen, self.scsb, self.memo)
-            if not burst.member_packets:
+            if not burst.fits:
                 return None
-            new_map_cols = map_columns(
-                self.map_slots(base_ies + burst.ie_count), self.g
-            )
-            limit = self.g.num_columns - new_map_cols
+            ies = base_ies + len(burst.fits)
+            limit = self.limits.get(ies)
+            if limit is None:
+                limit = self.limits[ies] = self.g.num_columns - map_columns(
+                    map_slots_for_ies(ies, self.map_model, self.robust), self.g
+                )
             if burst.columns <= limit and other_cols <= limit:
                 return burst
             cols = min(cols - 1, burst.columns, limit)
@@ -333,31 +327,32 @@ class _Packer:
     def commit(self, burst: Burst) -> None:
         """Make `burst` its subband's burst, replacing any earlier one."""
         j = burst.subband
-        changed = set(burst.member_packets)
         old = self.bursts.get(j)
         if old is not None:
-            changed.update(old.member_packets)
+            self.ies -= old.ie_count
+            self.memo.retire(ms for ms, _, _ in old.fits)
             for pid in old.packet_ids():
                 del self.frozen[pid]
         for pid in burst.packet_ids():
             self.frozen[pid] = j
-        self.memo.bump(changed)
+        self.memo.retire(ms for ms, _, _ in burst.fits)
+        self.ies += burst.ie_count
         self.bursts[j] = burst
-        self._retotal()
+        for w in self.cols:
+            cols, util = 0, 0.0
+            for k, b in self.bursts.items():
+                if k != w:
+                    util += b.utility
+                    if b.columns > cols:
+                        cols = b.columns
+            self.cols[w], self.util[w] = cols, util
 
     def finish(self) -> OfdmaFrame:
         slots = self.map_slots()
-        region = MapRegion(
-            ie_count=self.total_ies(), slots=slots, columns=map_columns(slots, self.g)
-        )
+        region = MapRegion(ie_count=self.ies, slots=slots, columns=map_columns(slots, self.g))
         return OfdmaFrame(
-            geometry=self.g,
-            map_model=self.map_model,
-            robust_bytes_per_slot=self.robust,
-            map_region=region,
-            bursts=self.bursts,
-            utility=self.utility(),
-            build_stats=self.stats,
+            geometry=self.g, map_model=self.map_model, robust_bytes_per_slot=self.robust,
+            map_region=region, bursts=self.bursts, utility=self.util[None], build_stats=self.stats,
         )
 
 
@@ -413,7 +408,7 @@ def frame_construction(
                     burst = packer.trial(grp, offered)
                     if burst is None:
                         continue
-                    util_new = packer.utility(without=j) + burst.utility
+                    util_new = packer.util[j] + burst.utility
                     if best is None or util_new > best[0]:
                         best = (util_new, burst)
             if best is None or best[0] <= utility_total:
@@ -423,7 +418,7 @@ def frame_construction(
             packer.commit(burst)
             packer.stats.accepted_utilities.append(utility_total)
             j_set.discard(burst.subband)
-        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
+        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
         step = min(max(free_cols, 1) * scsb, step)
         v_limit += step
 
@@ -449,9 +444,6 @@ def render_frame(frame: OfdmaFrame) -> str:
             f"columns=[{g.num_columns - b.columns},{g.num_columns}) util={b.utility:.6f}"
         )
         mcs = dict(zip(b.group.members, b.group.mcs))
-        for ms in sorted(b.member_packets):
-            lines.append(
-                f"  ms {ms} mcs={mcs[ms].name} slots={b.member_slots[ms]} "
-                f"packets={b.member_packets[ms]}"
-            )
+        for ms, packed, used in sorted(b.fits):
+            lines.append(f"  ms {ms} mcs={mcs[ms].name} slots={used} packets={packed}")
     return "\n".join(lines)

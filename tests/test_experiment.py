@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdma_fss
 from sdma_fss import experiment
 from sdma_fss.cli import _load_config as load_config
 from sdma_fss.cli import main as cli_main
@@ -355,3 +359,20 @@ def test_cli_seed_override(tmp_path):
                      "--seeds", "5:7"]) == 0
     rows = read_rows(out / "rows.csv")
     assert [int(r["seed"]) for r in rows] == [5, 6]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_pins_blas_threads_unless_set(preset):
+    # the CLI and the sweep's forked workers import the package, and so
+    # numpy, before any of their own code runs
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(sdma_fss.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, sdma_fss; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out == [preset or "1", "1", "1"]

@@ -5,6 +5,7 @@ import pytest
 
 from sdma_fss.frame import (
     Burst,
+    FitMemo,
     MapModel,
     OfdmaFrame,
     _Packer,
@@ -85,9 +86,7 @@ def test_map_slots_bit_arithmetic_oracle():
 def test_map_size_counts_member_allocations_not_bursts():
     mk = lambda members: Burst(
         subband=0, group=make_group(0, {ms: 6 for ms in members}), columns=1,
-        member_packets={ms: [ms] for ms in members},
-        member_slots={ms: 1 for ms in members},
-        utility=1.0,
+        fits=tuple((ms, [ms], 1) for ms in members), utility=1.0,
     )
     ten_single = [mk([i]) for i in range(10)]
     five_double = [mk([2 * i, 2 * i + 1]) for i in range(5)]
@@ -193,6 +192,73 @@ def test_commit_retires_memoized_fits_of_its_members():
     again = packer.trial(g0, 2)
     assert again.member_packets == {0: [2, 3]}
     assert not set(again.packet_ids()) & set(taken.packet_ids())
+
+
+def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
+    # a commit in subband 1 takes MS 0's packets and leaves MS 1 alone: the
+    # next trial in subband 0 at the same width walks MS 0's queue again and
+    # reuses MS 1's fit; so it does after a commit that releases MS 0's
+    # packets. A memo hit never reaches FitMemo.first_fit.
+    walks = []
+    first_fit = FitMemo.first_fit
+
+    def counting_first_fit(self, candidates, ms, key, frozen):
+        walks.append(ms)
+        return first_fit(self, candidates, ms, key, frozen)
+
+    monkeypatch.setattr(FitMemo, "first_fit", counting_first_fit)
+    g0 = make_group(0, {0: 6, 1: 6})
+    g1 = make_group(1, {0: 6})
+    rows = [(0, 0, 40, 1.0), (1, 0, 40, 1.0), (2, 1, 40, 1.0), (3, 1, 40, 1.0), (4, 2, 40, 1.0)]
+    packer = two_subband_packer(rows)
+    before = packer.trial(g0, 2)
+    assert before.member_packets == {0: [0, 1], 1: [2, 3]}
+    assert walks == [0, 1]
+    assert packer.trial(g0, 2).fits == before.fits and walks == [0, 1]
+    packer.commit(packer.trial(g1, 2))
+    assert walks == [0, 1, 0]
+    after = packer.trial(g0, 2)
+    assert walks == [0, 1, 0, 0]
+    assert after.member_packets == {1: [2, 3]}
+    assert after.fits[0] is before.fits[1]
+    packer.commit(packer.trial(make_group(1, {2: 6}), 2))
+    assert packer.frozen == {4: 1}
+    assert packer.trial(g0, 2).member_packets == {0: [0, 1], 1: [2, 3]}
+    assert walks == [0, 1, 0, 0, 2, 0]
+
+
+def recount(packer, without):
+    """IE total, column maximum and in-order utility sum of the committed
+    bursts outside subband `without`, counted afresh."""
+    rest = [b for j, b in packer.bursts.items() if j != without]
+    utility = 0.0
+    for b in rest:
+        utility += b.utility
+    return sum(b.ie_count for b in rest), max((b.columns for b in rest), default=0), utility
+
+
+@pytest.mark.parametrize("allow_displacement", [False, True])
+def test_incremental_totals_equal_recount(monkeypatch, allow_displacement):
+    commit = _Packer.commit
+    replaced = []
+
+    def checked_commit(packer, burst):
+        replaced.append(burst.subband in packer.bursts)
+        commit(packer, burst)
+        for w in [None, *range(packer.g.num_subbands)]:
+            ies, cols, utility = recount(packer, w)
+            assert packer.total_ies(w) == ies
+            assert packer.max_cols(w) == cols
+            assert packer.utility(w) == utility  # the same bits, not approximately
+
+    monkeypatch.setattr(_Packer, "commit", checked_commit)
+    for seed in range(60):
+        grouping, candidates, geometry = random_instance(np.random.default_rng(seed), max_sb=4)
+        frame_construction(
+            grouping, candidates, geometry, TABLE, init_columns=init_columns_for(geometry),
+            allow_displacement=allow_displacement,
+        )
+    assert sum(replaced) > 20 and not all(replaced)
 
 
 def first_fit_oracle(sizes, bps, cap):

@@ -42,9 +42,15 @@ FRAME_CASES = {
     f"bw{bw:g}_m{m}_sb{sb}": _case(bandwidth_mhz=bw, num_antennas=m, num_subbands=sb)
     for bw in (5.0, 20.0) for m in (2, 8) for sb in (1, 3, 6)
 }
-# with displacement on, both of these drops build frames that differ from
-# their grow-only twins
 FRAME_CASES.update(
+    # the default `sdma-fss run` scenario at SB=6, which perfbench's
+    # saturated_long workload runs for 100 frames; its displacement twin
+    # commits the same bursts (23 of its 47 commits replace a burst, each by
+    # a burst of the same group), so the two files are equal
+    bw10_m4_sb6=_case(num_subbands=6),
+    displace_bw10_m4_sb6=_case(num_subbands=6, allow_displacement=True),
+    # with displacement on, these two drops build frames that differ from
+    # their grow-only twins
     displace_bw20_m2_sb6=_case(
         bandwidth_mhz=20.0, num_antennas=2, num_subbands=6, allow_displacement=True
     ),
