@@ -175,10 +175,10 @@ class FitMemo:
 
     def first_fit(self, candidates: CandidateList, ms: int, key: tuple[int, int, int],
                   frozen: dict[int, int]) -> tuple[tuple[int, list[int], int], list[float]]:
-        """The fit of ms at key = (bps, cap, j), computed and stored: walk
-        ms's queue in FIFO order, packing each packet that is not frozen in
-        another subband and still fits in cap slots (a packet that does not
-        fit is skipped, later ones may still fit)."""
+        """The fit of ms at key = (bps, cap, j), for a miss in fits[ms]:
+        walk ms's queue in FIFO order, packing each packet that is not
+        frozen in another subband and still fits in cap slots (a packet that
+        does not fit is skipped, later ones may still fit). Stores it."""
         bps, cap, j = key
         rows = self._rows.get((ms, bps))
         if rows is None:  # (id, slots needed, utility) of each queued packet

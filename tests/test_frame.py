@@ -214,7 +214,8 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     before = packer.trial(g0, 2)
     assert before.member_packets == {0: [0, 1], 1: [2, 3]}
     assert walks == [0, 1]
-    assert packer.trial(g0, 2).fits == before.fits and walks == [0, 1]
+    assert packer.trial(g0, 2).fits == before.fits
+    assert walks == [0, 1]
     packer.commit(packer.trial(g1, 2))
     assert walks == [0, 1, 0]
     after = packer.trial(g0, 2)
