@@ -8,18 +8,20 @@ frequency selectivity compressed by EESM.
 
 The search is a greedy best-fit: seed with the best uncovered singleton,
 then keep adding the MS that maximizes the metric while it strictly
-improves. Subbands with equal CSI sample counts are searched in lockstep,
-one kernel batch per greedy step; the kernels are row-independent, so the
-bits are those of searching one subband at a time. For the same reason a
-cache may outlive one call while the channel stays the same. It holds each
-scored group's metric and the MCS entry each member sustains, which is all a
-final group carries: a group goes through the kernels once per cache.
+improves. A member set is an integer mask, bit ms for MS id ms. One loop
+runs the searches of a stack of subbands with equal CSI sample counts
+together, one kernel batch per group size per round; the kernels are
+row-independent, so the bits are those of searching one subband at a time.
+For the same reason a cache may outlive one call while the channel stays
+the same. Per subband and member mask it holds the group's metric and the
+MCS entry each member sustains, which is all a final group carries: a
+group goes through the kernels once per cache, whatever the active set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
 from .phy import McsEntry, McsTable, compute_sinr, minmse_weights, select_mcs_batch
 
-Key = tuple[int, tuple[int, ...]]  # (position in the subbands list, sorted members)
-# (metric, then each member's index into the MCS entries, -1 for none feasible)
+Key = tuple[int, int]  # (position in the subbands list, member mask)
+# (metric, then each member's index into the MCS entries by ascending MS id, -1: none feasible)
 Scored = tuple[int, ...]
 
 
@@ -55,91 +57,84 @@ class GroupingResult:
 class SubbandLinkEvaluator:
     """Evaluates member sets on a stack of subbands with equal CSI sample
     counts: MinMSE weights from the center CSI sample, per-sample SINR
-    across the whole subband, EESM + MCS per member. Keys name a subband by
-    its position in the caller's subbands list, not in the stack (stacks
-    vary with the sample counts) nor by SubbandSpec.index (it may repeat).
-    metrics_for looks keys up in the caller's cache and evaluates only the
-    misses."""
+    across the whole subband, EESM + MCS per member. The cache names a
+    subband by its position in the caller's subbands list, not in the stack
+    (stacks vary with the sample counts) nor by SubbandSpec.index (it may
+    repeat). score evaluates only its misses, one batch per group size."""
 
-    def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], ms_ids: Sequence[int],
-                 noise_power_w: float, total_power_w: float, table: McsTable, cache: dict):
-        self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI samples of S subbands
+    def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], noise_power_w: float,
+                 total_power_w: float, table: McsTable, cache: dict[int, dict[int, Scored]]):
+        self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI of S subbands, row ms: MS ms
         self.stack = {j: s for s, j in enumerate(positions)}  # list position -> stack index
-        self.row = {ms: i for i, ms in enumerate(ms_ids)}
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
         self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0])  # index -1: 0
-        self.rep_idx = eff_channels.shape[2] // 2
-        self.num_antennas = eff_channels.shape[3]
-        self.cache: dict[Key, Scored] = cache
+        self.rep_idx, self.num_antennas = eff_channels.shape[2] // 2, eff_channels.shape[3]
+        self.cache = cache
 
-    def metrics_for(self, keys: Sequence[Key]) -> np.ndarray:
-        for g, batch in _by_size([k for k in keys if k not in self.cache]).items():
-            self._eval_batch(batch, g)
-        return np.array([self.cache[k][0] for k in keys], dtype=float)
+    def score(self, trials: dict[int, Sequence[int]]) -> None:
+        """Score the member masks of {position: masks} that the cache lacks."""
+        misses: dict[int, list[Key]] = {}
+        for j, masks in trials.items():
+            scored = self.cache.setdefault(j, {})
+            for mask in masks:
+                if mask not in scored:
+                    misses.setdefault(mask.bit_count(), []).append((j, mask))
+        for g in sorted(misses):
+            self._eval_batch(misses[g], g)
 
     def _eval_batch(self, keys: list[Key], g: int) -> None:
-        sb = np.array([[self.stack[j]] for j, _ in keys])  # (R, 1)
-        rows = np.array([[self.row[ms] for ms in t] for _, t in keys])  # (R, G)
-        w = minmse_weights(self.eff[sb, rows, self.rep_idx, :], self.noise, self.total_power)
-        sinr = compute_sinr(w, self.eff[sb, rows], self.total_power / g, self.noise)  # (R, G, N)
-
+        sb = np.array([self.stack[j] for j, _ in keys])[:, None]  # (R, 1)
+        size = -(-self.eff.shape[1] // 8)  # bytes per mask
+        masks = b"".join(mask.to_bytes(size, "little") for _, mask in keys)
+        bits = np.frombuffer(masks, np.uint8).reshape(len(keys), size)
+        rows = np.unpackbits(bits, axis=1, bitorder="little").nonzero()[1].reshape(-1, g)  # (R, G)
+        h = self.eff[sb, rows]  # (R, G, N, M)
+        w = minmse_weights(np.ascontiguousarray(h[:, :, self.rep_idx]), self.noise, self.total_power)
+        sinr = compute_sinr(w, h, self.total_power / g, self.noise)  # (R, G, N)
         idx, _ = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
         idx = idx.reshape(-1, g)
         # small integer payloads: the sums are exact, as floats too
         metrics = self.payload[idx].sum(axis=1).tolist()
-        self.cache.update((k, (m, *i)) for k, m, i in zip(keys, metrics, idx.tolist()))
+        for (j, mask), metric, i in zip(keys, metrics, idx.tolist()):
+            self.cache[j][mask] = (metric, *i)
 
 
-def _by_size(keys: list[Key]) -> dict[int, list[Key]]:
-    return {g: [k for k in keys if len(k[1]) == g] for g in sorted({len(t) for _, t in keys})}
+class _Search:
+    """Best-fit construction on one subband; argmax ties always break to the
+    lowest MS id. Every feasible MS ends up in at least one group (each new
+    group is seeded with an uncovered MS), so the frame constructor can
+    schedule any MS on any subband."""
 
+    def __init__(self, scored: dict[int, Scored], feasible: list[int], max_groups: int,
+                 num_antennas: int):
+        self.scored, self.max_groups, self.num_antennas = scored, max_groups, num_antennas
+        self.bits = [1 << ms for ms in feasible]
+        self.seeds = sorted(self.bits, key=lambda bit: -scored[bit][0])  # stable: ties by id
+        self.groups: list[int] = []
+        self.mask = self.metric = 0  # the open group and its metric
+        self.trials: list[int] = []  # the open group plus each candidate, ascending id
 
-def greedy_capacity_grouper(
-    singleton: dict[int, float], feasible: list[int], max_groups: int, num_antennas: int
-) -> Generator:
-    """Best-fit construction; argmax ties always break to the lowest MS id.
-
-    A generator: it yields each step's trial member tuples, is sent their
-    metrics, and returns the groups. Every feasible MS ends up in at least
-    one group (each new group is seeded with an uncovered MS), so the frame
-    constructor can schedule any MS on any subband.
-    """
-    uncovered = set(feasible)
-    groups: list[tuple[int, ...]] = []
-    while uncovered and len(groups) < max_groups:
-        seed = max(sorted(uncovered), key=lambda ms: (singleton[ms], -ms))
-        members, metric = (seed,), singleton[seed]
-        while len(members) < num_antennas:
-            trials = [tuple(sorted(members + (c,))) for c in feasible if c not in members]
-            if not trials:
-                break
-            scores = yield trials
-            best = int(np.argmax(scores))
-            if not scores[best] > metric:
-                break
-            members, metric = trials[best], float(scores[best])
-        groups.append(members)
-        uncovered -= set(members)
-    return groups
-
-
-def run_lockstep(ev: SubbandLinkEvaluator, searches: dict[int, Generator]) -> dict[int, list]:
-    """Drive one greedy search per subband of ev's stack, keyed by list
-    position, in lockstep: each round scores the trials of every live search
-    in one metrics_for call."""
-    found: dict[int, list[tuple[int, ...]]] = dict.fromkeys(searches)
-    scores: dict[int, Optional[np.ndarray]] = dict.fromkeys(searches)
-    while scores:
-        trials = {}
-        for j, sent in scores.items():
-            try:
-                trials[j] = searches[j].send(sent)
-            except StopIteration as done:
-                found[j] = done.value
-        flat = ev.metrics_for([(j, t) for j, ts in trials.items() for t in ts])
-        cuts = np.cumsum([len(ts) for ts in trials.values()])[:-1]
-        scores = dict(zip(trials, np.split(flat, cuts)))
-    return found
+    def advance(self) -> list[int]:
+        """Grow the open group by its best scored trial if that strictly
+        improves the metric, else close it and seed the next. Returns the
+        trials to score next, [] once the search is done."""
+        scored, mask, metric = self.scored, self.mask, self.metric
+        for t in self.trials:  # the first maximum: ties break to the lowest id
+            if scored[t][0] > metric:
+                mask, metric = t, scored[t][0]
+        while True:
+            if mask == self.mask:  # the open group stopped growing
+                if mask:
+                    self.groups.append(mask)
+                    self.seeds = [bit for bit in self.seeds if not bit & mask]  # uncovered
+                if not self.seeds or len(self.groups) == self.max_groups:
+                    return []
+                mask, metric = self.seeds[0], scored[self.seeds[0]][0]
+            self.mask, self.metric = mask, metric
+            if mask.bit_count() < self.num_antennas:
+                self.trials = [mask | bit for bit in self.bits if not mask & bit]
+                if self.trials:
+                    return self.trials
 
 
 def form_groups(
@@ -149,7 +144,7 @@ def form_groups(
     table: McsTable,
     total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
-    cache: Optional[dict[Key, Scored]] = None,
+    cache: Optional[dict[int, dict[int, Scored]]] = None,
 ) -> GroupingResult:
     """Run the greedy grouper independently on every subband.
 
@@ -158,12 +153,13 @@ def form_groups(
     absent from best_bytes_per_slot. With no active MS every subband gets
     an empty group list and csi is not read (it may be None).
 
-    cache maps (position in subbands, sorted members) to a group's metric
-    and its members' MCS entry indices; None uses a fresh dict. Calls with
-    the same csi, subbands, table and power may share one (drop_frames
-    shares one per drop): both depend only on the members' CSI, and the
-    kernels are row-independent, so a cached entry has the bits a fresh
-    batch would give it.
+    cache maps a position in subbands to {member mask: the group's metric
+    and its members' MCS entry indices}; None uses a fresh dict. Bit ms of
+    a mask is MS id ms, not its place among active_ms, so an entry stays
+    valid as the active set changes. Calls with the same csi, subbands,
+    table and power may share one cache (drop_frames shares one per drop):
+    an entry depends only on the members' CSI, and the kernels are
+    row-independent, so it has the bits a fresh batch would give it.
     """
     cache = {} if cache is None else cache
     active = sorted(set(active_ms))
@@ -174,7 +170,7 @@ def form_groups(
     max_groups = max_groups_per_subband or len(active)
 
     amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
-    eff = [(subband_csi(csi, sb)[0] * amp)[active] for sb in subbands]
+    eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
     counts = [e.shape[1] for e in eff]  # subbands with equal sample counts share a stack
 
     entries = [*table.entries, None]  # entry index -1 (none feasible) -> None
@@ -182,21 +178,24 @@ def form_groups(
     best_bps: dict[int, int] = {}
     for n in dict.fromkeys(counts):
         pos = [j for j, c in enumerate(counts) if c == n]
-        ev = SubbandLinkEvaluator(np.stack([eff[j] for j in pos]), pos, active,
-                                  csi.noise_power_w, total_power_w, table, cache)
-        single = ev.metrics_for([(j, (ms,)) for j in pos for ms in active])
+        ev = SubbandLinkEvaluator(np.stack([eff[j] for j in pos]), pos, csi.noise_power_w,
+                                  total_power_w, table, cache)
+        ev.score({j: [1 << ms for ms in active] for j in pos})
         searches = {}
-        for j, row in zip(pos, single.reshape(len(pos), len(active)).tolist()):
-            singleton = dict(zip(active, row))
-            feasible = [ms for ms in active if singleton[ms] > 0]
+        for j in pos:
+            feasible = [ms for ms in active if cache[j][1 << ms][0] > 0]
             for ms in feasible:  # a one-member metric is the member's payload
-                best_bps[ms] = max(best_bps.get(ms, 0), int(singleton[ms]))
-            searches[j] = greedy_capacity_grouper(singleton, feasible, max_groups, ev.num_antennas)
-        for j, found in run_lockstep(ev, searches).items():
-            for members in found:  # every final group was scored during its search
-                metric, *idx = cache[j, members]
+                best_bps[ms] = max(best_bps.get(ms, 0), cache[j][1 << ms][0])
+            searches[j] = _Search(cache[j], feasible, max_groups, ev.num_antennas)
+        live = searches  # each round scores every live search's trials together
+        while live := {j: s for j, s in live.items() if s.advance()}:
+            ev.score({j: s.trials for j, s in live.items()})
+        for j, search in searches.items():
+            for mask in search.groups:  # every final group was scored during its search
+                metric, *idx = cache[j][mask]
+                members = tuple(ms for ms in active if mask >> ms & 1)
                 per_subband[j].append(SdmaGroup(subbands[j].index, members,
-                                                tuple(entries[i] for i in idx), float(metric)))
+                                                tuple([entries[i] for i in idx]), float(metric)))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

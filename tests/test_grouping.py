@@ -6,12 +6,7 @@ import pytest
 from sdma_fss import experiment, grouping
 from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
-from sdma_fss.grouping import (
-    SubbandLinkEvaluator,
-    form_groups,
-    greedy_capacity_grouper,
-    run_lockstep,
-)
+from sdma_fss.grouping import SubbandLinkEvaluator, form_groups
 from sdma_fss.phy import (
     compute_sinr,
     default_mcs_table,
@@ -25,11 +20,16 @@ TABLE = default_mcs_table()
 
 def evaluator(h, noise=1.0, power=1.0):
     """Evaluator over one subband's (K, N, M) CSI, MS ids 0..K-1."""
-    return SubbandLinkEvaluator(h[None], [0], list(range(h.shape[0])), noise, power, TABLE, {})
+    return SubbandLinkEvaluator(h[None], [0], noise, power, TABLE, {})
+
+
+def mask(members) -> int:
+    return sum(1 << ms for ms in members)
 
 
 def metric(ev, members) -> float:
-    return float(ev.metrics_for([(0, members)])[0])
+    ev.score({0: [mask(members)]})
+    return float(ev.cache[0][mask(members)][0])
 
 
 def kernel_rows(monkeypatch) -> list[np.ndarray]:
@@ -48,9 +48,10 @@ def kernel_rows(monkeypatch) -> list[np.ndarray]:
 
 def greedy_groups(ev, feasible, max_groups):
     """The greedy search alone on the evaluator's subband 0."""
-    single = {ms: metric(ev, (ms,)) for ms in feasible}
-    search = greedy_capacity_grouper(single, feasible, max_groups, ev.num_antennas)
-    return run_lockstep(ev, {0: search})[0]
+    h = ev.eff[0]  # zero pathloss: form_groups sees the same channels
+    result = form_groups(make_csi(h, ev.noise), bands(h.shape[1]), feasible, TABLE,
+                         ev.total_power, max_groups_per_subband=max_groups)
+    return [g.members for g in result.per_subband[0]]
 
 
 def make_csi(samples: np.ndarray, noise: float = 1.0) -> CsiReport:
@@ -148,7 +149,7 @@ def test_evaluator_matches_scalar_phy_path(monkeypatch):
     ev = evaluator(h, noise, power)
     seen = kernel_rows(monkeypatch)
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
-        ev.metrics_for([(0, members)])
+        ev.score({0: [mask(members)]})
         rep = h[list(members), 9 // 2, :]
         w_ref = oracle_minmse(rep, noise, power)
         p = power / len(members)
@@ -167,7 +168,7 @@ def test_group_metric_matches_per_member_recomputation(monkeypatch):
     seen = kernel_rows(monkeypatch)
     got = metric(ev, (0, 2, 4))
     (rows,) = seen
-    _, *idx = ev.cache[0, (0, 2, 4)]
+    _, *idx = ev.cache[0][mask((0, 2, 4))]
     total = 0
     for row, i in zip(rows, idx, strict=True):
         entry, _ = oracle_select(row, TABLE)
@@ -427,8 +428,8 @@ def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
     hits = []
 
     def checked(csi, subbands, active, *args, cache):
-        hits.append(sum(k in cache for k in itertools.product(range(len(subbands)),
-                                                                  [(ms,) for ms in active])))
+        hits.append(sum(1 << ms in cache.get(j, {})
+                        for j, ms in itertools.product(range(len(subbands)), active)))
         got = form(csi, subbands, active, *args, cache=cache)
         assert_same_grouping(got, form(csi, subbands, active, *args))
         unequal = form(csi, UNEQUAL_10MHZ, active, *args, cache=unequal_cache)
@@ -469,3 +470,36 @@ def test_warm_cache_runs_no_kernel(monkeypatch):
     warm = form_groups(*args, cache=cache)
     assert seen == []
     assert_same_grouping(warm, cold)
+
+
+@pytest.mark.parametrize("geometry", ["sb3", "unequal"])
+def test_ms_ids_beyond_64_bits(geometry):
+    # a member mask has bit ms for MS id ms, so ids 63 and up need more
+    # than 64 bits; the groups still equal the sequential oracle's, and a
+    # cache shared across active sets still gives a fresh cache's bits
+    subbands = GEOMETRIES[geometry]
+    rng = np.random.default_rng(64)
+    k, m = 70, 4
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+    csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
+    others = rng.choice(63, size=6, replace=False).tolist()
+    active = sorted(others + [63, 64, 69])
+    power = 40.0
+
+    got = form_groups(csi, subbands, active, TABLE, power)
+    want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power)
+    assert got.best_bytes_per_slot == want_bps
+    assert {63, 64, 69} <= {ms for g in got.groups() for ms in g.members}
+    for groups, ref in zip(got.per_subband, want, strict=True):
+        assert [(g.subband, g.members, g.metric) for g in groups] == [
+            (sb, members, total) for sb, members, _, total in ref
+        ]
+        for g, (_, _, entries, _) in zip(groups, ref):
+            assert all(mcs is r for mcs, r in zip(g.mcs, entries, strict=True))
+
+    cache = {}
+    form_groups(csi, subbands, active, TABLE, power, cache=cache)
+    second = sorted(others[:3] + [64, 65, 66, 69])
+    assert_same_grouping(form_groups(csi, subbands, second, TABLE, power, cache=cache),
+                         form_groups(csi, subbands, second, TABLE, power))
