@@ -248,7 +248,7 @@ def drop_frames(
 
     grouping = None
     active_prev: Optional[tuple[int, ...]] = None
-    metric_cache: dict = {}  # {position: {member mask: scored}}, valid all drop (static channel)
+    metric_cache: dict = {}  # scores and CSI stacks (form_groups), valid all drop: static channel
     for frame_index in range(cfg.frames_per_drop):
         tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
         active = tuple(f.ms for f in flows if f.buffer)

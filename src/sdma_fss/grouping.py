@@ -63,7 +63,7 @@ class SubbandLinkEvaluator:
     repeat). score evaluates only its misses, one batch per group size."""
 
     def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], noise_power_w: float,
-                 total_power_w: float, table: McsTable, cache: dict[int, dict[int, Scored]]):
+                 total_power_w: float, table: McsTable, cache: dict):
         self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI of S subbands, row ms: MS ms
         self.stack = {j: s for s, j in enumerate(positions)}  # list position -> stack index
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
@@ -144,7 +144,7 @@ def form_groups(
     table: McsTable,
     total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
-    cache: Optional[dict[int, dict[int, Scored]]] = None,
+    cache: Optional[dict] = None,
 ) -> GroupingResult:
     """Run the greedy grouper independently on every subband.
 
@@ -154,12 +154,14 @@ def form_groups(
     an empty group list and csi is not read (it may be None).
 
     cache maps a position in subbands to {member mask: the group's metric
-    and its members' MCS entry indices}; None uses a fresh dict. Bit ms of
-    a mask is MS id ms, not its place among active_ms, so an entry stays
-    valid as the active set changes. Calls with the same csi, subbands,
-    table and power may share one cache (drop_frames shares one per drop):
-    an entry depends only on the members' CSI, and the kernels are
-    row-independent, so it has the bits a fresh batch would give it.
+    and its members' MCS entry indices}, and "stacks" to the pathloss-scaled
+    CSI stacks with the positions of their subbands; None uses a fresh
+    dict. Bit ms of a mask is MS id ms, not its place among active_ms, so
+    an entry stays valid as the active set changes. Calls with the same
+    csi, subbands, table and power may share one cache (drop_frames shares
+    one per drop): an entry depends only on the members' CSI, and the
+    kernels are row-independent, so it has the bits a fresh batch would
+    give it.
     """
     cache = {} if cache is None else cache
     active = sorted(set(active_ms))
@@ -169,17 +171,18 @@ def form_groups(
         return GroupingResult(per_subband=[[] for _ in subbands], best_bytes_per_slot={})
     max_groups = max_groups_per_subband or len(active)
 
-    amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
-    eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
-    counts = [e.shape[1] for e in eff]  # subbands with equal sample counts share a stack
+    if "stacks" not in cache:  # subbands with equal sample counts share a stack
+        amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
+        eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
+        counts = [e.shape[1] for e in eff]
+        by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
+        cache["stacks"] = [(pos, np.stack([eff[j] for j in pos])) for pos in by_count]
 
     entries = [*table.entries, None]  # entry index -1 (none feasible) -> None
     per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
-    for n in dict.fromkeys(counts):
-        pos = [j for j, c in enumerate(counts) if c == n]
-        ev = SubbandLinkEvaluator(np.stack([eff[j] for j in pos]), pos, csi.noise_power_w,
-                                  total_power_w, table, cache)
+    for pos, stack in cache["stacks"]:
+        ev = SubbandLinkEvaluator(stack, pos, csi.noise_power_w, total_power_w, table, cache)
         ev.score({j: [1 << ms for ms in active] for j in pos})
         searches = {}
         for j in pos:

@@ -11,7 +11,9 @@ Each kernel has one implementation, batched over a leading axis of R rows:
 R groups for the weights and the SINR, R per-member sample vectors for EESM
 and MCS selection. A single group or vector is the case R = 1. The SINRs
 and effective SINRs are only steps toward the MCS: select_mcs_batch returns
-entry indices, and a group keeps its members' entries, nothing more.
+entry indices, and a group keeps its members' entries, nothing more. The
+Gram and cross products are the batch matmuls that numpy 2.4.6's einsum
+plan runs for them, with einsum's bits; CI's numpy pin guards those bits.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     if noise_power_w <= 0 or total_power_w <= 0:
         raise ValueError("need positive noise and total power")
 
-    ht = ch.transpose(0, 2, 1)  # (R, M, G) members as columns
-    gram = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True)
+    ht = ch.mT  # (R, M, G) members as columns
+    # gram[r] = H H^H; G = 1: einsum multiplies, and a matmul rounds the diagonal's imag part
+    gram = (ht.conj() @ ch).mT if g > 1 else ht.conj().mT * ht
     reg = g * noise_power_w / total_power_w
     try:
         raw = np.linalg.solve(gram + reg * np.eye(m), ht)  # (R, M, G)
@@ -138,7 +141,12 @@ def compute_sinr(
         raise ValueError("negative power")
 
     # cross[r, u, v, n] = |w_{r,v}^H h_{r,u,n}|^2
-    cross = np.abs(np.einsum("rvm,runm->ruvn", w.conj(), h, optimize=True)) ** 2
+    (r, g, n, m), wc = h.shape, w.conj()
+    if g * m > 1:
+        prod = (h.reshape(r, g * n, m) @ wc.mT).reshape(r, g, n, g).transpose(0, 1, 3, 2)
+    else:  # G = M = 1: einsum multiplies here, and a matmul would round differently
+        prod = h[:, :, None, :, 0] * wc[:, :, :, None]
+    cross = np.abs(prod) ** 2
     ar = np.arange(w.shape[1])
     signal = cross[:, ar, ar, :]  # (R, G, N)
     interference = cross.sum(axis=2) - signal

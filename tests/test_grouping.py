@@ -472,6 +472,39 @@ def test_warm_cache_runs_no_kernel(monkeypatch):
     assert_same_grouping(warm, cold)
 
 
+def test_warm_cache_builds_no_stack(monkeypatch):
+    # the CSI stacks depend only on csi and subbands, so a warm cache slices
+    # no subband CSI, even for another active set; without a cache every
+    # call slices each subband once
+    calls = []
+    form = experiment.form_groups
+
+    def capture(*args, cache):
+        calls.append(args)
+        return form(*args, cache=cache)
+
+    monkeypatch.setattr(experiment, "form_groups", capture)
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=10.0, num_subbands=3, frames_per_drop=1)
+    next(experiment.drop_frames(cfg, 0))
+    (args,) = calls
+    sliced = []
+
+    def spy(csi, subband):
+        sliced.append(subband)
+        return subband_csi(csi, subband)
+
+    monkeypatch.setattr(grouping, "subband_csi", spy)
+    csi, subbands, active, *rest = args
+    cache = {}
+    form_groups(*args, cache=cache)
+    assert sliced == list(subbands)
+    sliced.clear()
+    warm = form_groups(csi, subbands, active[::2], *rest, cache=cache)
+    assert sliced == []
+    assert_same_grouping(warm, form_groups(csi, subbands, active[::2], *rest))
+    assert sliced == list(subbands)
+
+
 @pytest.mark.parametrize("geometry", ["sb3", "unequal"])
 def test_ms_ids_beyond_64_bits(geometry):
     # a member mask has bit ms for MS id ms, so ids 63 and up need more

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -160,6 +161,51 @@ def test_kernels_batch_rows_independent():
             assert np.array_equal(i_r, idx[r * g : (r + 1) * g])
             assert np.array_equal(e_r, geff[r * g : (r + 1) * g])
         assert len(set(idx.tolist())) > 2  # the rows pick different MCS entries
+
+
+# ---------------------------------------------------------------- einsum's bits
+
+def einsum_minmse(channels, noise, power):
+    """minmse_weights with its Gram product H H^H taken by np.einsum."""
+    g, m = channels.shape[1:]
+    ht = channels.transpose(0, 2, 1)
+    a = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True) + g * noise / power * np.eye(m)
+    try:
+        raw = np.linalg.solve(a, ht)
+    except np.linalg.LinAlgError:
+        raw = np.linalg.pinv(a) @ ht
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    return (raw / np.where(norms == 0, 1.0, norms)).transpose(0, 2, 1)
+
+
+def einsum_sinr(weights, channels, power, noise):
+    """compute_sinr with its cross products w^H h taken by np.einsum."""
+    cross = np.abs(np.einsum("rvm,runm->ruvn", weights.conj(), channels, optimize=True)) ** 2
+    ar = np.arange(weights.shape[1])
+    signal = cross[:, ar, ar, :]
+    return (power * signal) / (noise + power * (cross.sum(axis=2) - signal))
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # zeros' signs too
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_kernels_keep_einsum_bits(m):
+    # the Gram and cross products are the batch matmuls that numpy's einsum
+    # runs for them, G = 1 included, so weights and SINRs keep its bits
+    rng = np.random.default_rng(m)
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for g, r, n in itertools.product(range(1, m + 1), (1, 3, 48), (1, 5, 24)):
+        ch, h = cn(r, g, m), cn(r, g, n, m)
+        if g > 1:
+            ch[0, 1] = 2j * ch[0, 0]  # a rank-deficient group
+        ch[-1, 0], h[-1, 0] = 0, 0  # an all-zero member row
+        for scale in (np.ones((r, g, 1)), 10.0 ** (8 * rng.integers(-1, 2, size=(r, g, 1)))):
+            x, hx = ch * scale, h * scale[..., None]
+            w = minmse_weights(x, 1e-3, 10.0)
+            assert_same_bits(w, einsum_minmse(x, 1e-3, 10.0))
+            assert_same_bits(compute_sinr(w, hx, 2.0, 1e-3), einsum_sinr(w, hx, 2.0, 1e-3))
 
 
 # ---------------------------------------------------------------- Eq. 1 SINR
