@@ -449,8 +449,10 @@ def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
 
 
 def test_warm_cache_runs_no_kernel(monkeypatch):
-    # the cache holds everything a final group carries, so grouping the
-    # same active set again with a warm cache evaluates nothing
+    # the cache holds everything a final group carries and the CSI stacks,
+    # so grouping the same active set again with a warm cache evaluates
+    # nothing and slices no subband CSI; the stacks hold every MS, so
+    # another active set reuses them too
     calls = []
     form = experiment.form_groups
 
@@ -463,30 +465,6 @@ def test_warm_cache_runs_no_kernel(monkeypatch):
     next(experiment.drop_frames(cfg, 0))
     (args,) = calls
     seen = kernel_rows(monkeypatch)
-    cache = {}
-    cold = form_groups(*args, cache=cache)
-    assert seen and cold.groups()
-    seen.clear()
-    warm = form_groups(*args, cache=cache)
-    assert seen == []
-    assert_same_grouping(warm, cold)
-
-
-def test_warm_cache_builds_no_stack(monkeypatch):
-    # the CSI stacks depend only on csi and subbands, so a warm cache slices
-    # no subband CSI, even for another active set; without a cache every
-    # call slices each subband once
-    calls = []
-    form = experiment.form_groups
-
-    def capture(*args, cache):
-        calls.append(args)
-        return form(*args, cache=cache)
-
-    monkeypatch.setattr(experiment, "form_groups", capture)
-    cfg = experiment.ScenarioConfig(bandwidth_mhz=10.0, num_subbands=3, frames_per_drop=1)
-    next(experiment.drop_frames(cfg, 0))
-    (args,) = calls
     sliced = []
 
     def spy(csi, subband):
@@ -496,13 +474,17 @@ def test_warm_cache_builds_no_stack(monkeypatch):
     monkeypatch.setattr(grouping, "subband_csi", spy)
     csi, subbands, active, *rest = args
     cache = {}
-    form_groups(*args, cache=cache)
-    assert sliced == list(subbands)
+    cold = form_groups(*args, cache=cache)
+    assert seen and cold.groups() and sliced == list(subbands)
+    seen.clear()
     sliced.clear()
-    warm = form_groups(csi, subbands, active[::2], *rest, cache=cache)
+    warm = form_groups(*args, cache=cache)
+    assert seen == [] and sliced == []
+    assert_same_grouping(warm, cold)
+    other = form_groups(csi, subbands, active[::2], *rest, cache=cache)
     assert sliced == []
-    assert_same_grouping(warm, form_groups(csi, subbands, active[::2], *rest))
-    assert sliced == list(subbands)
+    assert_same_grouping(other, form_groups(csi, subbands, active[::2], *rest))
+    assert sliced == list(subbands)  # no cache: fresh stacks
 
 
 @pytest.mark.parametrize("geometry", ["sb3", "unequal"])
