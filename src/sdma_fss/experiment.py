@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 from pathlib import Path
@@ -251,7 +250,7 @@ def drop_frames(
     metric_cache: dict = {}  # scores and CSI stacks (form_groups), valid all drop: static channel
     for frame_index in range(cfg.frames_per_drop):
         tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
-        active = tuple(f.ms for f in flows if f.buffer)
+        active = tuple(f.ms for f in flows if f.ids)
         if active != active_prev:
             grouping = form_groups(
                 csi, subbands, active, table, cfg.tx_power_w, cfg.max_groups_per_subband,
@@ -414,6 +413,8 @@ def run_sweep(
         for values in itertools.product(*(getattr(sweep, key) for key in SWEEP_AXES), sweep.seeds)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # spares one-process runs the import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, tasks, chunksize=1))
     else:

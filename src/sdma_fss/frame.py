@@ -157,33 +157,33 @@ class FitMemo:
     """Per-member first-fit results within one frame construction.
 
     A member's first fit depends on its queue in the candidate list (fixed
-    for the frame), its MCS, the area's slot cap, the subband, and which of
-    its packets are frozen in other subbands. Only a commit that takes or
-    releases the MS's packets changes the last, and it retires the MS's
-    dict `fits[ms]`, keyed (bytes per slot, cap, subband). An entry is
-    ((ms, packed ids, used slots), packet utilities); its first part goes
-    into the bursts built from it and is never mutated.
+    for the frame), its MCS, the area's slot cap, and which of its packets
+    are frozen in other subbands. Only a commit that takes or releases the
+    MS's packets changes the last, and it retires the MS's dict `fits[ms]`,
+    keyed (bytes per slot, cap, subband). The subband is None where a given
+    `held` (ms -> subbands holding its frozen packets) lacks it: the walk,
+    which skips all its frozen packets, is the same in every such subband.
+    An entry is ((ms, packed ids, used slots), packet utilities); its first
+    part goes into the bursts built from it and is never mutated.
     """
 
-    def __init__(self):
+    def __init__(self, held: Optional[defaultdict[int, set[int]]] = None):
         self.fits: defaultdict[int, dict] = defaultdict(dict)
+        self.held = held
         self._rows: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
-    def retire(self, ms_set) -> None:
-        for ms in ms_set:
-            self.fits.pop(ms, None)
-
-    def first_fit(self, candidates: CandidateList, ms: int, key: tuple[int, int, int],
+    def first_fit(self, candidates: CandidateList, ms: int, key: tuple[int, int, Optional[int]],
                   frozen: dict[int, int]) -> tuple[tuple[int, list[int], int], list[float]]:
         """The fit of ms at key = (bps, cap, j), for a miss in fits[ms]:
         walk ms's queue in FIFO order, packing each packet that is not
-        frozen in another subband and still fits in cap slots (a packet that
+        frozen outside subband j and still fits in cap slots (a packet that
         does not fit is skipped, later ones may still fit). Stores it."""
         bps, cap, j = key
         rows = self._rows.get((ms, bps))
         if rows is None:  # (id, slots needed, utility) of each queued packet
+            ids, sizes, utils = candidates.by_ms.get(ms, ((), (), ()))
             rows = self._rows[ms, bps] = [
-                (pkt.id, -(-pkt.size_bytes // bps), u) for pkt, u in candidates.by_ms.get(ms, ())
+                (pid, -(-size // bps), u) for pid, size, u in zip(ids, sizes, utils)
             ]
         used = 0
         packed: list[int] = []
@@ -219,7 +219,7 @@ def pack_group_area(
     if columns < 1:
         raise ValueError("need at least one column")
     memo = FitMemo() if memo is None else memo
-    j = group.subband
+    j, held = group.subband, memo.held
     cap = columns * scsb
     fits = []
     top = 0
@@ -227,7 +227,7 @@ def pack_group_area(
     for ms, mcs in zip(group.members, group.mcs):
         if mcs is None:
             continue
-        key = (mcs.bytes_per_slot, cap, j)
+        key = (mcs.bytes_per_slot, cap, j if held is None or j in held[ms] else None)
         fit, utils = memo.fits[ms].get(key) or memo.first_fit(candidates, ms, key, frozen)
         if utils:
             for u in utils:
@@ -248,12 +248,11 @@ def _min_slot_size(
     never be packed at this subband height, so they must not drive the
     step size (they would stall the whole frame); first-fit skips them."""
     worst = 0
-    for ms, queue in candidates.by_ms.items():
+    for ms, (_, sizes, _) in candidates.by_ms.items():
         bps = best_bps.get(ms, 0)
         if bps <= 0:
             continue
-        head, _ = queue[0]
-        need = -(-head.size_bytes // bps)
+        need = -(-sizes[0] // bps)
         if need <= max_area_slots:
             worst = max(worst, need)
     return worst if worst > 0 else scsb
@@ -264,10 +263,11 @@ class _Packer:
 
     Trials are read-only: they pack against the committed frozen map
     through the frame's FitMemo and leave both unchanged. `commit` alone
-    owns the frozen map. It releases the replaced burst's packets, freezes
-    the new burst's, retires the memoized fits of every MS in either burst,
-    and updates the totals: `ies` by the changed burst, and `cols`/`util`,
-    the column maximum and utility sum of the bursts without each subband
+    owns the frozen map and the memo's `held`. It releases the replaced
+    burst's packets, freezes the new burst's, retires the memoized fits of
+    every MS in either burst, and updates the totals: `ies` by the changed
+    burst, and `cols`/`util`, the column maximum and utility sum of the
+    bursts without each subband
     (key None: of all of them), recomputed with the sums in `bursts` order.
     `limits[n]` memoizes the columns that a MAP of n IEs leaves to bursts.
     """
@@ -280,7 +280,7 @@ class _Packer:
         self.candidates = candidates
         self.bursts: dict[int, Burst] = {}
         self.frozen: dict[int, int] = {}
-        self.memo = FitMemo()
+        self.memo = FitMemo(defaultdict(set))
         self.stats = BuildStats()
         self.ies = 0
         self.cols = dict.fromkeys([None, *range(geometry.num_subbands)], 0)
@@ -327,15 +327,18 @@ class _Packer:
     def commit(self, burst: Burst) -> None:
         """Make `burst` its subband's burst, replacing any earlier one."""
         j = burst.subband
-        old = self.bursts.get(j)
+        old, held = self.bursts.get(j), self.memo.held
         if old is not None:
             self.ies -= old.ie_count
-            self.memo.retire(ms for ms, _, _ in old.fits)
-            for pid in old.packet_ids():
-                del self.frozen[pid]
-        for pid in burst.packet_ids():
-            self.frozen[pid] = j
-        self.memo.retire(ms for ms, _, _ in burst.fits)
+            for ms, packed, _ in old.fits:
+                self.memo.fits.pop(ms, None)
+                held[ms].discard(j)
+                for pid in packed:
+                    del self.frozen[pid]
+        for ms, packed, _ in burst.fits:
+            self.memo.fits.pop(ms, None)
+            held[ms].add(j)
+            self.frozen.update(dict.fromkeys(packed, j))
         self.ies += burst.ie_count
         self.bursts[j] = burst
         for w in self.cols:

@@ -39,7 +39,8 @@ class McsEntry:
 @dataclass(frozen=True)
 class McsTable:
     """Ordered MCS ladder: thresholds strictly increasing, payload
-    non-decreasing (two entries may share bytes/slot but differ in beta)."""
+    non-decreasing (two entries may share bytes/slot but differ in beta).
+    `betas` and `thresholds` (linear) hold the entries' values as arrays."""
 
     entries: tuple[McsEntry, ...]
 
@@ -47,7 +48,7 @@ class McsTable:
         if not self.entries:
             raise ValueError("MCS table must be nonempty")
         for e in self.entries:
-            if e.bytes_per_slot <= 0 or e.beta <= 0:
+            if e.bytes_per_slot <= 0 or not 0 < e.beta < np.inf:
                 raise ValueError(f"nonpositive field in MCS entry {e.name}")
         thr = [e.min_sinr_db for e in self.entries]
         if any(b <= a for a, b in zip(thr, thr[1:])):
@@ -55,6 +56,8 @@ class McsTable:
         payload = [e.bytes_per_slot for e in self.entries]
         if any(b < a for a, b in zip(payload, payload[1:])):
             raise ValueError("MCS payloads must be non-decreasing")
+        object.__setattr__(self, "betas", np.array([e.beta for e in self.entries]))
+        object.__setattr__(self, "thresholds", np.array([db_to_linear(t) for t in thr]))
 
     @property
     def most_robust(self) -> McsEntry:
@@ -154,29 +157,42 @@ def compute_sinr(
     return (p * signal) / (noise_power_w + p * interference)
 
 
-def eesm_batch(samples: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Exponential effective SIR mapping of each row of linear SINRs (R, N)
-    under each beta (B,) -> (R, B).
-
-    Computed in shifted form for numerical range; the result is pinned to
-    the mathematically guaranteed [min, mean] envelope of its row so
-    round-off can never violate it.
-    """
+def _envelope(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (R, N) SINR rows, their mins and their means."""
     x = np.asarray(samples, dtype=float)
-    b = np.asarray(betas, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"EESM needs (R, N >= 1) samples, got shape {x.shape}")
-    if (b <= 0).any():
-        raise ValueError("beta must be positive")
     if (x < 0).any():
         raise ValueError("SINR samples must be nonnegative")
-    lo = x.min(axis=1, keepdims=True)
-    hi = x.mean(axis=1, keepdims=True)
-    # (R, N, B) exponent block; N and B stay small
-    z = np.exp(-(x[:, :, None] - lo[:, :, None]) / b)
-    val = lo - b * (np.log(z.sum(axis=1)) - np.log(x.shape[1]))
+    return x, x.min(axis=1), x.mean(axis=1)
+
+
+def _eesm_pairs(x, lo, hi, rows, b, pairwise: bool) -> np.ndarray:
+    """Effective SINR of row rows[p] of x (mins lo, means hi) under beta b[p],
+    in shifted form and pinned to the [min, mean] envelope. The N-sum of the
+    C-contiguous (N, P) exponent block adds whole rows in order, as numpy
+    does for an (R, N, B >= 2) block; it sums (R, N, 1) pairwise, and so a
+    one-entry table (`pairwise`) sums the rows of a (P, N) block."""
+    n, neg = len(rows), -(x - lo[:, None])
+    if n == 1 and not pairwise:  # numpy sums a one-column block pairwise: add a twin
+        rows, b = np.repeat(rows, 2), np.repeat(b, 2)
+    z = neg[rows] if pairwise else neg.T.take(rows, axis=1)
+    z /= b[:, None] if pairwise else b
+    s = np.exp(z, out=z).sum(axis=1 if pairwise else 0)
+    val = lo[rows] - b * (np.log(s) - np.log(x.shape[1]))
     # floor last: the mean of a (near-)constant row can round below its min
-    return np.maximum(np.minimum(val, hi), lo)
+    return np.maximum(np.minimum(val, hi[rows]), lo[rows])[:n]
+
+
+def eesm_batch(samples: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Exponential effective SIR mapping of each row of linear SINRs (R, N)
+    under each beta (B,) -> (R, B): every (row, beta) pair of _eesm_pairs."""
+    x, lo, hi = _envelope(samples)
+    b = np.asarray(betas, dtype=float)
+    if (b <= 0).any():
+        raise ValueError("beta must be positive")
+    r, nb = len(x), len(b)
+    return _eesm_pairs(x, lo, hi, np.arange(r).repeat(nb), np.tile(b, r), nb == 1).reshape(r, nb)
 
 
 def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +203,19 @@ def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, 
     entry's beta. Returns (R,) entry indices into table.entries and (R,)
     effective SINRs of the chosen entries; a row with no feasible entry
     gives index -1 and gamma_eff under the most robust entry's beta.
+
+    Any effective SINR of a row lies in [min, max(min, mean)], so EESM runs
+    only from the highest entry at or below the min (entry 0 if none, or if
+    the min is inf or nan) to the highest entry not above that top.
     """
-    betas = np.array([e.beta for e in table.entries])
-    thr = np.array([db_to_linear(e.min_sinr_db) for e in table.entries])
-    geff = eesm_batch(samples, betas)  # (R, B)
-    ok = geff >= thr
-    idx = np.where(ok.any(axis=1), len(thr) - 1 - ok[:, ::-1].argmax(axis=1), -1)
-    return idx, geff[np.arange(len(geff)), np.maximum(idx, 0)]
+    x, lo, hi = _envelope(samples)
+    thr = table.thresholds
+    first = np.maximum(np.searchsorted(thr, lo, "right") * (lo < np.inf) - 1, 0)
+    last = np.maximum(np.searchsorted(thr, np.maximum(lo, hi), "right") - 1, 0)
+    counts = last - first + 1
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(len(x)), counts)
+    entry = np.arange(len(rows)) - np.repeat(starts - first, counts)
+    geff = _eesm_pairs(x, lo, hi, rows, table.betas[entry], len(thr) == 1)
+    idx = np.maximum.reduceat(np.where(geff >= thr[entry], entry, -1), starts)
+    return idx, geff[starts + np.maximum(idx, 0) - first]

@@ -27,23 +27,15 @@ TRAFFIC_BLOCK_DRAWS = 64  # packet sizes per rng.choice call
 
 
 @dataclass
-class Packet:
-    id: int
-    size_bytes: int
-
-    def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError("packet size must be positive")
-
-
-@dataclass
 class Flow:
-    """Per-MS downlink buffer plus PF bookkeeping."""
+    """Per-MS downlink buffer plus PF bookkeeping. The FIFO queue is the
+    parallel lists `ids` and `sizes` (bytes), oldest packet first."""
 
     ms: int
     buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY_BYTES
     load_weight: float = 1.0
-    buffer: list[Packet] = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
+    sizes: list[int] = field(default_factory=list)
     occupancy_bytes: int = 0
     avg_throughput: float = EPSILON_BYTES_PER_FRAME
     offered_credit_bytes: float = 0.0
@@ -57,6 +49,10 @@ class TrafficParams:
     buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY_BYTES
     packet_sizes: tuple[int, ...] = PACKET_SIZES
     packet_size_probs: tuple[float, ...] = PACKET_SIZE_PROBS
+
+    def __post_init__(self):
+        if any(size <= 0 for size in self.packet_sizes):
+            raise ValueError("packet sizes must be positive")
 
 
 def make_flows(num_ms: int, params: TrafficParams = TrafficParams()) -> list[Flow]:
@@ -116,14 +112,16 @@ def generate_traffic(
     draw = _packet_sizes(rng, params)
     stats = TrafficStats()
     for flow in flows:
+        ids, sizes, cap = flow.ids, flow.sizes, flow.buffer_capacity_bytes
         if params.saturated:
             while True:
                 size = next(draw)
                 stats.generated_bytes += size
-                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                if flow.occupancy_bytes + size > cap:
                     stats.dropped_bytes += size
                     break
-                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                ids.append(next(id_source))
+                sizes.append(size)
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
         else:
@@ -134,10 +132,11 @@ def generate_traffic(
                 size = next(draw)
                 flow.offered_credit_bytes -= size
                 stats.generated_bytes += size
-                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                if flow.occupancy_bytes + size > cap:
                     stats.dropped_bytes += size
                     continue
-                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                ids.append(next(id_source))
+                sizes.append(size)
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
     return stats
@@ -147,14 +146,14 @@ def generate_traffic(
 class CandidateList:
     """The schedulable queued packets, per MS.
 
-    by_ms maps every MS with a feasible MCS and a nonempty queue to its
-    packets in FIFO order, each with its PF utility.
+    by_ms maps every MS with a feasible MCS and a nonempty queue to the
+    parallel lists (ids, sizes, PF utilities) of its packets in FIFO order.
     """
 
-    by_ms: dict[int, list[tuple[Packet, float]]]
+    by_ms: dict[int, tuple[list[int], list[int], list[float]]]
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self.by_ms.values())
+        return sum(len(ids) for ids, _, _ in self.by_ms.values())
 
 
 def build_candidate_list(
@@ -164,11 +163,11 @@ def build_candidate_list(
 
     MSs with no feasible MCS anywhere in the band are excluded entirely.
     """
-    by_ms: dict[int, list[tuple[Packet, float]]] = {}
+    by_ms = {}
     for flow in flows:
-        if flow.buffer and best_bytes_per_slot.get(flow.ms, 0) > 0:
+        if flow.ids and best_bytes_per_slot.get(flow.ms, 0) > 0:
             denom = flow.avg_throughput + EPSILON_BYTES_PER_FRAME
-            by_ms[flow.ms] = [(pkt, pkt.size_bytes / denom) for pkt in flow.buffer]
+            by_ms[flow.ms] = (flow.ids[:], flow.sizes[:], [size / denom for size in flow.sizes])
     return CandidateList(by_ms)
 
 
@@ -197,15 +196,19 @@ def commit_transmissions(
         raise RuntimeError(f"packet ids packed twice: {dup[:5]}")
     served: dict[int, int] = {}
     for flow in flows:
-        keep = []
-        for pkt in flow.buffer:
-            if pkt.id in wanted:
-                wanted.discard(pkt.id)
-                flow.occupancy_bytes -= pkt.size_bytes
-                served[flow.ms] = served.get(flow.ms, 0) + pkt.size_bytes
+        if wanted.isdisjoint(flow.ids):
+            continue
+        ids, sizes, nbytes = [], [], 0
+        for pid, size in zip(flow.ids, flow.sizes):
+            if pid in wanted:
+                wanted.discard(pid)
+                nbytes += size
             else:
-                keep.append(pkt)
-        flow.buffer = keep
+                ids.append(pid)
+                sizes.append(size)
+        flow.ids, flow.sizes = ids, sizes
+        flow.occupancy_bytes -= nbytes
+        served[flow.ms] = nbytes
     if wanted:
         raise RuntimeError(f"packed ids in no buffer: {sorted(wanted)[:5]}")
     return served

@@ -27,7 +27,7 @@ from sdma_fss.frame import (
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.grouping import GroupingResult, SdmaGroup
 from sdma_fss.phy import McsTable, default_mcs_table
-from sdma_fss.qos import CandidateList, Packet
+from sdma_fss.qos import CandidateList
 
 TABLE = default_mcs_table()
 
@@ -64,9 +64,10 @@ def init_columns_for(geometry: FrameGeometry, num_antennas: int = 4) -> int:
 def make_candidates(rows: list[tuple[int, int, int, float]]) -> CandidateList:
     """rows: (id, ms, size_bytes, utility); each MS's rows, in the given
     order, become its FIFO queue."""
-    by_ms: dict[int, list[tuple[Packet, float]]] = {}
+    by_ms: dict[int, tuple[list[int], list[int], list[float]]] = {}
     for pid, ms, size, util in rows:
-        by_ms.setdefault(ms, []).append((Packet(id=pid, size_bytes=size), util))
+        for column, value in zip(by_ms.setdefault(ms, ([], [], [])), (pid, size, util)):
+            column.append(value)
     return CandidateList(by_ms)
 
 
@@ -74,9 +75,9 @@ def candidate_rows(candidates: CandidateList) -> list[tuple[int, int, int, float
     """The (id, ms, size_bytes, utility) rows of a candidate list, MS by
     MS in FIFO order."""
     return [
-        (pkt.id, ms, pkt.size_bytes, util)
-        for ms, queue in candidates.by_ms.items()
-        for pkt, util in queue
+        (pid, ms, size, util)
+        for ms, (ids, sizes, utils) in candidates.by_ms.items()
+        for pid, size, util in zip(ids, sizes, utils)
     ]
 
 

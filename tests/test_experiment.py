@@ -376,3 +376,21 @@ def test_import_pins_blas_threads_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.split()
     assert out == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("preset", [(), BLAS_VARS[:1], BLAS_VARS])
+def test_pin_after_numpy_import_warns(preset):
+    # BLAS reads its thread count when numpy is first imported, so a pin
+    # that sdma_fss sets after that has no effect; it says so unless the
+    # caller had set every variable itself
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(sdma_fss.__file__).parents[1])
+    env.update(dict.fromkeys(preset, "2"))
+    code = "import numpy, warnings; warnings.simplefilter('error'); import sdma_fss"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    if len(preset) == len(BLAS_VARS):
+        assert done.returncode == 0, done.stderr
+    else:
+        assert done.returncode != 0 and "RuntimeWarning" in done.stderr
+        assert all((v in done.stderr) != (v in preset) for v in BLAS_VARS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sdma_fss.frame as frame_module
 from sdma_fss.frame import (
     Burst,
     FitMemo,
@@ -198,7 +199,9 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     # a commit in subband 1 takes MS 0's packets and leaves MS 1 alone: the
     # next trial in subband 0 at the same width walks MS 0's queue again and
     # reuses MS 1's fit; so it does after a commit that releases MS 0's
-    # packets. A memo hit never reaches FitMemo.first_fit.
+    # packets. A memo hit never reaches FitMemo.first_fit. The trial in
+    # subband 1 reuses MS 0's fit from subband 0: MS 0 holds no packets in
+    # either, so the walk is the same.
     walks = []
     first_fit = FitMemo.first_fit
 
@@ -217,15 +220,54 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     assert packer.trial(g0, 2).fits == before.fits
     assert walks == [0, 1]
     packer.commit(packer.trial(g1, 2))
-    assert walks == [0, 1, 0]
+    assert walks == [0, 1]
     after = packer.trial(g0, 2)
-    assert walks == [0, 1, 0, 0]
+    assert walks == [0, 1, 0]
     assert after.member_packets == {1: [2, 3]}
     assert after.fits[0] is before.fits[1]
     packer.commit(packer.trial(make_group(1, {2: 6}), 2))
     assert packer.frozen == {4: 1}
     assert packer.trial(g0, 2).member_packets == {0: [0, 1], 1: [2, 3]}
-    assert walks == [0, 1, 0, 0, 2, 0]
+    assert walks == [0, 1, 0, 2, 0]
+
+
+@pytest.mark.parametrize("allow_displacement", [False, True])
+def test_shared_fits_equal_fresh_walks(monkeypatch, allow_displacement):
+    # a fit memoized under key None, in a subband that holds none of the
+    # MS's frozen packets, serves every such subband; each use equals a
+    # fresh memo=None walk there. `held` names exactly the subbands that
+    # hold each MS's frozen packets after every commit and release.
+    pack, commit = frame_module.pack_group_area, _Packer.commit
+    walked_in: dict = {}
+    shared = []
+
+    def checked_pack(group, columns, candidates, frozen, scsb, memo=None):
+        for ms, mcs in zip(group.members, group.mcs):
+            if mcs is not None and group.subband not in memo.held[ms]:
+                key = (id(memo), ms, mcs.bytes_per_slot, columns * scsb)
+                shared.append(walked_in.setdefault(key, group.subband) != group.subband)
+        burst = pack(group, columns, candidates, frozen, scsb, memo)
+        fresh = pack(group, columns, candidates, frozen, scsb)
+        assert (burst.columns, burst.fits, burst.utility) == (fresh.columns, fresh.fits, fresh.utility)
+        return burst
+
+    def checked_commit(packer, burst):
+        commit(packer, burst)
+        owner = {pid: ms for ms, (ids, _, _) in packer.candidates.by_ms.items() for pid in ids}
+        want: dict = {}
+        for pid, j in packer.frozen.items():
+            want.setdefault(owner[pid], set()).add(j)
+        assert {ms: js for ms, js in packer.memo.held.items() if js} == want
+
+    monkeypatch.setattr(frame_module, "pack_group_area", checked_pack)
+    monkeypatch.setattr(_Packer, "commit", checked_commit)
+    for seed in range(40):
+        grouping, candidates, geometry = random_instance(np.random.default_rng(seed), max_sb=4)
+        frame_construction(
+            grouping, candidates, geometry, TABLE, init_columns=init_columns_for(geometry),
+            allow_displacement=allow_displacement,
+        )
+    assert sum(shared) > 50
 
 
 def recount(packer, without):

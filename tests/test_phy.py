@@ -469,6 +469,96 @@ def test_select_mcs_monotone_under_scaling(samples, scale):
     assert rank(after) >= rank(before)
 
 
+# ---------------------------------------------------------------- envelope pruning
+
+def full_grid_eesm(samples, betas):
+    """EESM over every (row, beta) pair in one (R, N, B) exponent block: the
+    kernel before MCS selection skipped the entries its row's envelope
+    decides. numpy sums the block pairwise over N at B = 1 and row by row
+    at B >= 2."""
+    x, b = np.asarray(samples, dtype=float), np.asarray(betas, dtype=float)
+    lo = x.min(axis=1, keepdims=True)
+    hi = x.mean(axis=1, keepdims=True)
+    z = np.exp(-(x[:, :, None] - lo[:, :, None]) / b)
+    val = lo - b * (np.log(z.sum(axis=1)) - np.log(x.shape[1]))
+    return np.maximum(np.minimum(val, hi), lo)
+
+
+def full_grid_select(samples, table):
+    """select_mcs_batch from the full grid: every entry judged by its EESM."""
+    thr = np.array([db_to_linear(e.min_sinr_db) for e in table.entries])
+    geff = full_grid_eesm(samples, [e.beta for e in table.entries])
+    ok = geff >= thr
+    idx = np.where(ok.any(axis=1), len(thr) - 1 - ok[:, ::-1].argmax(axis=1), -1)
+    return idx, geff[np.arange(len(geff)), np.maximum(idx, 0)]
+
+
+def exact_db(t):
+    """A threshold in dB whose linear value is exactly the integer t."""
+    up = down = 10 * math.log10(t)
+    for _ in range(8):  # the nearest dB values a few ulps either way
+        for db in (up, down):
+            if db_to_linear(db) == t:
+                return db
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    raise AssertionError(f"no dB value maps to {t}")
+
+
+def exact_table(thresholds):
+    """MCS table with the default betas and the given integer linear
+    thresholds, so sample rows can put their min or mean exactly on one."""
+    betas = [e.beta for e in TABLE.entries]
+    return McsTable(tuple(
+        McsEntry(f"e{k}", exact_db(t), 6 + k, betas[k]) for k, t in enumerate(thresholds)
+    ))
+
+
+def envelope_rows(rng, r, n, thr, shift):
+    """r rows of n samples across the ladder; row i is, by (i + shift) % 5,
+    all zero, constant at a threshold, an integer row whose min and mean
+    are thresholds, a random row whose min is a threshold, or random."""
+    x = rng.exponential(1.0, (r, n)) * 10 ** rng.uniform(-0.5, 2.0, (r, 1))
+    for i in range(r):
+        k = int(rng.integers(len(thr)))
+        t_lo, t_hi = (thr[k - 1], thr[k]) if k else (0.0, thr[k])
+        kind = (i + shift) % 5
+        if kind == 0:
+            x[i] = 0.0
+        elif kind == 1:
+            x[i] = t_hi
+        elif kind == 2:  # t_hi -+ d in pairs, so the sum is exact
+            d = rng.integers(0, t_hi - t_lo + 1, size=n // 2)
+            d[:1] = t_hi - t_lo
+            x[i] = np.concatenate([t_hi - d, t_hi + d, [t_hi] * (n % 2)])
+            assert x[i].mean() == t_hi and (n < 2 or x[i].min() == t_lo)
+        elif kind == 3:
+            x[i] += thr[k] - x[i].min()
+            assert x[i].min() == thr[k]
+    return x
+
+
+@pytest.mark.parametrize("thresholds", [[9], [4, 16], [2, 4, 6, 9, 16, 21, 36]],
+                         ids=["1-entry", "2-entry", "7-entry"])
+def test_envelope_pruning_keeps_full_grid_bits(thresholds):
+    # entries at or below a row's min pass and those above its top fail
+    # without an exp; the rest, and every chosen entry, give the full
+    # grid's bits, and eesm_batch is the full grid itself
+    table = exact_table(thresholds)
+    thr, betas = np.array(thresholds, dtype=float), [e.beta for e in table.entries]
+    rng = np.random.default_rng(len(thresholds))
+    decided = 0
+    for r, n, shift in itertools.product((1, 3, 48), (1, 2, 9, 90, 180), range(5)):
+        x = envelope_rows(rng, r, n, thr, shift)
+        idx, geff = select_mcs_batch(x, table)
+        want_idx, want_geff = full_grid_select(x, table)
+        assert_same_bits(idx, want_idx)
+        assert_same_bits(geff, want_geff)
+        assert_same_bits(eesm_batch(x, betas), full_grid_eesm(x, betas))
+        lo, top = x.min(axis=1), np.maximum(x.min(axis=1), x.mean(axis=1))
+        decided += ((thr <= lo[:, None]) | (thr > top[:, None])).sum()
+    assert decided > 0
+
+
 # ---------------------------------------------------------------- slot capacity
 
 def test_slot_capacity_values():
@@ -486,6 +576,8 @@ def test_mcs_table_validation():
         McsTable((McsEntry("a", 3.0, 6, 1.0), McsEntry("b", 3.0, 9, 1.0)))
     with pytest.raises(ValueError):
         McsTable((McsEntry("a", 3.0, 9, 1.0), McsEntry("b", 5.0, 6, 1.0)))
+    with pytest.raises(ValueError):  # EESM under an infinite beta is nan, off its envelope
+        McsTable((McsEntry("a", 3.0, 6, math.inf),))
 
 
 def test_mcs_table_json_roundtrip(tmp_path):

@@ -9,7 +9,6 @@ from sdma_fss.qos import (
     EPSILON_BYTES_PER_FRAME,
     PF_HORIZON_FRAMES,
     Flow,
-    Packet,
     TrafficParams,
     TrafficStats,
     build_candidate_list,
@@ -36,13 +35,19 @@ def test_make_flows_weight_split():
     assert sum(f.load_weight for f in flows) == pytest.approx(1.0)
 
 
+def test_traffic_params_reject_nonpositive_packet_sizes():
+    for sizes in ((40, 0, 1500), (-40, 576, 1500)):
+        with pytest.raises(ValueError):
+            TrafficParams(packet_sizes=sizes)
+
+
 def test_zero_offered_load():
     flows = make_flows(4, finite_params(0.0))
     stats = generate_traffic(
         flows, 0, seed=1, params=finite_params(0.0), id_source=itertools.count()
     )
     assert stats.generated_bytes == 0
-    assert all(not f.buffer for f in flows)
+    assert all(not f.ids and not f.sizes for f in flows)
 
 
 def test_tail_drop_keeps_oldest():
@@ -51,12 +56,12 @@ def test_tail_drop_keeps_oldest():
     ids = itertools.count()
     generate_traffic(flows, 0, seed=3, params=params, id_source=ids)
     flow = flows[0]
-    first_ids = [p.id for p in flow.buffer]
+    first_ids = list(flow.ids)
     occupancy = flow.occupancy_bytes
     assert occupancy <= 2000
     # refill attempt: buffer already full-ish, the oldest packets stay
     generate_traffic(flows, 1, seed=3, params=params, id_source=ids)
-    assert [p.id for p in flow.buffer][: len(first_ids)] == first_ids
+    assert flow.ids[: len(first_ids)] == first_ids
     assert flow.occupancy_bytes <= 2000
 
 
@@ -69,11 +74,12 @@ def test_byte_conservation():
         stats = generate_traffic(flows, i, seed=9, params=params, id_source=ids)
         assert stats.generated_bytes == stats.enqueued_bytes + stats.dropped_bytes
         enqueued += stats.enqueued_bytes
-        every_other = [p.id for f in flows for p in f.buffer[::2]]
+        every_other = [pid for f in flows for pid in f.ids[::2]]
         served += sum(commit_transmissions(flows, every_other).values())
-        assert enqueued == served + sum(p.size_bytes for f in flows for p in f.buffer)
+        assert enqueued == served + sum(size for f in flows for size in f.sizes)
     for f in flows:
-        assert f.occupancy_bytes == sum(p.size_bytes for p in f.buffer)
+        assert f.occupancy_bytes == sum(f.sizes)
+        assert len(f.ids) == len(f.sizes)
 
 
 def test_traffic_deterministic_per_seed_and_frame():
@@ -82,13 +88,13 @@ def test_traffic_deterministic_per_seed_and_frame():
     b = make_flows(2, params)
     generate_traffic(a, 4, seed=7, params=params, id_source=itertools.count())
     generate_traffic(b, 4, seed=7, params=params, id_source=itertools.count())
-    assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] == [
-        (f.ms, p.size_bytes) for f in b for p in f.buffer
+    assert [(f.ms, size) for f in a for size in f.sizes] == [
+        (f.ms, size) for f in b for size in f.sizes
     ]
     c = make_flows(2, params)
     generate_traffic(c, 5, seed=7, params=params, id_source=itertools.count())
-    assert [(f.ms, p.size_bytes) for f in a for p in f.buffer] != [
-        (f.ms, p.size_bytes) for f in c for p in f.buffer
+    assert [(f.ms, size) for f in a for size in f.sizes] != [
+        (f.ms, size) for f in c for size in f.sizes
     ]
 
 
@@ -101,8 +107,9 @@ def test_heavy_half_generates_80_percent():
         stats = generate_traffic(flows, frame, seed=13, params=params, id_source=ids)
         assert stats.dropped_bytes == 0
         for f in flows:  # drain so quota, not capacity, limits arrivals
-            generated[f.ms] += sum(p.size_bytes for p in f.buffer)
-            f.buffer.clear()
+            generated[f.ms] += sum(f.sizes)
+            f.ids.clear()
+            f.sizes.clear()
             f.occupancy_bytes = 0
     heavy = sum(generated[:2])
     assert heavy / sum(generated) == pytest.approx(0.8, abs=0.02)
@@ -125,7 +132,8 @@ def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     break
-                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                flow.ids.append(next(id_source))
+                flow.sizes.append(size)
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
         else:
@@ -137,7 +145,8 @@ def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
                 if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     continue
-                flow.buffer.append(Packet(id=next(id_source), size_bytes=size))
+                flow.ids.append(next(id_source))
+                flow.sizes.append(size)
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
     return stats
@@ -161,24 +170,24 @@ def test_block_draws_match_scalar_oracle(params):
             stats = gen(flows, frame_index, 5, params, ids)
             frames.append((
                 stats,
-                [[(p.id, p.size_bytes) for p in f.buffer] for f in flows],
+                [list(zip(f.ids, f.sizes)) for f in flows],
                 [(f.occupancy_bytes, f.offered_credit_bytes) for f in flows],
             ))
             # serve every third packet so the next top-up draws again
-            commit_transmissions(flows, [p.id for f in flows for p in f.buffer[::3]])
+            commit_transmissions(flows, [pid for f in flows for pid in f.ids[::3]])
         state.append(frames)
     assert state[0] == state[1]
 
 
 def queues(cl):
     """{ms: [(id, utility), ...]} of a candidate list."""
-    return {ms: [(p.id, u) for p, u in q] for ms, q in cl.by_ms.items()}
+    return {ms: list(zip(ids, utils)) for ms, (ids, _, utils) in cl.by_ms.items()}
 
 
 def test_candidate_order_equal_utility_ties():
     flows = [Flow(ms=i) for i in range(3)]
     for i, f in enumerate(flows):
-        f.buffer = [Packet(id=10 * i, size_bytes=576)]
+        f.ids, f.sizes = [10 * i], [576]
     best = {0: 6, 1: 27, 2: 27}
     cl = build_candidate_list(flows, best)
     # the MCS does not enter the utility: equal sizes and averages tie
@@ -190,20 +199,20 @@ def test_candidate_starved_ms_ranks_first():
     flows[0].avg_throughput = 5000.0
     flows[1].avg_throughput = EPSILON_BYTES_PER_FRAME
     for f in flows:
-        f.buffer = [Packet(id=f.ms, size_bytes=1500)]
+        f.ids, f.sizes = [f.ms], [1500]
     cl = build_candidate_list(flows, {0: 18, 1: 18})
     assert queues(cl) == {0: [(0, 1500 / 5001)], 1: [(1, 750.0)]}
-    assert cl.by_ms[1][0][1] > cl.by_ms[0][0][1]
+    assert cl.by_ms[1][2][0] > cl.by_ms[0][2][0]
 
 
 def oracle_candidates(flows, best):
     """Each feasible MS's buffer ids in FIFO order, with the PF utility
     size / (avg + epsilon) of each."""
     return {
-        f.ms: [(p.id, p.size_bytes / (f.avg_throughput + EPSILON_BYTES_PER_FRAME))
-               for p in f.buffer]
+        f.ms: [(pid, size / (f.avg_throughput + EPSILON_BYTES_PER_FRAME))
+               for pid, size in zip(f.ids, f.sizes)]
         for f in flows
-        if f.buffer and best.get(f.ms, 0) > 0
+        if f.ids and best.get(f.ms, 0) > 0
     }
 
 
@@ -213,10 +222,8 @@ def test_candidate_list_matches_resort_oracle():
     pid = itertools.count()
     for f in flows:
         f.avg_throughput = float(rng.uniform(1, 4000))
-        f.buffer = [
-            Packet(id=next(pid), size_bytes=int(rng.choice([40, 576, 1500])))
-            for _ in range(int(rng.integers(1, 8)))
-        ]
+        f.sizes = [int(rng.choice([40, 576, 1500])) for _ in range(int(rng.integers(1, 8)))]
+        f.ids = [next(pid) for _ in f.sizes]
     best = {0: 6, 1: 18, 2: 27}
     cl = build_candidate_list(flows, best)
     assert queues(cl) == oracle_candidates(flows, best)  # utilities bit for bit
@@ -231,19 +238,20 @@ def test_candidate_list_matches_resort_oracle():
 def test_candidate_list_preserves_fifo_within_flow(sizes, sizes_b, avg_a, avg_b):
     flows = [Flow(ms=0), Flow(ms=1)]
     flows[0].avg_throughput, flows[1].avg_throughput = avg_a, avg_b
-    flows[0].buffer = [Packet(id=i, size_bytes=s) for i, s in enumerate(sizes)]
-    flows[1].buffer = [Packet(id=100 + i, size_bytes=s) for i, s in enumerate(sizes_b)]
+    flows[0].ids, flows[0].sizes = list(range(len(sizes))), list(sizes)
+    flows[1].ids, flows[1].sizes = [100 + i for i in range(len(sizes_b))], list(sizes_b)
     cl = build_candidate_list(flows, {0: 18, 1: 6})
     assert list(cl.by_ms) == ([0, 1] if sizes_b else [0])
     for f in flows:
-        assert [p.id for p, _ in cl.by_ms.get(f.ms, [])] == [p.id for p in f.buffer]
+        queued_ids, queued_sizes, _ = cl.by_ms.get(f.ms, ([], [], []))
+        assert queued_ids == f.ids and queued_sizes == f.sizes
     assert len(cl) == len(sizes) + len(sizes_b)
 
 
 def test_candidate_list_excludes_unschedulable():
     flows = [Flow(ms=0), Flow(ms=1)]
     for f in flows:
-        f.buffer = [Packet(id=f.ms, size_bytes=40)]
+        f.ids, f.sizes = [f.ms], [40]
     cl = build_candidate_list(flows, {0: 6})
     assert list(cl.by_ms) == [0]
     assert len(cl) == 1
@@ -279,18 +287,18 @@ def test_pf_matches_reference_recurrence():
 
 def test_commit_transmissions_audit():
     flow = Flow(ms=0)
-    flow.buffer = [Packet(id=i, size_bytes=100) for i in range(4)]
+    flow.ids, flow.sizes = list(range(4)), [100] * 4
     flow.occupancy_bytes = 400
     served = commit_transmissions([flow], [1, 3])
     assert served == {0: 200}
-    assert [p.id for p in flow.buffer] == [0, 2]
+    assert flow.ids == [0, 2] and flow.sizes == [100, 100]
     assert flow.occupancy_bytes == 200
 
 
 def test_commit_rejects_duplicate_and_unknown_ids():
     def one_flow():
         flow = Flow(ms=0)
-        flow.buffer = [Packet(id=i, size_bytes=100) for i in range(4)]
+        flow.ids, flow.sizes = list(range(4)), [100] * 4
         flow.occupancy_bytes = 400
         return flow
 
