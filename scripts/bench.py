@@ -8,10 +8,11 @@ the one recorded, the others are its baselines. For seed i = 0..RUNS-1 and
 for each workload in turn, every checkout runs
 ``perfbench/run.py --trace 0 --seed i`` for BENCHMARK.json's ``run_seconds``,
 the checkouts in an order that alternates from run to run, so checkouts
-recorded together see the same machine. Then each checkout runs once traced
-per workload at seed 0, and once ``pytest -m slow`` (acceptance 6, the
-trend grid) with BLAS on one thread. RUNS = 10 gives the ten pairs a speed
-claim needs.
+recorded together see the same machine. Then each checkout runs traced
+(``--trace 1``) per workload at seeds 0..TRACED_RUNS-1 in the same
+alternating order, and once ``pytest -m slow`` (acceptance 6, the trend
+grid) with BLAS on one thread. RUNS = 10 gives the ten pairs a speed claim
+needs.
 
 ``BENCH_<pr>.json`` at the repository root gets, for the first checkout and
 under ``baselines`` for each other one: the git rev and manifest; per
@@ -19,8 +20,13 @@ workload the seeds, every run's output digest and correctness, the median,
 quartiles and IQR of each end-to-end metric, the median calibration
 slowdown, and the traced run's per-layer metrics with its count metrics
 listed apart; and the wall and CPU seconds of the ``pytest -m slow`` run.
-perfbench timings are scaled by each chunk's slowdown (end-to-end) or raw
-(per-layer), see perfbench/README.md; the pytest times are raw.
+perfbench scales the end-to-end timings by each chunk's slowdown (see
+perfbench/README.md) but reports a traced run's per-layer times raw and
+prints no slowdown for it. So each traced run is bracketed by perfbench's
+own calibration kernel, run in a child interpreter of the checkout, and its
+per-layer times (units ms, us, us/kB) are divided by the slowdown that
+gives; the record holds the median and quartiles over the traced seeds, and
+each seed's counts. The pytest times are raw.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 RUNS = 10
+TRACED_RUNS = 3
+# per-layer metrics that are times, and so scale with the machine's slowdown
+TIME_UNITS = ("ms", "us", "us/kB")
+SCALED = [m["name"] for m in SPEC["per_layer"] if m["unit"] in TIME_UNITS]
 # manifest keys that vary per run or per workload
 RUN_KEYS = ("workload", "seed", "seconds", "trace", "drop_ms_p90_percentile")
 
@@ -75,6 +85,29 @@ def perfbench_run(checkout: Path, workload: str, seed: int, trace: bool) -> dict
     return rec
 
 
+def calibration(checkout: Path) -> dict:
+    """perfbench's calibration samples for about 2 s of work, taken after one
+    warm-up pass in a child interpreter of checkout, and its reference time."""
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); import bench; "
+            "bench.calibrate(0.0); "
+            "print(json.dumps({'ref': bench.CAL_REF_S, 'samples': bench.calibrate(2.0)}))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=checkout, capture_output=True,
+                         text=True, check=True, timeout=600).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def traced_run(checkout: Path, workload: str, seed: int) -> dict:
+    """One traced perfbench run with its time metrics divided by the
+    slowdown of the calibration samples that bracket it."""
+    before = calibration(checkout)
+    rec = perfbench_run(checkout, workload, seed, True)
+    after = calibration(checkout)
+    rec["slowdown"] = statistics.fmean(before["samples"] + after["samples"]) / before["ref"]
+    for name in SCALED:
+        rec["metrics"][name] /= rec["slowdown"]
+    return rec
+
+
 def slow_tests(checkout: Path) -> dict:
     """Wall and CPU seconds of one ``pytest -m slow`` run in checkout, BLAS
     pinned to one thread as perfbench pins it."""
@@ -98,27 +131,30 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def record(pr: str, runs: list[dict], traced: dict[str, dict], slow: dict, counts: list[str]) -> dict:
+def record(pr: str, runs: list[dict], traced: list[dict], slow: dict, counts: list[str]) -> dict:
     manifest = {k: v for k, v in runs[0]["manifest"].items() if k not in RUN_KEYS}
     workloads = {}
     for name in WORKLOADS:
         mine = [r for r in runs if r["manifest"]["workload"] == name]
-        t = traced[name]
+        t = [r for r in traced if r["manifest"]["workload"] == name]
         workloads[name] = {
             "seeds": [r["manifest"]["seed"] for r in mine],
             "seconds": mine[0]["manifest"]["seconds"],
             "drop_ms_p90_percentile": mine[0]["manifest"]["drop_ms_p90_percentile"],
-            "correct": all(r["correct"] for r in mine) and t["correct"],
+            "correct": all(r["correct"] for r in mine + t),
             "attempted": sum(r["attempted"] for r in mine),
             "failed": sum(r["failed"] for r in mine),
             "output_digests": [[r["output_digest"], r["reference_match"]] for r in mine],
             "slowdown_median": statistics.median(r["slowdown"] for r in mine),
             "end_to_end": {m: summary([r["metrics"][m] for r in mine]) for m in END_TO_END},
             "traced": {
-                "seed": t["manifest"]["seed"],
-                "output_digest": [t["output_digest"], t["reference_match"]],
-                "per_layer": {k: v for k, v in t["metrics"].items() if k not in counts},
-                "counts": {k: t["metrics"][k] for k in counts},
+                "seeds": [r["manifest"]["seed"] for r in t],
+                "output_digests": [[r["output_digest"], r["reference_match"]] for r in t],
+                "slowdowns": [r["slowdown"] for r in t],
+                "scaled": SCALED,
+                "per_layer": {k: summary([r["metrics"][k] for r in t])
+                              for k in t[0]["metrics"] if k not in counts},
+                "counts": {k: [r["metrics"][k] for r in t] for k in counts},
             },
         }
     return {"pr": int(pr), "git_rev": manifest.pop("git_rev"), "manifest": manifest,
@@ -142,10 +178,11 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             for pr in order if i % 2 == 0 else order[::-1]:
                 runs[pr].append(perfbench_run(checkouts[pr], workload, i, False))
-    traced = {pr: {} for pr in checkouts}
-    for workload in WORKLOADS:
-        for pr in order:
-            traced[pr][workload] = perfbench_run(checkouts[pr], workload, 0, True)
+    traced = {pr: [] for pr in checkouts}
+    for i in range(TRACED_RUNS):
+        for workload in WORKLOADS:
+            for pr in order if i % 2 == 0 else order[::-1]:
+                traced[pr].append(traced_run(checkouts[pr], workload, i))
 
     slow = {pr: slow_tests(checkouts[pr]) for pr in order}
 

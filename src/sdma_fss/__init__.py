@@ -27,7 +27,6 @@ from .channel import (
 )
 from .frame import (
     Burst,
-    MapModel,
     OfdmaFrame,
     frame_construction,
     initial_vertical_limit,
@@ -42,7 +41,6 @@ from .phy import (
     McsTable,
     compute_sinr,
     default_mcs_table,
-    eesm_batch,
     minmse_weights,
     select_mcs_batch,
 )

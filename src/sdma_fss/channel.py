@@ -114,19 +114,6 @@ class CsiReport:
     samples: np.ndarray  # (K, ceil(S/D), M), true channel at sampled indices
     noise_power_w: float
     pathloss_db: np.ndarray
-    los: np.ndarray
-
-    @property
-    def num_ms(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.samples.shape[2]
 
 
 def _pathloss_ref_db(carrier_hz: float) -> float:
@@ -207,7 +194,6 @@ def decimate_csi(ch: ChannelRealization, decimation: int, noise_power_w: float) 
         samples=ch.h[:, idx, :].copy(),
         noise_power_w=noise_power_w,
         pathloss_db=ch.pathloss_db.copy(),
-        los=ch.los.copy(),
     )
 
 

@@ -70,9 +70,9 @@ def main(argv: list[str] | None = None) -> int:
                 (out / "metrics.json").write_text(json.dumps(payload, indent=2))
         elif args.command == "sweep":
             cfg, sweep_raw = _load_config(args.config)
-            sweep = SweepSpec.from_config(cfg, sweep_raw)
             if args.seeds:
-                sweep.seeds = _parse_seeds(args.seeds)
+                sweep_raw["seeds"] = _parse_seeds(args.seeds)
+            sweep = SweepSpec.from_config(cfg, sweep_raw)
             rows = run_sweep(cfg, sweep, jobs=args.jobs, out_dir=Path(args.out))
             errors = sum(1 for r in rows if r.get("error"))
             print(f"{len(rows)} rows ({errors} failed) -> {args.out}/rows.csv")

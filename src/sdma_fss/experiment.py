@@ -16,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import AntennaArrayConfig, ChannelParams, decimate_csi, generate_channel
-from .frame import (
-    MapModel,
-    OfdmaFrame,
-    frame_construction,
-    initial_vertical_limit,
-    predict_map_size,
-)
+from .frame import OfdmaFrame, frame_construction, initial_vertical_limit, predict_map_size
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
 from .grouping import form_groups
 from .phy import McsTable, default_mcs_table
@@ -47,6 +41,8 @@ from .qos import (
 # (fft size, DL subchannels) per channel bandwidth in MHz; subchannel
 # counts are kept divisible by every subband split in {1,2,3,6}
 BANDWIDTH_DEFAULTS = {5.0: (512, 12), 10.0: (1024, 30), 20.0: (2048, 60)}
+# the type a ScenarioConfig field's annotation names; a bool is no int or float
+_FIELD_TYPES = {"bool": bool, "int": Integral, "Optional[int]": Integral, "float": Real}
 
 
 @dataclass
@@ -82,11 +78,11 @@ class ScenarioConfig:
     allow_displacement: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # a JSON config may carry 2.5 or NaN where a count belongs
-            v = getattr(self, f.name)
-            optional = v is None and f.type == "Optional[int]"
-            if "int" in f.type and not (isinstance(v, Integral) or optional):
-                raise ConfigurationError(f"{f.name} must be an integer, got {v!r}")
+        for f in fields(self):  # a JSON config may carry "false", 2.5 or NaN where it is wrong
+            v, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            if kind and not (isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+                             or v is None and f.type.startswith("Optional")):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {v!r}")
         if self.fft_size is None or self.num_subchannels is None:
             if self.bandwidth_mhz not in BANDWIDTH_DEFAULTS:
                 raise ConfigurationError(
@@ -229,7 +225,6 @@ def drop_frames(
     queued is MAP-only."""
     geometry = cfg.geometry()
     table = cfg.mcs_table()
-    map_model = MapModel()
     csi = None  # with no MS there is no channel to draw
     if cfg.num_ms:
         ch = generate_channel(cfg.channel_params(), seed)
@@ -242,7 +237,7 @@ def drop_frames(
     init_columns = initial_vertical_limit(
         geometry,
         cfg.num_antennas,
-        predict_map_size(geometry, avg_mcs, map_model, table.most_robust.bytes_per_slot),
+        predict_map_size(geometry, avg_mcs, table.most_robust.bytes_per_slot),
     )
 
     grouping = None
@@ -260,9 +255,7 @@ def drop_frames(
         candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
         frame = frame_construction(
             grouping, candidates, geometry, table,
-            init_columns=init_columns,
-            map_model=map_model,
-            allow_displacement=cfg.allow_displacement,
+            init_columns=init_columns, allow_displacement=cfg.allow_displacement,
         )
         served = commit_transmissions(flows, frame.packed_packet_ids())
         update_pf_averages(flows, served)
@@ -320,6 +313,7 @@ SWEEP_AXES = {
 }
 KEY_COLUMNS = [*SWEEP_AXES.values(), "seed"]
 _AXIS_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name in KEY_COLUMNS}
+_AXIS_TYPES["seed"] = int
 
 
 def _axis_value(field: str, value):
@@ -340,18 +334,26 @@ class SweepSpec:
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig, raw: Optional[dict] = None) -> "SweepSpec":
-        """Axes absent from the sweep section take the base config's value."""
+        """Axes absent from the sweep section take the base config's value.
+        Each key needs a nonempty list of values of its field's type."""
         raw = raw or {}
         unknown = set(raw) - {*SWEEP_AXES, "seeds"}
         if unknown:
             raise ConfigurationError(
                 f"unknown sweep keys: {sorted(unknown)}; known: {[*SWEEP_AXES, 'seeds']}"
             )
-        axes = {
-            key: [_axis_value(field, v) for v in raw.get(key, [getattr(cfg, field)])]
-            for key, field in SWEEP_AXES.items()
-        }
-        return cls(**axes, seeds=list(raw.get("seeds", range(cfg.num_seeds))))
+        axes = {}
+        for key, field in [*SWEEP_AXES.items(), ("seeds", "seed")]:
+            default = list(range(cfg.num_seeds)) if key == "seeds" else [getattr(cfg, field)]
+            values = raw.get(key, default)
+            try:
+                axes[key] = [_axis_value(field, v) for v in values]
+            except (TypeError, ValueError, OverflowError):  # "x" or inf where an int belongs
+                axes[key] = None
+            if not values or not isinstance(values, list) or axes[key] != values:  # or 2.5 cut to 2
+                raise ConfigurationError(f"sweep {key} must be a nonempty list of {field} values, "
+                                         f"got {values!r}")
+        return cls(**axes)
 
 
 CSV_COLUMNS = [

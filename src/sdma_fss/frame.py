@@ -33,14 +33,10 @@ from .qos import CandidateList
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class MapModel:
-    """Bit cost of the DL-MAP: fixed header plus one information element
-    per burst-member allocation, broadcast at the most robust MCS."""
-
-    fixed_bits: int = 88
-    ie_bits: int = 60
-    repetition: int = 1
+# Bit cost of the DL-MAP: a fixed header plus one information element per
+# burst-member allocation, broadcast at the most robust MCS.
+MAP_FIXED_BITS = 88
+MAP_IE_BITS = 60
 
 
 @dataclass
@@ -56,8 +52,7 @@ class Burst:
     subband, one spatial layer per member.
 
     `fits` holds one (ms, packed ids, used slots) per member that got
-    packets, in member order; each is one MAP IE. The dict views are built
-    on read, so a trial burst that is never committed costs one record."""
+    packets, in member order; each is one MAP IE."""
 
     subband: int
     group: SdmaGroup
@@ -68,14 +63,6 @@ class Burst:
     @property
     def ie_count(self) -> int:
         return len(self.fits)
-
-    @property
-    def member_packets(self) -> dict[int, list[int]]:
-        return {ms: packed for ms, packed, _ in self.fits}
-
-    @property
-    def member_slots(self) -> dict[int, int]:
-        return {ms: used for ms, _, used in self.fits}
 
     def packet_ids(self) -> list[int]:
         return [pid for _, packed, _ in self.fits for pid in packed]
@@ -91,7 +78,6 @@ class BuildStats:
 @dataclass
 class OfdmaFrame:
     geometry: FrameGeometry
-    map_model: MapModel
     robust_bytes_per_slot: int
     map_region: MapRegion
     bursts: dict[int, Burst]
@@ -102,8 +88,8 @@ class OfdmaFrame:
         return [pid for b in self.bursts.values() for pid in b.packet_ids()]
 
 
-def map_slots_for_ies(ie_count: int, map_model: MapModel, robust_bytes_per_slot: int) -> int:
-    bits = (map_model.fixed_bits + ie_count * map_model.ie_bits) * map_model.repetition
+def map_slots_for_ies(ie_count: int, robust_bytes_per_slot: int) -> int:
+    bits = MAP_FIXED_BITS + ie_count * MAP_IE_BITS
     return math.ceil(bits / (8 * robust_bytes_per_slot))
 
 
@@ -114,14 +100,13 @@ def map_columns(slots: int, geometry: FrameGeometry) -> int:
 def predict_map_size(
     geometry: FrameGeometry,
     avg_mcs: McsEntry,
-    map_model: MapModel = MapModel(),
     robust_bytes_per_slot: int = 6,
 ) -> int:
     """Pessimistic per-layer MAP estimate used to seed the vertical limit:
     assume SC slots at the average MCS are filled with 40-byte packets and
     every packet needs its own reference."""
     n_packets = (geometry.num_subchannels * avg_mcs.bytes_per_slot) // 40
-    return map_slots_for_ies(n_packets, map_model, robust_bytes_per_slot)
+    return map_slots_for_ies(n_packets, robust_bytes_per_slot)
 
 
 def initial_vertical_limit(
@@ -272,11 +257,10 @@ class _Packer:
     `limits[n]` memoizes the columns that a MAP of n IEs leaves to bursts.
     """
 
-    def __init__(self, geometry, table, map_model, candidates):
+    def __init__(self, geometry, table, candidates):
         self.g = geometry
         self.scsb = geometry.rows_per_subband
         self.robust = table.most_robust.bytes_per_slot
-        self.map_model = map_model
         self.candidates = candidates
         self.bursts: dict[int, Burst] = {}
         self.frozen: dict[int, int] = {}
@@ -292,13 +276,7 @@ class _Packer:
         return self.ies - (0 if b is None else b.ie_count)
 
     def map_slots(self) -> int:
-        return map_slots_for_ies(self.ies, self.map_model, self.robust)
-
-    def utility(self, without: Optional[int] = None) -> float:
-        return self.util[without]
-
-    def max_cols(self, without: Optional[int] = None) -> int:
-        return self.cols[without]
+        return map_slots_for_ies(self.ies, self.robust)
 
     def trial(self, group: SdmaGroup, offered_cols: int) -> Optional[Burst]:
         """Tentatively pack `group` at up to offered_cols columns, shrinking
@@ -317,7 +295,7 @@ class _Packer:
             limit = self.limits.get(ies)
             if limit is None:
                 limit = self.limits[ies] = self.g.num_columns - map_columns(
-                    map_slots_for_ies(ies, self.map_model, self.robust), self.g
+                    map_slots_for_ies(ies, self.robust), self.g
                 )
             if burst.columns <= limit and other_cols <= limit:
                 return burst
@@ -354,8 +332,8 @@ class _Packer:
         slots = self.map_slots()
         region = MapRegion(ie_count=self.ies, slots=slots, columns=map_columns(slots, self.g))
         return OfdmaFrame(
-            geometry=self.g, map_model=self.map_model, robust_bytes_per_slot=self.robust,
-            map_region=region, bursts=self.bursts, utility=self.util[None], build_stats=self.stats,
+            geometry=self.g, robust_bytes_per_slot=self.robust, map_region=region,
+            bursts=self.bursts, utility=self.util[None], build_stats=self.stats,
         )
 
 
@@ -366,7 +344,6 @@ def frame_construction(
     table: McsTable,
     *,
     init_columns: int,
-    map_model: MapModel = MapModel(),
     allow_displacement: bool = False,
 ) -> OfdmaFrame:
     """Two-phase extension/selection packing over all subbands.
@@ -378,7 +355,7 @@ def frame_construction(
     """
     g = geometry
     scsb = g.rows_per_subband
-    packer = _Packer(g, table, map_model, candidates)
+    packer = _Packer(g, table, candidates)
     if not candidates.by_ms:  # nothing to offer: a MAP-only frame, no rounds
         return packer.finish()
     max_area = (g.num_columns - 1) * scsb  # at least one column is MAP

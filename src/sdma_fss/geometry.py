@@ -62,18 +62,12 @@ class FrameGeometry:
 
 @dataclass(frozen=True)
 class SubbandSpec:
-    """One contiguous subband: subchannel rows [row_lo, row_hi) and the
-    adjacent subcarrier range [subcarrier_lo, subcarrier_hi) it occupies."""
+    """Subband `index`: the index-th block of rows_per_subband subchannel
+    rows, and the subcarrier range [subcarrier_lo, subcarrier_hi) it covers."""
 
     index: int
-    row_lo: int
-    row_hi: int
     subcarrier_lo: int
     subcarrier_hi: int
-
-    @property
-    def num_rows(self) -> int:
-        return self.row_hi - self.row_lo
 
 
 def partition_frame(geometry: FrameGeometry) -> list[SubbandSpec]:
@@ -86,8 +80,6 @@ def partition_frame(geometry: FrameGeometry) -> list[SubbandSpec]:
     return [
         SubbandSpec(
             index=j,
-            row_lo=j * per,
-            row_hi=(j + 1) * per,
             subcarrier_lo=j * per * spc,
             subcarrier_hi=(j + 1) * per * spc,
         )

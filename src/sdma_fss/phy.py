@@ -184,17 +184,6 @@ def _eesm_pairs(x, lo, hi, rows, b, pairwise: bool) -> np.ndarray:
     return np.maximum(np.minimum(val, hi[rows]), lo[rows])[:n]
 
 
-def eesm_batch(samples: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Exponential effective SIR mapping of each row of linear SINRs (R, N)
-    under each beta (B,) -> (R, B): every (row, beta) pair of _eesm_pairs."""
-    x, lo, hi = _envelope(samples)
-    b = np.asarray(betas, dtype=float)
-    if (b <= 0).any():
-        raise ValueError("beta must be positive")
-    r, nb = len(x), len(b)
-    return _eesm_pairs(x, lo, hi, np.arange(r).repeat(nb), np.tile(b, r), nb == 1).reshape(r, nb)
-
-
 def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, np.ndarray]:
     """Highest MCS whose own-beta effective SINR meets its threshold, for
     each row of samples (R, N).

@@ -15,7 +15,6 @@ import numpy as np
 
 from sdma_fss.frame import (
     Burst,
-    MapModel,
     OfdmaFrame,
     _min_slot_size,
     _Packer,
@@ -53,12 +52,17 @@ def make_grouping(per_subband: list[list[SdmaGroup]]) -> GroupingResult:
 
 def init_columns_for(geometry: FrameGeometry, num_antennas: int = 4) -> int:
     """The initial vertical limit run_drop seeds frame_construction with, for
-    the default MCS table and MAP model."""
+    the default MCS table."""
     avg = TABLE.entries[len(TABLE.entries) // 2]
     robust = TABLE.most_robust.bytes_per_slot
     return initial_vertical_limit(
-        geometry, num_antennas, predict_map_size(geometry, avg, MapModel(), robust)
+        geometry, num_antennas, predict_map_size(geometry, avg, robust)
     )
+
+
+def member_packets(burst: Burst) -> dict[int, list[int]]:
+    """ms -> packed packet ids of each member that got packets."""
+    return {ms: packed for ms, packed, _ in burst.fits}
 
 
 def make_candidates(rows: list[tuple[int, int, int, float]]) -> CandidateList:
@@ -131,7 +135,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     # MAP consistency: IE count matches bursts, slots match the bit model
     ies = sum(b.ie_count for b in frame.bursts.values())
     assert region.ie_count == ies, f"map IE count {region.ie_count} != bursts {ies}"
-    expect_slots = map_slots_for_ies(ies, frame.map_model, frame.robust_bytes_per_slot)
+    expect_slots = map_slots_for_ies(ies, frame.robust_bytes_per_slot)
     assert region.slots == expect_slots
     assert region.columns == map_columns(region.slots, g)
 
@@ -150,7 +154,8 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
         rows = slice(j * g.rows_per_subband, (j + 1) * g.rows_per_subband)
         grid[rows, first:] += 1
         mcs = dict(zip(b.group.members, b.group.mcs))
-        for ms, pids in b.member_packets.items():
+        assert len({ms for ms, _, _ in b.fits}) == len(b.fits), "member allocated twice"
+        for ms, pids, used in b.fits:
             assert pids, "member allocation without packets"
             assert mcs.get(ms) is not None, f"ms {ms} packed without a feasible MCS"
             bps = mcs[ms].bytes_per_slot
@@ -162,7 +167,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
                 assert owner == ms, f"packet {pid} packed for wrong MS"
                 slots += math.ceil(size / bps)
                 total_util += util
-            assert slots == b.member_slots[ms]
+            assert slots == used
             assert slots <= b.columns * g.rows_per_subband, "member overflows burst area"
     assert (grid <= 1).all(), "slot covered twice"
     assert abs(total_util - frame.utility) < 1e-9 * max(1.0, abs(frame.utility))
@@ -188,7 +193,6 @@ def fd_baseline_pack(
     *,
     init_columns: int,
     best_bytes_per_slot: dict[int, int],
-    map_model: MapModel = MapModel(),
 ) -> OfdmaFrame:
     """Frequency-diversity reference packer: the whole band is one subband
     and a single burst grows greedily column by column toward the MAP.
@@ -200,7 +204,7 @@ def fd_baseline_pack(
     if g.num_subbands != 1:
         raise ValueError("baseline packer handles a single subband only")
     sc = g.num_subchannels
-    packer = _Packer(g, table, map_model, candidates)
+    packer = _Packer(g, table, candidates)
 
     max_area = (g.num_columns - 1) * sc
     step = -(-_min_slot_size(candidates, best_bytes_per_slot, sc, max_area) // sc) * sc
@@ -223,7 +227,7 @@ def fd_baseline_pack(
             chosen = best.group
             utility = best.utility
             packer.stats.accepted_utilities.append(utility)
-        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.max_cols()
+        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
         step = min(max(free_cols, 1) * sc, step)
         v_limit += step
 

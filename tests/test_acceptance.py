@@ -16,14 +16,13 @@ import pytest
 
 from sdma_fss.experiment import ScenarioConfig, SweepSpec, run_drop, run_sweep, summarize
 from sdma_fss.frame import (
-    MapModel,
     frame_construction,
     initial_vertical_limit,
     map_columns,
     map_slots_for_ies,
 )
 from sdma_fss.geometry import FrameGeometry
-from sdma_fss.phy import default_mcs_table, compute_sinr, eesm_batch, minmse_weights
+from sdma_fss.phy import default_mcs_table, compute_sinr, minmse_weights
 from synth import (
     audit_frame,
     candidate_rows,
@@ -35,7 +34,7 @@ from synth import (
     random_instance,
 )
 from test_frame import assert_same_frames
-from test_phy import oracle_minmse, oracle_sinr_scalar
+from test_phy import eesm_batch, oracle_minmse, oracle_sinr_scalar
 
 logging.disable(logging.WARNING)
 
@@ -126,7 +125,7 @@ def exhaustive_optimum(grouping, candidates, geometry):
             if util <= best:
                 continue
             ies = sum(len(s) for s in slots)
-            mcols = map_columns(map_slots_for_ies(ies, MapModel(), 6), geometry)
+            mcols = map_columns(map_slots_for_ies(ies, 6), geometry)
             if all(
                 math.ceil(max(s.values()) / scsb) + mcols <= dl
                 for s in slots

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from sdma_fss.experiment import ScenarioConfig, drop_frames, run_drop
 from sdma_fss.geometry import ConfigurationError
 
-HOSTILE_FLOATS = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
-HOSTILE_INTS = [0, -1, -(2**63), 2.5, math.nan, math.inf]
+HOSTILE_FLOATS = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan,
+                  "5e-3", False]
+HOSTILE_INTS = [0, -1, -(2**63), 2.5, math.nan, math.inf, "2", True]
+HOSTILE_FLAGS = ["false", "no", "", 0, 1, None, math.nan]
 
 # Typical values of every numeric field, kept tiny: K in 0..4, M in 1..3,
 # at most 12 subchannels unless a default bandwidth geometry is drawn, at
@@ -46,8 +48,9 @@ TYPICAL = {
     "allow_displacement": st.booleans(),
 }
 
-# Hostile values per field: signs, zeros, extremes, non-finite values and
-# floats where a count belongs. Values that are valid but merely large (many
+# Hostile values per field: signs, zeros, extremes, non-finite values,
+# floats where a count belongs, and strings, numbers or bools where a value
+# of another type belongs. Values that are valid but merely large (many
 # frames, MSs or taps, loads and buffers far beyond a frame's capacity) cost
 # time linear in the value; they are not errors and are left out.
 FLAGS = ("los", "saturated_traffic", "allow_displacement")
@@ -55,8 +58,8 @@ COUNTS = ("num_antennas", "num_ms", "num_subbands", "max_subbands", "fft_size",
           "num_subchannels", "dl_columns", "frames_per_drop", "num_seeds", "num_taps",
           "max_groups_per_subband")
 HOSTILE = {
-    name: HOSTILE_INTS if name in COUNTS else HOSTILE_FLOATS
-    for name in TYPICAL if name not in FLAGS
+    name: HOSTILE_FLAGS if name in FLAGS else HOSTILE_INTS if name in COUNTS else HOSTILE_FLOATS
+    for name in TYPICAL
 }
 HOSTILE["bandwidth_mhz"] = HOSTILE_FLOATS + [7.0]  # no default geometry
 HOSTILE["csi_decimation"] = HOSTILE_INTS + [145, 10**9]

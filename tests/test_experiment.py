@@ -180,6 +180,29 @@ def test_sweep_rejects_unknown_keys(tmp_path):
         SweepSpec.from_config(*load_config(str(path)))
 
 
+@pytest.mark.parametrize("raw", [
+    {"seeds": [1.5]},  # was a TypeError in run_drop
+    {"seeds": ["a"]},  # likewise
+    {"seeds": []},
+    {"seeds": 3},
+    {"antennas": ["x"]},  # was a bare ValueError
+    {"antennas": [2.5]},  # was cut to 2
+    {"los": ["yes"]},  # was False
+    {"subbands": []},
+], ids=str)
+def test_sweep_rejects_bad_values(raw):
+    with pytest.raises(ConfigurationError, match=next(iter(raw))):
+        SweepSpec.from_config(tiny_cfg(), raw)
+
+
+def test_cli_bad_sweep_values_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**tiny_cfg().to_dict(), "sweep": {"antennas": ["x"]}}))
+    assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()
+
+
 def test_study_configs_match_their_grids():
     grids = {
         "bandwidth_study": ([5.0, 10.0, 20.0], [2, 4, 8], [12], [1, 2, 3, 6], [True]),
@@ -298,6 +321,16 @@ def test_config_validation():
         dict(rms_delay_spread_us=5e-324),
         dict(subcarrier_spacing_hz=5e-324),  # the noise power underflows to 0 W
         dict(subcarrier_spacing_hz=1e300, rms_delay_spread_us=1e300),  # tap phases overflow
+        # a flag or number of the wrong type: the strings ran as True, the
+        # numbers raised TypeError mid-validation, and True ran as 1
+        dict(los="false"),
+        dict(saturated_traffic="false"),
+        dict(allow_displacement="no"),
+        dict(los=1),
+        dict(tx_power_dbm="46"),
+        dict(frame_duration_s="5e-3"),
+        dict(num_subbands=True),
+        dict(max_groups_per_subband=True),
     ]:
         with pytest.raises(ConfigurationError):
             tiny_cfg(**bad)
@@ -340,7 +373,7 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2"])
+@pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2", "5:2"])  # 5:2 was an empty sweep
 def test_cli_bad_seeds_exit_code(tmp_path, capsys, seeds):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_cfg(frames_per_drop=1).to_dict()))

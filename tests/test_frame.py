@@ -7,7 +7,6 @@ import sdma_fss.frame as frame_module
 from sdma_fss.frame import (
     Burst,
     FitMemo,
-    MapModel,
     OfdmaFrame,
     _Packer,
     frame_construction,
@@ -27,6 +26,7 @@ from synth import (
     make_candidates,
     make_group,
     make_grouping,
+    member_packets,
     random_instance,
 )
 
@@ -64,23 +64,12 @@ def test_predict_map_size_arithmetic():
     assert predict_map_size(geo(), qpsk12) == math.ceil(328 / 48) == 7
 
 
-def test_predict_map_size_zero_ie_model():
-    qpsk12 = TABLE.entries[0]
-    assert predict_map_size(geo(), qpsk12, MapModel(ie_bits=0)) == math.ceil(88 / 48)
-
-
-def test_map_bits_linear_in_ie_size():
-    base = MapModel(ie_bits=60)
-    double = MapModel(ie_bits=120)
-    for n in (1, 4, 37):
-        bits = lambda mm: (mm.fixed_bits + n * mm.ie_bits) * mm.repetition
-        assert bits(double) - 88 == 2 * (bits(base) - 88)
-        assert map_slots_for_ies(n, base, 6) == math.ceil(bits(base) / 48)
-
-
 def test_map_slots_bit_arithmetic_oracle():
-    assert map_slots_for_ies(0, MapModel(), 6) == math.ceil(88 / 48) == 2
-    assert map_slots_for_ies(37, MapModel(), 6) == math.ceil((88 + 37 * 60) / 48) == 49
+    # an 88-bit header plus 60 bits per IE, in 6-byte (48-bit) robust slots
+    assert map_slots_for_ies(0, 6) == math.ceil(88 / 48) == 2
+    assert map_slots_for_ies(1, 6) == math.ceil((88 + 60) / 48) == 4
+    assert map_slots_for_ies(4, 6) == math.ceil((88 + 4 * 60) / 48) == 7
+    assert map_slots_for_ies(37, 6) == math.ceil((88 + 37 * 60) / 48) == 49
     assert map_columns(49, geo()) == 2
 
 
@@ -93,7 +82,7 @@ def test_map_size_counts_member_allocations_not_bursts():
     five_double = [mk([2 * i, 2 * i + 1]) for i in range(5)]
     ies = [sum(b.ie_count for b in bursts) for bursts in (ten_single, five_double)]
     assert ies == [10, 10]
-    assert map_slots_for_ies(ies[0], MapModel(), 6) == map_slots_for_ies(ies[1], MapModel(), 6)
+    assert map_slots_for_ies(ies[0], 6) == map_slots_for_ies(ies[1], 6)
 
 
 # ------------------------------------------------- pack_group_area
@@ -103,9 +92,8 @@ def test_pack_single_small_packet():
     cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10)
-    assert burst.member_slots == {0: 1}
+    assert burst.fits == ((0, [0], 1),)
     assert burst.columns == 1
-    assert burst.member_packets == {0: [0]}
     assert frozen == {}
 
 
@@ -114,7 +102,7 @@ def test_pack_skips_packets_frozen_elsewhere():
     cand = make_candidates([(0, 0, 6, 1.0)])
     frozen = {0: 1}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10)
-    assert burst.member_packets == {}
+    assert member_packets(burst) == {}
     assert burst.columns == 0
     assert frozen == {0: 1}
 
@@ -127,12 +115,12 @@ def test_pack_releases_stale_own_freezes():
     frozen = {99: 0, 1: 1, 2: 0}
     burst = pack_group_area(group, 1, cand, frozen, scsb=10)
     assert frozen == {99: 0, 1: 1, 2: 0}
-    assert burst.member_packets == {0: [2]}
+    assert member_packets(burst) == {0: [2]}
 
 
 def two_subband_packer(rows):
     """A _Packer over a 2-subband, 10-rows-per-subband frame."""
-    return _Packer(geo(sc=20, dl=17, sb=2), TABLE, MapModel(), make_candidates(rows))
+    return _Packer(geo(sc=20, dl=17, sb=2), TABLE, make_candidates(rows))
 
 
 def test_commit_freezes_single_small_packet():
@@ -143,8 +131,8 @@ def test_commit_freezes_single_small_packet():
     packer.commit(burst)
     assert packer.frozen == {0: 0}
     assert packer.bursts == {0: burst}
-    assert (packer.total_ies(), packer.utility(), packer.max_cols()) == (1, 1.0, 1)
-    without = (packer.total_ies(without=0), packer.utility(without=0), packer.max_cols(without=0))
+    assert (packer.total_ies(), packer.util[None], packer.cols[None]) == (1, 1.0, 1)
+    without = (packer.total_ies(without=0), packer.util[0], packer.cols[0])
     assert without == (0, 0, 0)
 
 
@@ -155,7 +143,7 @@ def test_commit_keeps_packets_frozen_elsewhere():
     packer.commit(packer.trial(g1, 1))
     assert packer.frozen == {0: 1}
     burst = packer.trial(g0, 1)
-    assert burst.member_packets == {1: [2]}
+    assert member_packets(burst) == {1: [2]}
     packer.commit(burst)
     assert packer.frozen == {0: 1, 2: 0}
 
@@ -186,12 +174,12 @@ def test_commit_retires_memoized_fits_of_its_members():
     g1 = make_group(1, {0: 6})
     rows = [(i, 0, 40, 1.0) for i in range(4)]  # 7 slots each at 6 B/slot
     packer = two_subband_packer(rows)
-    assert packer.trial(g0, 2).member_packets == {0: [0, 1]}
+    assert member_packets(packer.trial(g0, 2)) == {0: [0, 1]}
     taken = packer.trial(g1, 2)
-    assert taken.member_packets == {0: [0, 1]}
+    assert member_packets(taken) == {0: [0, 1]}
     packer.commit(taken)
     again = packer.trial(g0, 2)
-    assert again.member_packets == {0: [2, 3]}
+    assert member_packets(again) == {0: [2, 3]}
     assert not set(again.packet_ids()) & set(taken.packet_ids())
 
 
@@ -215,7 +203,7 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     rows = [(0, 0, 40, 1.0), (1, 0, 40, 1.0), (2, 1, 40, 1.0), (3, 1, 40, 1.0), (4, 2, 40, 1.0)]
     packer = two_subband_packer(rows)
     before = packer.trial(g0, 2)
-    assert before.member_packets == {0: [0, 1], 1: [2, 3]}
+    assert member_packets(before) == {0: [0, 1], 1: [2, 3]}
     assert walks == [0, 1]
     assert packer.trial(g0, 2).fits == before.fits
     assert walks == [0, 1]
@@ -223,11 +211,11 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     assert walks == [0, 1]
     after = packer.trial(g0, 2)
     assert walks == [0, 1, 0]
-    assert after.member_packets == {1: [2, 3]}
+    assert member_packets(after) == {1: [2, 3]}
     assert after.fits[0] is before.fits[1]
     packer.commit(packer.trial(make_group(1, {2: 6}), 2))
     assert packer.frozen == {4: 1}
-    assert packer.trial(g0, 2).member_packets == {0: [0, 1], 1: [2, 3]}
+    assert member_packets(packer.trial(g0, 2)) == {0: [0, 1], 1: [2, 3]}
     assert walks == [0, 1, 0, 2, 0]
 
 
@@ -291,8 +279,8 @@ def test_incremental_totals_equal_recount(monkeypatch, allow_displacement):
         for w in [None, *range(packer.g.num_subbands)]:
             ies, cols, utility = recount(packer, w)
             assert packer.total_ies(w) == ies
-            assert packer.max_cols(w) == cols
-            assert packer.utility(w) == utility  # the same bits, not approximately
+            assert packer.cols[w] == cols
+            assert packer.util[w] == utility  # the same bits, not approximately
 
     monkeypatch.setattr(_Packer, "commit", checked_commit)
     for seed in range(60):
@@ -324,8 +312,9 @@ def test_pack_matches_first_fit_oracle():
         cand = make_candidates(rows)
         burst = pack_group_area(group, 2, cand, {}, scsb=10)
         ref_packed, ref_used = first_fit_oracle(sizes, 18, cap=20)
-        assert burst.member_packets.get(0, []) == ref_packed
-        assert burst.member_slots.get(0, 0) == ref_used
+        packed, used = {ms: (p, u) for ms, p, u in burst.fits}.get(0, ([], 0))
+        assert packed == ref_packed
+        assert used == ref_used
 
 
 def test_pack_rejects_nonpositive_columns():
@@ -368,7 +357,7 @@ def test_no_candidates_gives_map_only_frame():
     g = FrameGeometry(num_subchannels=4, num_columns=8, num_subbands=2, max_subbands=6)
     frame = frame_construction(grouping, cand, g, TABLE, init_columns=1)
     assert frame.bursts == {}
-    assert frame.map_region.slots == map_slots_for_ies(0, MapModel(), 6)
+    assert frame.map_region.slots == map_slots_for_ies(0, 6)
     # nothing queued: no extension round runs and no group is offered
     assert frame.build_stats.rounds == 0
     assert frame.build_stats.util_evals == 0
@@ -398,9 +387,9 @@ def assert_same_frames(a: OfdmaFrame, b: OfdmaFrame):
         ba, bb = a.bursts[j], b.bursts[j]
         assert ba.group.members == bb.group.members
         assert ba.columns == bb.columns
-        assert ba.member_packets == bb.member_packets
+        assert member_packets(ba) == member_packets(bb)
         sent = lambda b: {m: e.name for m, e in zip(b.group.members, b.group.mcs)
-                          if m in b.member_packets}
+                          if m in member_packets(b)}
         assert sent(ba) == sent(bb)
     assert a.utility == pytest.approx(b.utility, rel=1e-12)
 

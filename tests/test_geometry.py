@@ -9,15 +9,14 @@ def test_equal_split():
     g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=3)
     subbands = partition_frame(g)
     assert len(subbands) == 3
-    assert all(sb.num_rows == 10 for sb in subbands)
-    assert [sb.row_lo for sb in subbands] == [0, 10, 20]
+    assert [sb.index * g.rows_per_subband for sb in subbands] == [0, 10, 20]
     assert subbands[1].subcarrier_lo == 240 and subbands[1].subcarrier_hi == 480
 
 
 def test_single_subband_is_whole_band():
     g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=1)
     (sb,) = partition_frame(g)
-    assert sb.row_lo == 0 and sb.row_hi == 30
+    assert sb.index == 0 and g.rows_per_subband == 30
     assert sb.subcarrier_lo == 0 and sb.subcarrier_hi == g.num_subcarriers
 
 
@@ -43,7 +42,8 @@ def test_bad_dimensions_rejected():
 def test_partition_covers_frame(scsb, sb, dl):
     g = FrameGeometry(num_subchannels=scsb * sb, num_columns=dl, num_subbands=sb)
     subbands = partition_frame(g)
-    rows = [r for s in subbands for r in range(s.row_lo, s.row_hi)]
+    per = g.rows_per_subband
+    rows = [r for s in subbands for r in range(s.index * per, (s.index + 1) * per)]
     assert rows == list(range(g.num_subchannels))
     subcarriers = [c for s in subbands for c in range(s.subcarrier_lo, s.subcarrier_hi)]
     assert subcarriers == list(range(g.num_subcarriers))

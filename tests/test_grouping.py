@@ -62,14 +62,13 @@ def make_csi(samples: np.ndarray, noise: float = 1.0) -> CsiReport:
         samples=samples,
         noise_power_w=noise,
         pathloss_db=np.zeros(k),
-        los=np.zeros(k, dtype=bool),
     )
 
 
 def bands(n_samples: int, count: int = 1) -> list[SubbandSpec]:
     per = n_samples // count
     return [
-        SubbandSpec(index=j, row_lo=j, row_hi=j + 1,
+        SubbandSpec(index=j,
                     subcarrier_lo=j * per,
                     subcarrier_hi=(j + 1) * per if j < count - 1 else n_samples)
         for j in range(count)
@@ -352,7 +351,7 @@ def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=No
 
 
 def unequal_bands(edges):
-    return [SubbandSpec(index=j, row_lo=j, row_hi=j + 1, subcarrier_lo=lo, subcarrier_hi=hi)
+    return [SubbandSpec(index=j, subcarrier_lo=lo, subcarrier_hi=hi)
             for j, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
 
@@ -402,7 +401,7 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
 # 55 give four stacks, one of them two subbands high, and SubbandSpec.index
 # repeats (0, 0, 1, 1, 2)
 UNEQUAL_10MHZ = [
-    SubbandSpec(index=j // 2, row_lo=j, row_hi=j + 1, subcarrier_lo=lo, subcarrier_hi=hi)
+    SubbandSpec(index=j // 2, subcarrier_lo=lo, subcarrier_hi=hi)
     for j, (lo, hi) in enumerate(zip([0, 96, 160, 256, 280], [96, 160, 256, 280, 720]))
 ]
 

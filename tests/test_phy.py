@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from sdma_fss.phy import (
     McsEntry,
     McsTable,
+    _eesm_pairs,
+    _envelope,
     compute_sinr,
     db_to_linear,
     default_mcs_table,
-    eesm_batch,
     minmse_weights,
     select_mcs_batch,
 )
@@ -33,6 +34,18 @@ def sinr_one(weights, channels, power, noise):
     """Kernel SINR of one group at one CSI sample: (G, M) inputs -> (G,)."""
     h = np.asarray(channels)[None, :, None, :]
     return compute_sinr(np.asarray(weights)[None], h, power, noise)[0, :, 0]
+
+
+def eesm_batch(samples, betas):
+    """Exponential effective SIR mapping of each row of linear SINRs (R, N)
+    under each beta (B,) -> (R, B): the library kernel over every (row,
+    beta) pair, where select_mcs_batch runs it on the pairs it leaves open."""
+    x, lo, hi = _envelope(samples)
+    b = np.asarray(betas, dtype=float)
+    if (b <= 0).any():
+        raise ValueError("beta must be positive")
+    r, nb = len(x), len(b)
+    return _eesm_pairs(x, lo, hi, np.arange(r).repeat(nb), np.tile(b, r), nb == 1).reshape(r, nb)
 
 
 def eesm_one(samples, beta):
