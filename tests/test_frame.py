@@ -64,6 +64,16 @@ def test_predict_map_size_arithmetic():
     assert predict_map_size(geo(), qpsk12) == math.ceil(328 / 48) == 7
 
 
+def test_map_bits_linear_in_ie_size():
+    # the MAP bit count is an 88-bit header plus 60 bits per IE, so each
+    # extra IE adds exactly MAP_IE_BITS; slots hold that count in 48-bit units
+    bits = lambda n: frame_module.MAP_FIXED_BITS + n * frame_module.MAP_IE_BITS
+    assert (frame_module.MAP_FIXED_BITS, frame_module.MAP_IE_BITS) == (88, 60)
+    for n in (1, 4, 37):
+        assert bits(2 * n) - 88 == 2 * (bits(n) - 88)
+        assert map_slots_for_ies(n, 6) == math.ceil(bits(n) / 48)
+
+
 def test_map_slots_bit_arithmetic_oracle():
     # an 88-bit header plus 60 bits per IE, in 6-byte (48-bit) robust slots
     assert map_slots_for_ies(0, 6) == math.ceil(88 / 48) == 2
