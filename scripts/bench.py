@@ -27,6 +27,10 @@ own calibration kernel, run in a child interpreter of the checkout, and its
 per-layer times (units ms, us, us/kB) are divided by the slowdown that
 gives; the record holds the median and quartiles over the traced seeds, and
 each seed's counts. The pytest times are raw.
+
+After writing the file it prints a claim check: per workload and
+end-to-end metric, the subject's and each baseline's median, their ratio,
+the baseline's IQR and how many of the same-seed pairs moved the better way.
 """
 
 from __future__ import annotations
@@ -161,6 +165,29 @@ def record(pr: str, runs: list[dict], traced: list[dict], slow: dict, counts: li
             "workloads": workloads, "acceptance_6": slow}
 
 
+def claim_check(subject: dict) -> list[str]:
+    """One line per workload, end-to-end metric and baseline: both medians,
+    their ratio, the baseline's IQR as a share of its median, and in how
+    many same-seed pairs the subject moved the metric the better way."""
+    higher = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+    lines = []
+    for name, mine in subject["workloads"].items():
+        for metric in END_TO_END:
+            got = mine["end_to_end"][metric]
+            for pr, base in subject["baselines"].items():
+                theirs = base["workloads"][name]
+                want = theirs["end_to_end"][metric]
+                by_seed = dict(zip(theirs["seeds"], want["values"]))
+                pairs = [(v, by_seed[s]) for s, v in zip(mine["seeds"], got["values"])
+                         if s in by_seed]
+                better = sum(a > b if higher[metric] else a < b for a, b in pairs)
+                lines.append(f"{name} {metric}: {got['median']:.4g} vs {want['median']:.4g} "
+                             f"(PR {pr}), ratio {got['median'] / want['median']:.3f}, "
+                             f"baseline IQR {want['iqr'] / want['median']:.1%}, "
+                             f"better in {better}/{len(pairs)} pairs")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkouts", nargs="+", metavar="PR=DIR")
@@ -193,6 +220,7 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{order[0]}.json"
     path.write_text(json.dumps(subject, indent=1) + "\n")
     print(f"wrote {path}")
+    print("\n".join(claim_check(subject)))
     return 0
 
 

@@ -93,16 +93,8 @@ class ChannelRealization:
     subcarrier_spacing_hz: float
 
     @property
-    def num_ms(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def num_subcarriers(self) -> int:
         return self.h.shape[1]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.h.shape[2]
 
 
 @dataclass

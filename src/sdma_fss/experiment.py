@@ -407,17 +407,21 @@ def run_sweep(
     """Cartesian product over the sweep axes, one row per (cell, seed).
 
     Rows are sorted canonically before writing, so output is independent of
-    worker count and scheduling order.
+    worker count and scheduling order. jobs >= 1 worker processes run the
+    cells, never more than there are (cell, seed) tasks.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     base_raw = cfg.to_dict()
     tasks = [
         (base_raw, dict(zip(KEY_COLUMNS, values)))
         for values in itertools.product(*(getattr(sweep, key) for key in SWEEP_AXES), sweep.seeds)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a fork start forks every worker up front
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares one-process runs the import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks, chunksize=1))
     else:
         results = [_run_cell(t) for t in tasks]

@@ -54,21 +54,31 @@ class GroupingResult:
         return [g for lst in self.per_subband for g in lst]
 
 
+def csi_stack(eff: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """S subbands' (K, N, M) CSI with equal sample counts N as one read-only
+    flat (S*K, N, M) stack, row s*K + ms holding MS ms on subband s, and
+    its read-only center sample (S*K, M)."""
+    flat = np.concatenate(eff)
+    center = flat[:, flat.shape[1] // 2].copy()
+    flat.flags.writeable = center.flags.writeable = False
+    return flat, center
+
+
 class SubbandLinkEvaluator:
-    """Evaluates member sets on a stack of subbands with equal CSI sample
-    counts: MinMSE weights from the center CSI sample, per-sample SINR
-    across the whole subband, EESM + MCS per member. The cache names a
+    """Evaluates member sets on a csi_stack of subbands with equal CSI
+    sample counts: MinMSE weights from the center CSI sample, per-sample
+    SINR across the whole subband, EESM + MCS per member. The cache names a
     subband by its position in the caller's subbands list, not in the stack
     (stacks vary with the sample counts) nor by SubbandSpec.index (it may
     repeat). score evaluates only its misses, one batch per group size."""
 
-    def __init__(self, eff_channels: np.ndarray, positions: Sequence[int], noise_power_w: float,
-                 total_power_w: float, table: McsTable, cache: dict):
-        self.eff = eff_channels  # (S, K, N, M) pathloss-scaled CSI of S subbands, row ms: MS ms
-        self.stack = {j: s for s, j in enumerate(positions)}  # list position -> stack index
+    def __init__(self, flat: np.ndarray, center: np.ndarray, positions: Sequence[int],
+                 noise_power_w: float, total_power_w: float, table: McsTable, cache: dict):
+        self.flat, self.center = flat, center  # pathloss-scaled CSI, see csi_stack
+        k = len(flat) // len(positions)  # MSs per subband
+        self.base = {j: s * k for s, j in enumerate(positions)}  # list position -> first row
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
-        self.payload = np.array([e.bytes_per_slot for e in table.entries] + [0])  # index -1: 0
-        self.rep_idx, self.num_antennas = eff_channels.shape[2] // 2, eff_channels.shape[3]
+        self.num_antennas = flat.shape[2]
         self.cache = cache
 
     def score(self, trials: dict[int, Sequence[int]]) -> None:
@@ -83,18 +93,22 @@ class SubbandLinkEvaluator:
             self._eval_batch(misses[g], g)
 
     def _eval_batch(self, keys: list[Key], g: int) -> None:
-        sb = np.array([self.stack[j] for j, _ in keys])[:, None]  # (R, 1)
-        size = -(-self.eff.shape[1] // 8)  # bytes per mask
-        masks = b"".join(mask.to_bytes(size, "little") for _, mask in keys)
-        bits = np.frombuffer(masks, np.uint8).reshape(len(keys), size)
-        rows = np.unpackbits(bits, axis=1, bitorder="little").nonzero()[1].reshape(-1, g)  # (R, G)
-        h = self.eff[sb, rows]  # (R, G, N, M)
-        w = minmse_weights(np.ascontiguousarray(h[:, :, self.rep_idx]), self.noise, self.total_power)
+        rows = []  # stack row of each member, ascending MS id within a key
+        for j, mask in keys:
+            base = self.base[j]
+            while mask:
+                low = mask & -mask
+                rows.append(base + low.bit_length() - 1)
+                mask ^= low
+        rows = np.array(rows)
+        n, m = self.flat.shape[1:]
+        h = self.flat.take(rows, axis=0).reshape(-1, g, n, m)  # (R, G, N, M)
+        w = minmse_weights(self.center.take(rows, axis=0).reshape(-1, g, m), self.noise,
+                           self.total_power)
         sinr = compute_sinr(w, h, self.total_power / g, self.noise)  # (R, G, N)
-        idx, _ = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
-        idx = idx.reshape(-1, g)
+        idx = select_mcs_batch(sinr.reshape(-1, n), self.table).reshape(-1, g)
         # small integer payloads: the sums are exact, as floats too
-        metrics = self.payload[idx].sum(axis=1).tolist()
+        metrics = self.table.payloads[idx].sum(axis=1).tolist()
         for (j, mask), metric, i in zip(keys, metrics, idx.tolist()):
             self.cache[j][mask] = (metric, *i)
 
@@ -154,8 +168,8 @@ def form_groups(
     an empty group list and csi is not read (it may be None).
 
     cache maps a position in subbands to {member mask: the group's metric
-    and its members' MCS entry indices}, and "stacks" to the pathloss-scaled
-    CSI stacks with the positions of their subbands; None uses a fresh
+    and its members' MCS entry indices}, and "stacks" to the positions of
+    each stack's subbands with its pathloss-scaled csi_stack; None uses a fresh
     dict. Bit ms of a mask is MS id ms, not its place among active_ms, so
     an entry stays valid as the active set changes. Calls with the same
     csi, subbands, table and power may share one cache (drop_frames shares
@@ -176,13 +190,13 @@ def form_groups(
         eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
         counts = [e.shape[1] for e in eff]
         by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
-        cache["stacks"] = [(pos, np.stack([eff[j] for j in pos])) for pos in by_count]
+        cache["stacks"] = [(pos, *csi_stack([eff[j] for j in pos])) for pos in by_count]
 
-    entries = [*table.entries, None]  # entry index -1 (none feasible) -> None
     per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
-    for pos, stack in cache["stacks"]:
-        ev = SubbandLinkEvaluator(stack, pos, csi.noise_power_w, total_power_w, table, cache)
+    for pos, flat, center in cache["stacks"]:
+        ev = SubbandLinkEvaluator(flat, center, pos, csi.noise_power_w, total_power_w, table,
+                                  cache)
         ev.score({j: [1 << ms for ms in active] for j in pos})
         searches = {}
         for j in pos:
@@ -197,8 +211,8 @@ def form_groups(
             for mask in search.groups:  # every final group was scored during its search
                 metric, *idx = cache[j][mask]
                 members = tuple(ms for ms in active if mask >> ms & 1)
-                per_subband[j].append(SdmaGroup(subbands[j].index, members,
-                                                tuple([entries[i] for i in idx]), float(metric)))
+                mcs = tuple([table.choices[i] for i in idx])
+                per_subband[j].append(SdmaGroup(subbands[j].index, members, mcs, float(metric)))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
     return GroupingResult(per_subband=per_subband, best_bytes_per_slot=best_bps)

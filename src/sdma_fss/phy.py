@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -40,7 +41,9 @@ class McsEntry:
 class McsTable:
     """Ordered MCS ladder: thresholds strictly increasing, payload
     non-decreasing (two entries may share bytes/slot but differ in beta).
-    `betas` and `thresholds` (linear) hold the entries' values as arrays."""
+    `betas` and `thresholds` (linear) hold the entries' values as arrays;
+    `choices` and `payloads` map an entry index, -1 (none feasible) last,
+    to the entry (None) and its bytes per slot (0)."""
 
     entries: tuple[McsEntry, ...]
 
@@ -58,6 +61,8 @@ class McsTable:
             raise ValueError("MCS payloads must be non-decreasing")
         object.__setattr__(self, "betas", np.array([e.beta for e in self.entries]))
         object.__setattr__(self, "thresholds", np.array([db_to_linear(t) for t in thr]))
+        object.__setattr__(self, "choices", (*self.entries, None))
+        object.__setattr__(self, "payloads", np.array(payload + [0]))
 
     @property
     def most_robust(self) -> McsEntry:
@@ -113,13 +118,24 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     # gram[r] = H H^H; G = 1: einsum multiplies, and a matmul rounds the diagonal's imag part
     gram = (ht.conj() @ ch).mT if g > 1 else ht.conj().mT * ht
     reg = g * noise_power_w / total_power_w
+    gram += reg * _eye(m)
     try:
-        raw = np.linalg.solve(gram + reg * np.eye(m), ht)  # (R, M, G)
+        raw = np.linalg.solve(gram, ht)  # (R, M, G)
     except np.linalg.LinAlgError:  # reg lost next to a rank-deficient Gram: the ZF limit
-        raw = np.linalg.pinv(gram + reg * np.eye(m)) @ ht
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms = np.where(norms == 0, 1.0, norms)
-    return (raw / norms).transpose(0, 2, 1)
+        raw = np.linalg.pinv(gram) @ ht
+    # column 2-norms as numpy 2.4.6 takes them for a vector norm, a zero one left at 1
+    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=1, keepdims=True))
+    np.copyto(norms, 1.0, where=norms == 0)
+    raw /= norms
+    return raw.transpose(0, 2, 1)
+
+
+@cache
+def _eye(size: int) -> np.ndarray:
+    """The read-only identity of the given size."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
 
 
 def compute_sinr(
@@ -149,9 +165,9 @@ def compute_sinr(
         prod = (h.reshape(r, g * n, m) @ wc.mT).reshape(r, g, n, g).transpose(0, 1, 3, 2)
     else:  # G = M = 1: einsum multiplies here, and a matmul would round differently
         prod = h[:, :, None, :, 0] * wc[:, :, :, None]
-    cross = np.abs(prod) ** 2
-    ar = np.arange(w.shape[1])
-    signal = cross[:, ar, ar, :]  # (R, G, N)
+    cross = np.abs(prod)
+    np.square(cross, out=cross)
+    signal = cross.diagonal(axis1=1, axis2=2).mT  # (R, G, N)
     interference = cross.sum(axis=2) - signal
     p = per_member_power_w
     return (p * signal) / (noise_power_w + p * interference)
@@ -164,7 +180,7 @@ def _envelope(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"EESM needs (R, N >= 1) samples, got shape {x.shape}")
     if (x < 0).any():
         raise ValueError("SINR samples must be nonnegative")
-    return x, x.min(axis=1), x.mean(axis=1)
+    return x, np.minimum.reduce(x, 1), np.add.reduce(x, 1) / x.shape[1]  # np.mean's sum and divide
 
 
 def _eesm_pairs(x, lo, hi, rows, b, pairwise: bool) -> np.ndarray:
@@ -173,25 +189,26 @@ def _eesm_pairs(x, lo, hi, rows, b, pairwise: bool) -> np.ndarray:
     C-contiguous (N, P) exponent block adds whole rows in order, as numpy
     does for an (R, N, B >= 2) block; it sums (R, N, 1) pairwise, and so a
     one-entry table (`pairwise`) sums the rows of a (P, N) block."""
-    n, neg = len(rows), -(x - lo[:, None])
+    n, neg = len(rows), lo[:, None] - x  # -(x - lo) but for zeros' signs, and exp(-0) = exp(0)
     if n == 1 and not pairwise:  # numpy sums a one-column block pairwise: add a twin
-        rows, b = np.repeat(rows, 2), np.repeat(b, 2)
+        rows, b = rows.repeat(2), b.repeat(2)
     z = neg[rows] if pairwise else neg.T.take(rows, axis=1)
     z /= b[:, None] if pairwise else b
     s = np.exp(z, out=z).sum(axis=1 if pairwise else 0)
-    val = lo[rows] - b * (np.log(s) - np.log(x.shape[1]))
+    floor = lo[rows]
+    val = floor - b * (np.log(s) - np.log(x.shape[1]))
     # floor last: the mean of a (near-)constant row can round below its min
-    return np.maximum(np.minimum(val, hi[rows]), lo[rows])[:n]
+    np.minimum(val, hi[rows], out=val)
+    return np.maximum(val, floor, out=val)[:n]
 
 
-def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, np.ndarray]:
+def select_mcs_batch(samples: np.ndarray, table: McsTable) -> np.ndarray:
     """Highest MCS whose own-beta effective SINR meets its threshold, for
     each row of samples (R, N).
 
     Each candidate entry is judged by the effective SINR computed with that
-    entry's beta. Returns (R,) entry indices into table.entries and (R,)
-    effective SINRs of the chosen entries; a row with no feasible entry
-    gives index -1 and gamma_eff under the most robust entry's beta.
+    entry's beta. Returns (R,) entry indices into table.entries, -1 for a
+    row with no feasible entry.
 
     Any effective SINR of a row lies in [min, max(min, mean)], so EESM runs
     only from the highest entry at or below the min (entry 0 if none, or if
@@ -199,12 +216,11 @@ def select_mcs_batch(samples: np.ndarray, table: McsTable) -> tuple[np.ndarray, 
     """
     x, lo, hi = _envelope(samples)
     thr = table.thresholds
-    first = np.maximum(np.searchsorted(thr, lo, "right") * (lo < np.inf) - 1, 0)
-    last = np.maximum(np.searchsorted(thr, np.maximum(lo, hi), "right") - 1, 0)
+    first = np.maximum(thr.searchsorted(lo, "right") * (lo < np.inf) - 1, 0)
+    last = np.maximum(thr.searchsorted(np.maximum(lo, hi), "right") - 1, 0)
     counts = last - first + 1
-    starts = np.cumsum(counts) - counts
-    rows = np.repeat(np.arange(len(x)), counts)
-    entry = np.arange(len(rows)) - np.repeat(starts - first, counts)
+    starts = counts.cumsum() - counts
+    rows = np.arange(len(x)).repeat(counts)
+    entry = np.arange(len(rows)) - (starts - first).repeat(counts)
     geff = _eesm_pairs(x, lo, hi, rows, table.betas[entry], len(thr) == 1)
-    idx = np.maximum.reduceat(np.where(geff >= thr[entry], entry, -1), starts)
-    return idx, geff[starts + np.maximum(idx, 0) - first]
+    return np.maximum.reduceat(np.where(geff >= thr[entry], entry, -1), starts)

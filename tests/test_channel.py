@@ -91,8 +91,7 @@ def dump_channel(ch: ChannelRealization, path) -> None:
     """
     with open(path, "wb") as f:
         f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<qqqd", ch.num_ms, ch.num_subcarriers, ch.num_antennas,
-                            ch.subcarrier_spacing_hz))
+        f.write(struct.pack("<qqqd", *ch.h.shape, ch.subcarrier_spacing_hz))
         ch.pathloss_db.astype("<f8").tofile(f)
         ch.los.astype(np.uint8).tofile(f)
         ch.distances_m.astype("<f8").tofile(f)

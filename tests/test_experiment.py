@@ -203,6 +203,51 @@ def test_cli_bad_sweep_values_exit_code(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    # zero or negative jobs used to run the sweep serially without a word
+    cfg = tiny_cfg(frames_per_drop=1)
+    with pytest.raises(ConfigurationError):
+        run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0]}), jobs=jobs)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "s"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--seeds", "0:1",
+                     "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_task(monkeypatch):
+    # a fork start forks all max_workers up front, so --jobs 64 on a
+    # two-task sweep must ask for two; the stand-in pool starts no process
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_cfg(frames_per_drop=1)
+    two = SweepSpec.from_config(cfg, {"seeds": [0, 1]})
+    serial = run_sweep(cfg, two, jobs=1)
+    assert asked == []
+    assert run_sweep(cfg, two, jobs=64) == serial
+    assert asked == [2]
+    run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0]}), jobs=64)
+    assert asked == [2]  # one task runs in this process
+
+
 def test_study_configs_match_their_grids():
     grids = {
         "bandwidth_study": ([5.0, 10.0, 20.0], [2, 4, 8], [12], [1, 2, 3, 6], [True]),

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sdma_fss import experiment, grouping
+from sdma_fss import experiment, grouping, phy
 from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
-from sdma_fss.grouping import SubbandLinkEvaluator, form_groups
+from sdma_fss.grouping import SubbandLinkEvaluator, csi_stack, form_groups
 from sdma_fss.phy import (
     compute_sinr,
     default_mcs_table,
@@ -20,7 +20,7 @@ TABLE = default_mcs_table()
 
 def evaluator(h, noise=1.0, power=1.0):
     """Evaluator over one subband's (K, N, M) CSI, MS ids 0..K-1."""
-    return SubbandLinkEvaluator(h[None], [0], noise, power, TABLE, {})
+    return SubbandLinkEvaluator(*csi_stack([h]), [0], noise, power, TABLE, {})
 
 
 def mask(members) -> int:
@@ -48,7 +48,7 @@ def kernel_rows(monkeypatch) -> list[np.ndarray]:
 
 def greedy_groups(ev, feasible, max_groups):
     """The greedy search alone on the evaluator's subband 0."""
-    h = ev.eff[0]  # zero pathloss: form_groups sees the same channels
+    h = ev.flat  # one subband; zero pathloss: form_groups sees the same channels
     result = form_groups(make_csi(h, ev.noise), bands(h.shape[1]), feasible, TABLE,
                          ev.total_power, max_groups_per_subband=max_groups)
     return [g.members for g in result.per_subband[0]]
@@ -290,7 +290,7 @@ class SequentialEvaluator:
         rows = np.array([[self.row[ms] for ms in t] for t in tuples])
         w = minmse_weights(self.eff[rows, self.rep_idx, :], self.noise, self.power)
         sinr = compute_sinr(w, self.eff[rows], self.power / g, self.noise)
-        idx, _ = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
+        idx = select_mcs_batch(sinr.reshape(-1, sinr.shape[2]), self.table)
         for r, t in enumerate(tuples):
             entries, total = [], 0.0
             for u in range(g):
@@ -393,6 +393,56 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
                     assert mcs is mcs_ref
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_flat_stack_batch_matches_sequential_oracle(monkeypatch, g):
+    # a batch gathers its members from the flat stack, row stack position
+    # * K + MS id; with three subbands in one stack, 13 MSs (masks wider
+    # than a byte) and 8 antennas, each cache entry has the bits that the
+    # fancy-index sequential oracle gives on its subband alone
+    rng = np.random.default_rng([13, g])
+    k, n, m = 13, 6, 8
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    eff = [10 ** rng.uniform(-0.5, 1.0, (k, 1, 1)) * (cn(k, 1, m) + 0.4 * cn(k, n, m))
+           for _ in range(3)]
+    positions = [4, 0, 2]  # the stacked subbands' places in a subbands list
+    ev = SubbandLinkEvaluator(*csi_stack(eff), positions, 1.0, 50.0, TABLE, {})
+    trials = {j: sorted({mask(rng.choice(k, g, replace=False).tolist()) for _ in range(8)})
+              for j in positions}
+    seen = kernel_rows(monkeypatch)
+    ev.score(trials)
+    assert len(seen) == 1  # one batch for all three subbands
+    picked = set()
+    for s, j in enumerate(positions):
+        oracle = SequentialEvaluator(eff[s], range(k), 1.0, 50.0, TABLE)
+        groups = [tuple(ms for ms in range(k) if bits >> ms & 1) for bits in trials[j]]
+        oracle.metrics_for(groups)
+        for bits, members in zip(trials[j], groups):
+            entries, total = oracle.cache[members]
+            idx = [TABLE.entries.index(e) if e else -1 for e in entries]
+            want = np.array([total, *idx])
+            assert np.array(ev.cache[j][bits], dtype=float).tobytes() == want.tobytes()
+            picked.update(idx)
+    assert len(picked) > 1
+
+
+def test_cached_stacks_and_identity_are_read_only():
+    # the drop cache's flat and center stacks, and MinMSE's identity, are
+    # shared across calls: a write to one would corrupt every later batch
+    csi = random_csi(np.random.default_rng(2), k=5, n=13, m=4)
+    cache = {}
+    form_groups(csi, bands(13, 3), range(5), TABLE, 10.0, cache=cache)
+    assert [pos for pos, _, _ in cache["stacks"]] == [[0, 1], [2]]  # 4, 4 and 5 samples
+    for pos, flat, center in cache["stacks"]:
+        assert flat.shape == (5 * len(pos), flat.shape[1], 4) and center.shape == (5 * len(pos), 4)
+        assert center.flags.c_contiguous
+        assert np.array_equal(center, flat[:, flat.shape[1] // 2])
+        for cached in (flat, center):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
+    assert not phy._eye(4).flags.writeable
 
 
 # ---------------------------------------------------------------- drop-scoped cache

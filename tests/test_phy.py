@@ -52,10 +52,21 @@ def eesm_one(samples, beta):
     return float(eesm_batch(np.asarray(samples, dtype=float)[None], [beta])[0, 0])
 
 
+def chosen_geff(samples, idx, table=TABLE):
+    """Effective SINR of each row of samples (R, N) under the beta of its
+    entry idx (R,), the most robust entry's for -1: the library kernel on
+    one pair per row. _eesm_pairs sums each column of its (N, P) block on
+    its own, so these are the bits select_mcs_batch judged the entry by."""
+    x, lo, hi = _envelope(samples)
+    betas = table.betas[np.maximum(idx, 0)]
+    return _eesm_pairs(x, lo, hi, np.arange(len(x)), betas, len(table.entries) == 1)
+
+
 def select_rows(samples, table=TABLE):
-    """select_mcs_batch's index and effective-SINR arrays as one (entry or
+    """select_mcs_batch's entry per row with its gamma_eff, as one (entry or
     None, gamma_eff) pair per row."""
-    idx, geff = select_mcs_batch(samples, table)
+    idx = select_mcs_batch(samples, table)
+    geff = chosen_geff(samples, idx, table)
     return [(table.entries[i] if i >= 0 else None, float(e)) for i, e in zip(idx, geff)]
 
 
@@ -163,14 +174,16 @@ def test_kernels_batch_rows_independent():
         h = cn(r_total, g, 1, 4) + 0.3 * cn(r_total, g, 7, 4)
         w = minmse_weights(h[:, :, 3, :], 0.2, 9.0)
         gamma = compute_sinr(w, h, 3.0, 0.2)
-        idx, geff = select_mcs_batch(gamma.reshape(-1, 7), TABLE)
+        idx = select_mcs_batch(gamma.reshape(-1, 7), TABLE)
+        geff = chosen_geff(gamma.reshape(-1, 7), idx)
         assert w.shape == (r_total, g, 4) and gamma.shape == (r_total, g, 7)
         for r in range(r_total):
             w_r = minmse_weights(h[r : r + 1, :, 3, :], 0.2, 9.0)
             assert np.array_equal(w_r[0], w[r])
             g_r = compute_sinr(w_r, h[r : r + 1], 3.0, 0.2)
             assert np.array_equal(g_r[0], gamma[r])
-            i_r, e_r = select_mcs_batch(g_r[0], TABLE)  # the group's g member rows
+            i_r = select_mcs_batch(g_r[0], TABLE)  # the group's g member rows
+            e_r = chosen_geff(g_r[0], i_r)
             assert np.array_equal(i_r, idx[r * g : (r + 1) * g])
             assert np.array_equal(e_r, geff[r * g : (r + 1) * g])
         assert len(set(idx.tolist())) > 2  # the rows pick different MCS entries
@@ -562,7 +575,8 @@ def test_envelope_pruning_keeps_full_grid_bits(thresholds):
     decided = 0
     for r, n, shift in itertools.product((1, 3, 48), (1, 2, 9, 90, 180), range(5)):
         x = envelope_rows(rng, r, n, thr, shift)
-        idx, geff = select_mcs_batch(x, table)
+        idx = select_mcs_batch(x, table)
+        geff = chosen_geff(x, idx, table)
         want_idx, want_geff = full_grid_select(x, table)
         assert_same_bits(idx, want_idx)
         assert_same_bits(geff, want_geff)
