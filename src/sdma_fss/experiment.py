@@ -108,12 +108,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"bad CSI decimation {d}")
         if self.frames_per_drop < 1:
             raise ConfigurationError("need frames_per_drop >= 1")
-        if not 0 <= self.offered_bytes_per_frame_total < 2.0**53:  # beyond, credit -= size stalls
-            raise ConfigurationError("offered_bytes_per_frame_total must be >= 0 and < 2**53")
+        # time grows linearly with the load and memory with the buffer: capped at 10**7 B
+        if not 0 <= self.offered_bytes_per_frame_total <= 10**7:
+            raise ConfigurationError("offered_bytes_per_frame_total must be in [0, 10**7]")
         if not 0 < self.min_distance_m <= self.cell_radius_m < 1e150:  # the radius is squared
             raise ConfigurationError("need 0 < min_distance_m <= cell_radius_m < 1e150")
-        if not 0 <= self.buffer_capacity_bytes < 2**53:  # beyond, the saturated top-up stalls
-            raise ConfigurationError("buffer_capacity_bytes must be >= 0 and < 2**53")
+        if not 0 <= self.buffer_capacity_bytes <= 10**7:
+            raise ConfigurationError("buffer_capacity_bytes must be in [0, 10**7]")
         for name in ("tx_power_dbm", "noise_density_dbm_hz", "ricean_k_db"):
             if not abs(getattr(self, name)) < 3000:  # 10 ** (dB / 10) must stay a finite float
                 raise ConfigurationError(f"{name} must be finite and within +-3000 dB")

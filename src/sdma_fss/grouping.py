@@ -10,8 +10,11 @@ The search is a greedy best-fit: seed with the best uncovered singleton,
 then keep adding the MS that maximizes the metric while it strictly
 improves. A member set is an integer mask, bit ms for MS id ms. One loop
 runs the searches of a stack of subbands with equal CSI sample counts
-together, one kernel batch per group size per round; the kernels are
-row-independent, so the bits are those of searching one subband at a time.
+together. A search steps on while its trials are cached and then waits on
+its unscored ones, all of one size; each kernel batch scores the trials of
+every search waiting on the size that most of them wait on (the smaller
+on a tie). The kernels are row-independent, so the bits are those of
+searching one subband at a time.
 For the same reason a cache may outlive one call while the channel stays
 the same. Per subband and member mask it holds the group's metric and the
 MCS entry each member sustains, which is all a final group carries: a
@@ -129,9 +132,17 @@ class _Search:
         self.trials: list[int] = []  # the open group plus each candidate, ascending id
 
     def advance(self) -> list[int]:
+        """Step while every trial of a step is scored. Returns the unscored
+        trials of the next step, all of one size, [] once the search is done."""
+        while trials := self._step():
+            if misses := [t for t in trials if t not in self.scored]:
+                return misses
+        return []
+
+    def _step(self) -> list[int]:
         """Grow the open group by its best scored trial if that strictly
         improves the metric, else close it and seed the next. Returns the
-        trials to score next, [] once the search is done."""
+        next step's trials, [] once the search is done."""
         scored, mask, metric = self.scored, self.mask, self.metric
         for t in self.trials:  # the first maximum: ties break to the lowest id
             if scored[t][0] > metric:
@@ -204,9 +215,13 @@ def form_groups(
             for ms in feasible:  # a one-member metric is the member's payload
                 best_bps[ms] = max(best_bps.get(ms, 0), cache[j][1 << ms][0])
             searches[j] = _Search(cache[j], feasible, max_groups, ev.num_antennas)
-        live = searches  # each round scores every live search's trials together
-        while live := {j: s for j, s in live.items() if s.advance()}:
-            ev.score({j: s.trials for j, s in live.items()})
+        waiting = {j: misses for j, s in searches.items() if (misses := s.advance())}
+        while waiting:  # one batch: the trial size most searches wait on, the smaller on a tie
+            sizes = [misses[0].bit_count() for misses in waiting.values()]
+            g = max(sorted(set(sizes)), key=sizes.count)
+            batch = [j for j, n in zip(waiting, sizes) if n == g]
+            ev._eval_batch([(j, t) for j in batch for t in waiting.pop(j)], g)
+            waiting.update((j, misses) for j in batch if (misses := searches[j].advance()))
         for j, search in searches.items():
             for mask in search.groups:  # every final group was scored during its search
                 metric, *idx = cache[j][mask]

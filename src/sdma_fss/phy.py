@@ -12,8 +12,9 @@ R groups for the weights and the SINR, R per-member sample vectors for EESM
 and MCS selection. A single group or vector is the case R = 1. The SINRs
 and effective SINRs are only steps toward the MCS: select_mcs_batch returns
 entry indices, and a group keeps its members' entries, nothing more. The
-Gram and cross products are the batch matmuls that numpy 2.4.6's einsum
-plan runs for them, with einsum's bits; CI's numpy pin guards those bits.
+weights solve a G x G system per group, not an M x M one. The Gram and
+cross products are the batch matmuls that numpy 2.4.6's einsum plan runs
+for them, with einsum's bits; CI's numpy pin guards those bits.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     channels: (R, G, M), row r holding group r's member channel vectors.
     Returns (R, G, M) weights, one unit-norm vector per member, from
     (H H^H + (G sigma^2 / P) I)^-1 H with H the M x G matrix of a group's
-    member channels as columns. A zero precoding column is left at zero.
+    member channels as columns, solved in the G x G form H (H^H H + r I)^-1
+    (push-through identity), which stays well-conditioned where r falls
+    below the M x M Gram's rounding. A zero precoding column is left at zero.
     """
     ch = np.asarray(channels, dtype=complex)
     if ch.ndim != 3:
@@ -114,20 +117,19 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     if noise_power_w <= 0 or total_power_w <= 0:
         raise ValueError("need positive noise and total power")
 
-    ht = ch.mT  # (R, M, G) members as columns
-    # gram[r] = H H^H; G = 1: einsum multiplies, and a matmul rounds the diagonal's imag part
-    gram = (ht.conj() @ ch).mT if g > 1 else ht.conj().mT * ht
-    reg = g * noise_power_w / total_power_w
-    gram += reg * _eye(m)
+    hh = ch.conj()  # (R, G, M): H^H
+    gram = hh @ ch.mT  # H^H H
+    gram += g * noise_power_w / total_power_w * _eye(g)
     try:
-        raw = np.linalg.solve(gram, ht)  # (R, M, G)
-    except np.linalg.LinAlgError:  # reg lost next to a rank-deficient Gram: the ZF limit
-        raw = np.linalg.pinv(gram) @ ht
-    # column 2-norms as numpy 2.4.6 takes them for a vector norm, a zero one left at 1
-    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=1, keepdims=True))
+        raw = np.linalg.solve(gram, hh)  # (H^H H + r I)^-1 H^H, the weights' conjugate
+    except np.linalg.LinAlgError:  # dependent members with r lost to rounding: the ZF limit
+        raw = np.linalg.pinv(gram) @ hh
+    np.conjugate(raw, out=raw)
+    # row 2-norms as numpy 2.4.6 takes them for a vector norm, a zero one left at 1
+    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=2, keepdims=True))
     np.copyto(norms, 1.0, where=norms == 0)
     raw /= norms
-    return raw.transpose(0, 2, 1)
+    return raw
 
 
 @cache

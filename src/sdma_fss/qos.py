@@ -23,7 +23,7 @@ DEFAULT_BUFFER_CAPACITY_BYTES = 13271  # 12.96 KiB per MS
 
 PACKET_SIZES = (40, 576, 1500)
 PACKET_SIZE_PROBS = (0.5, 0.2, 0.3)
-TRAFFIC_BLOCK_DRAWS = 64  # packet sizes per rng.choice call
+TRAFFIC_BLOCK_DRAWS = 64  # packet sizes per block of uniform draws
 
 
 @dataclass
@@ -51,8 +51,19 @@ class TrafficParams:
     packet_size_probs: tuple[float, ...] = PACKET_SIZE_PROBS
 
     def __post_init__(self):
-        if any(size <= 0 for size in self.packet_sizes):
-            raise ValueError("packet sizes must be positive")
+        """Checks the size mix as Generator.choice would, then stores its
+        CDF the way choice builds it: cumsum, divided by the last element."""
+        if not self.packet_sizes or any(size <= 0 for size in self.packet_sizes):
+            raise ValueError("packet sizes must be nonempty and positive")
+        p = np.array(self.packet_size_probs, dtype=float)
+        if p.shape != (len(self.packet_sizes),) or not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("need one finite, nonnegative probability per packet size")
+        if abs(p.sum() - 1.0) > np.sqrt(np.finfo(float).eps):  # choice's tolerance
+            raise ValueError("packet size probabilities must sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_sizes", np.array(self.packet_sizes))
 
 
 def make_flows(num_ms: int, params: TrafficParams = TrafficParams()) -> list[Flow]:
@@ -83,12 +94,12 @@ class TrafficStats:
 
 
 def _packet_sizes(rng: np.random.Generator, params: TrafficParams) -> Iterator[int]:
-    """Endless packet sizes, one rng.choice per TRAFFIC_BLOCK_DRAWS: bit for
-    bit those of one scalar choice per packet (same doubles, same CDF)."""
+    """Endless packet sizes, TRAFFIC_BLOCK_DRAWS uniforms at a time looked
+    up in the size CDF as rng.choice does: bit for bit those of one scalar
+    choice per packet (same doubles, same CDF)."""
+    cdf, sizes = params._cdf, params._sizes
     while True:
-        yield from rng.choice(
-            params.packet_sizes, size=TRAFFIC_BLOCK_DRAWS, p=params.packet_size_probs
-        ).tolist()
+        yield from sizes[cdf.searchsorted(rng.random(TRAFFIC_BLOCK_DRAWS), "right")].tolist()
 
 
 def generate_traffic(

@@ -51,8 +51,8 @@ TYPICAL = {
 # Hostile values per field: signs, zeros, extremes, non-finite values,
 # floats where a count belongs, and strings, numbers or bools where a value
 # of another type belongs. Values that are valid but merely large (many
-# frames, MSs or taps, loads and buffers far beyond a frame's capacity) cost
-# time linear in the value; they are not errors and are left out.
+# frames, MSs or taps) cost time linear in the value; they are not errors
+# and are left out. Loads and buffers are capped at 10**7 bytes.
 FLAGS = ("los", "saturated_traffic", "allow_displacement")
 COUNTS = ("num_antennas", "num_ms", "num_subbands", "max_subbands", "fft_size",
           "num_subchannels", "dl_columns", "frames_per_drop", "num_seeds", "num_taps",
@@ -63,8 +63,8 @@ HOSTILE = {
 }
 HOSTILE["bandwidth_mhz"] = HOSTILE_FLOATS + [7.0]  # no default geometry
 HOSTILE["csi_decimation"] = HOSTILE_INTS + [145, 10**9]
-HOSTILE["offered_bytes_per_frame_total"] = HOSTILE_FLOATS + [2.0**53]
-HOSTILE["buffer_capacity_bytes"] = HOSTILE_INTS + [1e300, 2**53, 2**63]
+HOSTILE["offered_bytes_per_frame_total"] = HOSTILE_FLOATS + [2.0**53, 1e7 + 1]
+HOSTILE["buffer_capacity_bytes"] = HOSTILE_INTS + [1e300, 2**53, 2**63, 10**7 + 1]
 for name in ("tx_power_dbm", "noise_density_dbm_hz", "ricean_k_db"):
     HOSTILE[name] = HOSTILE_FLOATS + [-2999.0, 2999.0]  # just inside the +-3000 dB bound
 

@@ -381,6 +381,15 @@ def test_config_validation():
             tiny_cfg(**bad)
 
 
+def test_traffic_load_and_buffer_capped_at_construction():
+    # a saturated top-up holds memory linear in the buffer and a finite-rate
+    # frame takes time linear in the load, so both stop at 10**7 bytes
+    for field, top in (("buffer_capacity_bytes", 10**7), ("offered_bytes_per_frame_total", 1e7)):
+        assert getattr(tiny_cfg(saturated_traffic=False, **{field: top}), field) == top
+        with pytest.raises(ConfigurationError):
+            tiny_cfg(saturated_traffic=False, **{field: top + 1})
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "cfg.json"

@@ -567,3 +567,130 @@ def test_ms_ids_beyond_64_bits(geometry):
     second = sorted(others[:3] + [64, 65, 66, 69])
     assert_same_grouping(form_groups(csi, subbands, second, TABLE, power, cache=cache),
                          form_groups(csi, subbands, second, TABLE, power))
+
+
+# ---------------------------------------------------------------- lockstep oracle
+# The search loop as it was before searches stepped through cached trials:
+# each round, every live search takes one step and the round scores all of
+# their trials, one kernel batch per trial size.
+
+class LockstepSearch(grouping._Search):
+    def advance(self):
+        scored, mask, metric = self.scored, self.mask, self.metric
+        for t in self.trials:
+            if scored[t][0] > metric:
+                mask, metric = t, scored[t][0]
+        while True:
+            if mask == self.mask:
+                if mask:
+                    self.groups.append(mask)
+                    self.seeds = [bit for bit in self.seeds if not bit & mask]
+                if not self.seeds or len(self.groups) == self.max_groups:
+                    return []
+                mask, metric = self.seeds[0], scored[self.seeds[0]][0]
+            self.mask, self.metric = mask, metric
+            if mask.bit_count() < self.num_antennas:
+                self.trials = [mask | bit for bit in self.bits if not mask & bit]
+                if self.trials:
+                    return self.trials
+
+
+def lockstep_form_groups(csi, subbands, active_ms, table, power, max_groups=None, cache=None):
+    cache = {} if cache is None else cache
+    active = sorted(set(active_ms))
+    max_groups = max_groups or len(active)
+    if "stacks" not in cache:
+        amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
+        eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
+        counts = [e.shape[1] for e in eff]
+        by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
+        cache["stacks"] = [(pos, *csi_stack([eff[j] for j in pos])) for pos in by_count]
+    per_subband, best_bps = [[] for _ in subbands], {}
+    for pos, flat, center in cache["stacks"]:
+        ev = SubbandLinkEvaluator(flat, center, pos, csi.noise_power_w, power, table, cache)
+        ev.score({j: [1 << ms for ms in active] for j in pos})
+        searches = {}
+        for j in pos:
+            feasible = [ms for ms in active if cache[j][1 << ms][0] > 0]
+            for ms in feasible:
+                best_bps[ms] = max(best_bps.get(ms, 0), cache[j][1 << ms][0])
+            searches[j] = LockstepSearch(cache[j], feasible, max_groups, ev.num_antennas)
+        live = searches
+        while live := {j: s for j, s in live.items() if s.advance()}:
+            ev.score({j: s.trials for j, s in live.items()})
+        for j, search in searches.items():
+            for bits in search.groups:
+                metric, *idx = cache[j][bits]
+                members = tuple(ms for ms in active if bits >> ms & 1)
+                per_subband[j].append(grouping.SdmaGroup(
+                    subbands[j].index, members, tuple(table.choices[i] for i in idx),
+                    float(metric)))
+    for built in per_subband:
+        built.sort(key=lambda g: (-g.metric, g.members))
+    return grouping.GroupingResult(per_subband, best_bps)
+
+
+def assert_same_cache(got, want):
+    assert got.keys() == want.keys()
+    for j in got.keys() - {"stacks"}:
+        assert got[j].keys() == want[j].keys()
+        for bits, entry in got[j].items():
+            assert np.array(entry).tobytes() == np.array(want[j][bits]).tobytes()
+
+
+@pytest.mark.parametrize("max_groups", [None, 2])
+def test_search_loop_matches_lockstep_oracle(max_groups):
+    # searches that step through cached trials and batches by trial size
+    # give the lockstep loop's cache entries, groups, metrics and MCS, bit
+    # for bit, on a fresh cache and on one warmed by another active set
+    rng = np.random.default_rng([3, max_groups or 0])
+    k, m = 13, 8
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for trial in range(4):
+        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+        csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
+        power = float(rng.uniform(20.0, 200.0))
+        cache, oracle = {}, {}
+        for _ in range(3):  # a drop's frames: the active set changes, the cache stays
+            active = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)),
+                                       replace=False).tolist())
+            got = form_groups(csi, bands(24, 3), active, TABLE, power, max_groups, cache)
+            want = lockstep_form_groups(csi, bands(24, 3), active, TABLE, power, max_groups,
+                                        oracle)
+            assert_same_grouping(got, want)
+            assert_same_cache(cache, oracle)
+            assert [len(g.members) for g in got.groups()].count(1) < len(got.groups())
+
+
+def test_search_loop_batches_by_trial_size(monkeypatch):
+    # on one 20 MHz, M = 8, SB = 6 drop the subbands' searches reach
+    # different trial sizes; each batch holds one size, the batches score
+    # the lockstep loop's rows and there are fewer of them
+    calls = []
+    form = experiment.form_groups
+
+    def capture(*args, cache):
+        calls.append(args)
+        return form(*args, cache=cache)
+
+    monkeypatch.setattr(experiment, "form_groups", capture)
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
+                                    frames_per_drop=1)
+    next(experiment.drop_frames(cfg, 0))
+    (args,) = calls
+    batches = []
+    eval_batch = SubbandLinkEvaluator._eval_batch
+
+    def spy(self, keys, g):
+        batches.append(({bits.bit_count() for _, bits in keys}, g, len(keys)))
+        return eval_batch(self, keys, g)
+
+    monkeypatch.setattr(SubbandLinkEvaluator, "_eval_batch", spy)
+    got = form_groups(*args)
+    ours = batches[:]
+    batches.clear()
+    assert_same_grouping(got, lockstep_form_groups(*args))
+    assert all(sizes == {g} for sizes, g, _ in ours)
+    assert sum(n for *_, n in ours) == sum(n for *_, n in batches)
+    assert len({g for _, g, _ in ours}) > 2
+    assert len(ours) < len(batches), (len(ours), len(batches))

@@ -150,6 +150,33 @@ def test_minmse_zero_forcing_limit_when_regularizer_underflows():
         assert np.allclose(w, zf, atol=1e-12)
 
 
+def test_minmse_exact_at_extreme_snr():
+    # G sigma^2 / P = 2e-320 is far below the rounding of an M x M Gram
+    # H H^H, whose solve then returned a weight with |w^H h| = 0.708; the
+    # G x G Gram H^H H keeps its full rank, so the weight is h / |h|
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
+    w = minmse_one(h, noise=1e-300, power=1e20)
+    assert abs(abs(np.vdot(w[0], h[0])) - np.linalg.norm(h)) < 1e-12
+
+
+def test_minmse_dependent_members_take_pinv_fallback(monkeypatch):
+    # exactly dependent members with the regularizer lost to rounding leave
+    # the G x G Gram singular; the pinv fallback still gives finite
+    # unit-norm rows, here both along the members' common direction
+    d = np.array([[1, 2, 0, 0], [2, 4, 0, 0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(d.conj() @ d.T + 2e-320 * np.eye(2), d.conj())
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+    w = minmse_one(d, noise=1e-300, power=1e20)
+    assert calls == [(1, 2, 2)]
+    assert np.isfinite(w).all()
+    assert np.allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(w, d[0] / np.sqrt(5.0), atol=1e-12)
+
+
 def test_minmse_rejects_oversized_group():
     with pytest.raises(ValueError):
         minmse_one(np.ones((3, 2), dtype=complex), 0.1, 1.0)
@@ -192,16 +219,21 @@ def test_kernels_batch_rows_independent():
 # ---------------------------------------------------------------- einsum's bits
 
 def einsum_minmse(channels, noise, power):
-    """minmse_weights with its Gram product H H^H taken by np.einsum."""
+    """minmse_weights in its G x G form with the Gram product H^H H taken by
+    np.einsum. einsum pairs its operands last first, so the plan runs the
+    kernel's conj(ch) @ ch.mT. At M = 1 the contracted index is a singleton
+    that the plan turns into a multiply, which rounds the diagonal's imag
+    part; there einsum's own sum of products rounds as the matmul does."""
     g, m = channels.shape[1:]
-    ht = channels.transpose(0, 2, 1)
-    a = np.einsum("rmg,rng->rmn", ht, ht.conj(), optimize=True) + g * noise / power * np.eye(m)
+    hh = channels.conj()
+    a = np.einsum("rhm,rgm->rgh", channels, hh, optimize=m > 1) + g * noise / power * np.eye(g)
     try:
-        raw = np.linalg.solve(a, ht)
+        raw = np.linalg.solve(a, hh)
     except np.linalg.LinAlgError:
-        raw = np.linalg.pinv(a) @ ht
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return (raw / np.where(norms == 0, 1.0, norms)).transpose(0, 2, 1)
+        raw = np.linalg.pinv(a) @ hh
+    raw = raw.conj()
+    norms = np.linalg.norm(raw, axis=2, keepdims=True)
+    return raw / np.where(norms == 0, 1.0, norms)
 
 
 def einsum_sinr(weights, channels, power, noise):

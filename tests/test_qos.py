@@ -11,6 +11,7 @@ from sdma_fss.qos import (
     Flow,
     TrafficParams,
     TrafficStats,
+    _packet_sizes,
     build_candidate_list,
     commit_transmissions,
     generate_traffic,
@@ -39,6 +40,30 @@ def test_traffic_params_reject_nonpositive_packet_sizes():
     for sizes in ((40, 0, 1500), (-40, 576, 1500)):
         with pytest.raises(ValueError):
             TrafficParams(packet_sizes=sizes)
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.5),  # one short
+    (0.5, 0.2, 0.3, 0.0),  # one too many
+    (0.5, float("nan"), 0.5),
+    (0.5, float("inf"), 0.3),
+    (0.7, -0.2, 0.5),
+    (0.5, 0.2, 0.2),  # sums to 0.9
+    (0.5, 0.2, 0.3 + 2e-8),  # beyond Generator.choice's tolerance
+])
+def test_traffic_params_reject_bad_probabilities(probs):
+    with pytest.raises(ValueError):
+        TrafficParams(packet_size_probs=probs)
+
+
+def test_traffic_draws_match_choice_within_its_tolerance():
+    # a sum off 1 by less than choice's tolerance is accepted, and the
+    # stored CDF is normalized as choice normalizes it
+    params = TrafficParams(packet_size_probs=(0.25, 0.25, 0.5 + 1e-8))
+    draws = _packet_sizes(np.random.default_rng(3), params)
+    want = np.random.default_rng(3).choice(params.packet_sizes, size=200,
+                                           p=params.packet_size_probs)
+    assert [next(draws) for _ in range(200)] == want.tolist()
 
 
 def test_zero_offered_load():
