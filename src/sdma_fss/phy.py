@@ -12,9 +12,9 @@ R groups for the weights and the SINR, R per-member sample vectors for EESM
 and MCS selection. A single group or vector is the case R = 1. The SINRs
 and effective SINRs are only steps toward the MCS: select_mcs_batch returns
 entry indices, and a group keeps its members' entries, nothing more. The
-weights solve a G x G system per group, not an M x M one. The Gram and
-cross products are the batch matmuls that numpy 2.4.6's einsum plan runs
-for them, with einsum's bits; CI's numpy pin guards those bits.
+weights solve a G x G system per group, not an M x M one. The SINR cross
+products are the batch matmuls that numpy 2.4.6's einsum plan runs for
+them, with einsum's bits; CI's numpy pin guards those bits.
 """
 
 from __future__ import annotations
