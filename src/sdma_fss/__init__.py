@@ -32,7 +32,6 @@ from .frame import (
     initial_vertical_limit,
     pack_group_area,
     predict_map_size,
-    render_frame,
 )
 from .geometry import ConfigurationError, FrameGeometry, SubbandSpec, partition_frame
 from .grouping import GroupingResult, SdmaGroup, form_groups

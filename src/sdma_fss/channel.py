@@ -20,6 +20,11 @@ import numpy as np
 from .geometry import SubbandSpec
 
 SPEED_OF_LIGHT = 299_792_458.0
+CARRIER_FREQUENCY_HZ = 2.5e9
+ELEMENT_SPACING_WAVELENGTHS = 0.5  # of the BS's uniform linear array
+ANGULAR_SPREAD_RAD = np.pi / 12  # a tap departs within this of its MS's azimuth
+# free-space loss at 1 m, used as the log-distance intercept
+PATHLOSS_REF_DB = 20.0 * np.log10(4.0 * np.pi * CARRIER_FREQUENCY_HZ / SPEED_OF_LIGHT)
 
 
 class InsufficientCsiError(ValueError):
@@ -31,19 +36,15 @@ class AntennaArrayConfig:
     """Uniform linear array at the BS."""
 
     num_elements: int
-    element_spacing_wavelengths: float = 0.5
-    carrier_frequency_hz: float = 2.5e9
 
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError(f"need at least one antenna element, got {self.num_elements}")
-        if self.element_spacing_wavelengths <= 0:
-            raise ValueError("element spacing must be positive")
 
     def steering(self, angles_rad: np.ndarray) -> np.ndarray:
         """Steering vectors for angles of departure, shape (..., M)."""
         m = np.arange(self.num_elements)
-        phase = -2j * np.pi * self.element_spacing_wavelengths * np.sin(
+        phase = -2j * np.pi * ELEMENT_SPACING_WAVELENGTHS * np.sin(
             np.asarray(angles_rad)[..., None]
         ) * m
         return np.exp(phase)
@@ -65,7 +66,6 @@ class ChannelParams:
     pathloss_exponent_los: float = 2.6
     cell_radius_m: float = 288.0
     min_distance_m: float = 10.0
-    angular_spread_rad: float = np.pi / 12
 
     def __post_init__(self):
         if self.num_ms <= 0:
@@ -108,11 +108,6 @@ class CsiReport:
     pathloss_db: np.ndarray
 
 
-def _pathloss_ref_db(carrier_hz: float) -> float:
-    # free-space loss at 1 m, used as the log-distance intercept
-    return 20.0 * np.log10(4.0 * np.pi * carrier_hz / SPEED_OF_LIGHT)
-
-
 def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
     """Draw one independent drop (placement + small-scale fading).
 
@@ -135,9 +130,7 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
 
     los = np.full(k, bool(params.los))
     exponent = np.where(los, params.pathloss_exponent_los, params.pathloss_exponent_nlos)
-    pathloss_db = _pathloss_ref_db(params.array.carrier_frequency_hz) + 10.0 * exponent * np.log10(
-        distances
-    )
+    pathloss_db = PATHLOSS_REF_DB + 10.0 * exponent * np.log10(distances)
 
     delays = np.arange(l) * params.rms_delay_spread_s
     powers = np.exp(-delays / params.rms_delay_spread_s)
@@ -147,9 +140,7 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
     gains = (rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l))) * np.sqrt(
         powers / 2.0
     )
-    aod = azimuths[:, None] + rng.uniform(
-        -params.angular_spread_rad, params.angular_spread_rad, size=(k, l)
-    )
+    aod = azimuths[:, None] + rng.uniform(-ANGULAR_SPREAD_RAD, ANGULAR_SPREAD_RAD, size=(k, l))
     los_phase = rng.uniform(0.0, 2.0 * np.pi, size=k)
 
     if params.los:

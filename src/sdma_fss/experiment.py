@@ -231,7 +231,8 @@ def drop_frames(
         ch = generate_channel(cfg.channel_params(), seed)
         csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
     subbands = partition_frame(geometry)
-    flows = make_flows(cfg.num_ms, cfg.traffic_params())
+    traffic = cfg.traffic_params()
+    flows = make_flows(cfg.num_ms, traffic)
     ids = itertools.count()
 
     avg_mcs = table.entries[len(table.entries) // 2]
@@ -245,7 +246,7 @@ def drop_frames(
     active_prev: Optional[tuple[int, ...]] = None
     metric_cache: dict = {}  # scores and CSI stacks (form_groups), valid all drop: static channel
     for frame_index in range(cfg.frames_per_drop):
-        tstats = generate_traffic(flows, frame_index, seed, cfg.traffic_params(), ids)
+        tstats = generate_traffic(flows, frame_index, seed, traffic, ids)
         active = tuple(f.ms for f in flows if f.ids)
         if active != active_prev:
             grouping = form_groups(

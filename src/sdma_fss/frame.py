@@ -404,26 +404,3 @@ def frame_construction(
 
     return packer.finish()
 
-
-def render_frame(frame: OfdmaFrame) -> str:
-    """Stable structured-text rendering of the slot grid for golden tests."""
-    g = frame.geometry
-    lines = [
-        f"frame SC={g.num_subchannels} DL_sl={g.num_columns} SB={g.num_subbands} "
-        f"util={frame.utility:.6f}",
-        f"map: ies={frame.map_region.ie_count} slots={frame.map_region.slots} "
-        f"columns=[0,{frame.map_region.columns})",
-    ]
-    for j in range(g.num_subbands):
-        b = frame.bursts.get(j)
-        if b is None:
-            lines.append(f"subband {j}: -")
-            continue
-        lines.append(
-            f"subband {j}: members={list(b.group.members)} "
-            f"columns=[{g.num_columns - b.columns},{g.num_columns}) util={b.utility:.6f}"
-        )
-        mcs = dict(zip(b.group.members, b.group.mcs))
-        for ms, packed, used in sorted(b.fits):
-            lines.append(f"  ms {ms} mcs={mcs[ms].name} slots={used} packets={packed}")
-    return "\n".join(lines)

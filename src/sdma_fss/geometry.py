@@ -30,7 +30,6 @@ class FrameGeometry:
     num_columns: int
     num_subbands: int
     max_subbands: int = 6
-    subcarriers_per_subchannel: int = SUBCARRIERS_PER_SUBCHANNEL
 
     def __post_init__(self):
         if self.num_subchannels <= 0 or self.num_columns < 2:
@@ -57,7 +56,7 @@ class FrameGeometry:
 
     @property
     def num_subcarriers(self) -> int:
-        return self.num_subchannels * self.subcarriers_per_subchannel
+        return self.num_subchannels * SUBCARRIERS_PER_SUBCHANNEL
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def partition_frame(geometry: FrameGeometry) -> list[SubbandSpec]:
     Divisibility is enforced by FrameGeometry; this never truncates rows.
     """
     per = geometry.rows_per_subband
-    spc = geometry.subcarriers_per_subchannel
+    spc = SUBCARRIERS_PER_SUBCHANNEL
     return [
         SubbandSpec(
             index=j,

@@ -69,10 +69,6 @@ class McsTable:
     def most_robust(self) -> McsEntry:
         return self.entries[0]
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump({"entries": [e.__dict__ for e in self.entries]}, f, indent=2)
-
     @classmethod
     def from_json(cls, path) -> "McsTable":
         with open(path) as f:
@@ -122,8 +118,14 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     gram += g * noise_power_w / total_power_w * _eye(g)
     try:
         raw = np.linalg.solve(gram, hh)  # (H^H H + r I)^-1 H^H, the weights' conjugate
-    except np.linalg.LinAlgError:  # dependent members with r lost to rounding: the ZF limit
-        raw = np.linalg.pinv(gram) @ hh
+    except np.linalg.LinAlgError:  # some group's Gram is singular: each group on its own,
+        raw = np.empty_like(hh)  # so a row's bits do not depend on the rows batched with it
+        for i in range(len(gram)):
+            one = slice(i, i + 1)
+            try:
+                raw[one] = np.linalg.solve(gram[one], hh[one])
+            except np.linalg.LinAlgError:  # dependent members with r lost to rounding: ZF limit
+                raw[one] = np.linalg.pinv(gram[one]) @ hh[one]
     np.conjugate(raw, out=raw)
     # row 2-norms as numpy 2.4.6 takes them for a vector norm, a zero one left at 1
     norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=2, keepdims=True))

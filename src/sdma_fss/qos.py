@@ -20,6 +20,7 @@ import numpy as np
 EPSILON_BYTES_PER_FRAME = 1.0
 PF_HORIZON_FRAMES = 64
 DEFAULT_BUFFER_CAPACITY_BYTES = 13271  # 12.96 KiB per MS
+HEAVY_TRAFFIC_SHARE = 0.8  # of the finite-rate load, offered to the heavy half of the MSs
 
 PACKET_SIZES = (40, 576, 1500)
 PACKET_SIZE_PROBS = (0.5, 0.2, 0.3)
@@ -45,7 +46,6 @@ class Flow:
 class TrafficParams:
     saturated: bool = True
     offered_bytes_per_frame_total: float = 0.0
-    heavy_traffic_share: float = 0.8
     buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY_BYTES
     packet_sizes: tuple[int, ...] = PACKET_SIZES
     packet_size_probs: tuple[float, ...] = PACKET_SIZE_PROBS
@@ -68,10 +68,10 @@ class TrafficParams:
 
 def make_flows(num_ms: int, params: TrafficParams = TrafficParams()) -> list[Flow]:
     """One flow per MS. In finite-rate mode the first half of the MSs (the
-    heavy half) shares heavy_traffic_share of the total offered bytes."""
+    heavy half) shares HEAVY_TRAFFIC_SHARE of the total offered bytes."""
     heavy = (num_ms + 1) // 2
     light = num_ms - heavy
-    share = params.heavy_traffic_share
+    share = HEAVY_TRAFFIC_SHARE
     flows = []
     for ms in range(num_ms):
         if light == 0:

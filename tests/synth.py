@@ -1,5 +1,5 @@
-"""Synthetic test instances, the frame auditor and the FD baseline packer
-shared by the tests.
+"""Synthetic test instances, the frame auditor, the golden-text frame
+renderer and the FD baseline packer shared by the tests.
 
 Groups and candidate lists are built directly (no PHY in the loop) so the
 packer can be exercised against independent oracles over thousands of
@@ -183,6 +183,30 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     assert frame.build_stats.util_evals <= bound, (
         f"{frame.build_stats.util_evals} util evals exceed bound {bound}"
     )
+
+
+def render_frame(frame: OfdmaFrame) -> str:
+    """Stable structured-text rendering of the slot grid for golden tests."""
+    g = frame.geometry
+    lines = [
+        f"frame SC={g.num_subchannels} DL_sl={g.num_columns} SB={g.num_subbands} "
+        f"util={frame.utility:.6f}",
+        f"map: ies={frame.map_region.ie_count} slots={frame.map_region.slots} "
+        f"columns=[0,{frame.map_region.columns})",
+    ]
+    for j in range(g.num_subbands):
+        b = frame.bursts.get(j)
+        if b is None:
+            lines.append(f"subband {j}: -")
+            continue
+        lines.append(
+            f"subband {j}: members={list(b.group.members)} "
+            f"columns=[{g.num_columns - b.columns},{g.num_columns}) util={b.utility:.6f}"
+        )
+        mcs = dict(zip(b.group.members, b.group.mcs))
+        for ms, packed, used in sorted(b.fits):
+            lines.append(f"  ms {ms} mcs={mcs[ms].name} slots={used} packets={packed}")
+    return "\n".join(lines)
 
 
 def fd_baseline_pack(

@@ -124,7 +124,8 @@ def test_mcs_table_via_config(tmp_path):
     from sdma_fss.phy import default_mcs_table
 
     path = tmp_path / "mcs.json"
-    default_mcs_table().to_json(path)
+    entries = [dataclasses.asdict(e) for e in default_mcs_table().entries]
+    path.write_text(json.dumps({"entries": entries}))
     cfg = tiny_cfg(mcs_table_path=str(path))
     assert cfg.mcs_table() == default_mcs_table()
     a = run_drop(cfg, seed=1)

@@ -15,7 +15,6 @@ from sdma_fss.frame import (
     map_slots_for_ies,
     pack_group_area,
     predict_map_size,
-    render_frame,
 )
 from sdma_fss.geometry import FrameGeometry
 from sdma_fss.phy import default_mcs_table
@@ -28,6 +27,7 @@ from synth import (
     make_grouping,
     member_packets,
     random_instance,
+    render_frame,
 )
 
 TABLE = default_mcs_table()

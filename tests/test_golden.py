@@ -12,7 +12,7 @@ behaviour change. To re-record after one:
 
 and delete the `manifest.json` it writes next to the CSVs.
 
-`tests/golden/frames/<case>.txt` holds the `render_frame` text of the
+`tests/golden/frames/<case>.txt` holds the `synth.render_frame` text of the
 FRAMES frames of one drop per case in FRAME_CASES, as `drop_frames` (the
 generator whose frames `run_drop` totals) yields them. The CSV pins see
 only per-drop totals; these see every burst, member, MCS and packet id.
@@ -27,7 +27,7 @@ import pytest
 
 from sdma_fss.cli import main as cli_main
 from sdma_fss.experiment import ScenarioConfig, drop_frames
-from sdma_fss.frame import render_frame
+from synth import render_frame
 
 GOLDEN = Path(__file__).parent / "golden"
 FRAMES = 4

