@@ -17,7 +17,6 @@ if _unset and "numpy" in sys.modules:
 __version__ = "0.1.0"
 
 from .channel import (
-    AntennaArrayConfig,
     ChannelParams,
     ChannelRealization,
     CsiReport,
@@ -46,7 +45,6 @@ from .phy import (
 from .qos import (
     CandidateList,
     Flow,
-    TrafficParams,
     build_candidate_list,
     generate_traffic,
     make_flows,

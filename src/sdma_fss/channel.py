@@ -32,46 +32,30 @@ class InsufficientCsiError(ValueError):
 
 
 @dataclass(frozen=True)
-class AntennaArrayConfig:
-    """Uniform linear array at the BS."""
-
-    num_elements: int
-
-    def __post_init__(self):
-        if self.num_elements < 1:
-            raise ValueError(f"need at least one antenna element, got {self.num_elements}")
-
-    def steering(self, angles_rad: np.ndarray) -> np.ndarray:
-        """Steering vectors for angles of departure, shape (..., M)."""
-        m = np.arange(self.num_elements)
-        phase = -2j * np.pi * ELEMENT_SPACING_WAVELENGTHS * np.sin(
-            np.asarray(angles_rad)[..., None]
-        ) * m
-        return np.exp(phase)
-
-
-@dataclass(frozen=True)
 class ChannelParams:
-    """Everything the generator needs; built from the scenario config."""
+    """Everything the generator needs, from ScenarioConfig.channel_params;
+    num_antennas elements make up the BS's uniform linear array."""
 
     num_ms: int
     num_subcarriers: int
     subcarrier_spacing_hz: float
-    array: AntennaArrayConfig
-    num_taps: int = 6
-    rms_delay_spread_s: float = 0.5e-6
-    ricean_k_db: float = 7.0
-    los: bool = False
-    pathloss_exponent_nlos: float = 3.5
-    pathloss_exponent_los: float = 2.6
-    cell_radius_m: float = 288.0
-    min_distance_m: float = 10.0
+    num_antennas: int
+    num_taps: int
+    rms_delay_spread_s: float
+    ricean_k_db: float
+    los: bool
+    pathloss_exponent_nlos: float
+    pathloss_exponent_los: float
+    cell_radius_m: float
+    min_distance_m: float
 
     def __post_init__(self):
         if self.num_ms <= 0:
             raise ValueError(f"need K > 0 MSs, got {self.num_ms}")
         if self.num_subcarriers <= 0:
             raise ValueError(f"need S > 0 subcarriers, got {self.num_subcarriers}")
+        if self.num_antennas < 1:
+            raise ValueError(f"need at least one antenna element, got {self.num_antennas}")
         if self.num_taps <= 0:
             raise ValueError(f"need L > 0 taps, got {self.num_taps}")
         if self.rms_delay_spread_s <= 0:
@@ -117,7 +101,7 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
     LOS MSs get a non-fading dominant tap at delay zero with the configured
     Ricean K-factor; the diffuse taps are scaled to keep total power one.
     """
-    k, s, m = params.num_ms, params.num_subcarriers, params.array.num_elements
+    k, s, m = params.num_ms, params.num_subcarriers, params.num_antennas
     l = params.num_taps
     rng = np.random.default_rng(np.random.SeedSequence([0x5D3A, seed & 0xFFFFFFFFFFFFFFFF]))
 
@@ -151,7 +135,9 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
         aod = np.concatenate([azimuths[:, None], aod], axis=1)
         delays = np.concatenate([[0.0], delays])
 
-    steer = params.array.steering(aod)  # (K, taps, M)
+    # the uniform linear array's steering vectors at the departure angles, (K, taps, M)
+    phase = -2j * np.pi * ELEMENT_SPACING_WAVELENGTHS * np.sin(aod[..., None]) * np.arange(m)
+    steer = np.exp(phase)
     freqs = np.arange(s) * params.subcarrier_spacing_hz
     tap_phase = np.exp(-2j * np.pi * np.outer(delays, freqs))  # (taps, S)
     h = np.einsum("kl,lf,klm->kfm", gains, tap_phase, steer, optimize=True)

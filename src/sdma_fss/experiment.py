@@ -23,13 +23,12 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import AntennaArrayConfig, ChannelParams, decimate_csi, generate_channel
+from .channel import ChannelParams, decimate_csi, generate_channel
 from .frame import OfdmaFrame, frame_construction, initial_vertical_limit, predict_map_size
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
 from .grouping import form_groups
 from .phy import McsTable, default_mcs_table
 from .qos import (
-    TrafficParams,
     TrafficStats,
     build_candidate_list,
     commit_transmissions,
@@ -42,7 +41,8 @@ from .qos import (
 # counts are kept divisible by every subband split in {1,2,3,6}
 BANDWIDTH_DEFAULTS = {5.0: (512, 12), 10.0: (1024, 30), 20.0: (2048, 60)}
 # the type a ScenarioConfig field's annotation names; a bool is no int or float
-_FIELD_TYPES = {"bool": bool, "int": Integral, "Optional[int]": Integral, "float": Real}
+_FIELD_TYPES = {"bool": bool, "int": Integral, "Optional[int]": Integral, "float": Real,
+                "Optional[str]": str}
 
 
 @dataclass
@@ -145,7 +145,7 @@ class ScenarioConfig:
             num_ms=self.num_ms,
             num_subcarriers=self.geometry().num_subcarriers,
             subcarrier_spacing_hz=self.subcarrier_spacing_hz,
-            array=AntennaArrayConfig(num_elements=self.num_antennas),
+            num_antennas=self.num_antennas,
             num_taps=self.num_taps,
             rms_delay_spread_s=self.rms_delay_spread_us * 1e-6,
             ricean_k_db=self.ricean_k_db,
@@ -154,13 +154,6 @@ class ScenarioConfig:
             pathloss_exponent_los=self.pathloss_exponent_los,
             cell_radius_m=self.cell_radius_m,
             min_distance_m=self.min_distance_m,
-        )
-
-    def traffic_params(self) -> TrafficParams:
-        return TrafficParams(
-            saturated=self.saturated_traffic,
-            offered_bytes_per_frame_total=self.offered_bytes_per_frame_total,
-            buffer_capacity_bytes=self.buffer_capacity_bytes,
         )
 
     def mcs_table(self) -> McsTable:
@@ -231,8 +224,7 @@ def drop_frames(
         ch = generate_channel(cfg.channel_params(), seed)
         csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
     subbands = partition_frame(geometry)
-    traffic = cfg.traffic_params()
-    flows = make_flows(cfg.num_ms, traffic)
+    flows = make_flows(cfg.num_ms)
     ids = itertools.count()
 
     avg_mcs = table.entries[len(table.entries) // 2]
@@ -246,7 +238,7 @@ def drop_frames(
     active_prev: Optional[tuple[int, ...]] = None
     metric_cache: dict = {}  # scores and CSI stacks (form_groups), valid all drop: static channel
     for frame_index in range(cfg.frames_per_drop):
-        tstats = generate_traffic(flows, frame_index, seed, traffic, ids)
+        tstats = generate_traffic(flows, frame_index, seed, cfg, ids)
         active = tuple(f.ms for f in flows if f.ids)
         if active != active_prev:
             grouping = form_groups(

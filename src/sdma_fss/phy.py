@@ -116,22 +116,30 @@ def minmse_weights(channels: np.ndarray, noise_power_w: float, total_power_w: fl
     hh = ch.conj()  # (R, G, M): H^H
     gram = hh @ ch.mT  # H^H H
     gram += g * noise_power_w / total_power_w * _eye(g)
-    try:
-        raw = np.linalg.solve(gram, hh)  # (H^H H + r I)^-1 H^H, the weights' conjugate
-    except np.linalg.LinAlgError:  # some group's Gram is singular: each group on its own,
-        raw = np.empty_like(hh)  # so a row's bits do not depend on the rows batched with it
+    raw = _solve(gram, hh)  # (H^H H + r I)^-1 H^H, the weights' conjugate
+    if raw is None:  # some group's solve failed: each group on its own, so a
+        raw = np.empty_like(hh)  # row's bits do not depend on the rows batched with it
         for i in range(len(gram)):
             one = slice(i, i + 1)
-            try:
-                raw[one] = np.linalg.solve(gram[one], hh[one])
-            except np.linalg.LinAlgError:  # dependent members with r lost to rounding: ZF limit
-                raw[one] = np.linalg.pinv(gram[one]) @ hh[one]
+            sol = _solve(gram[one], hh[one])
+            # dependent members, or a zero member beside a subnormal r: the ZF limit
+            raw[one] = np.linalg.pinv(gram[one]) @ hh[one] if sol is None else sol
     np.conjugate(raw, out=raw)
     # row 2-norms as numpy 2.4.6 takes them for a vector norm, a zero one left at 1
     norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=2, keepdims=True))
     np.copyto(norms, 1.0, where=norms == 0)
     raw /= norms
     return raw
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """solve(gram, rhs), or None if a Gram is singular or the result is not
+    finite, as where 1/r overflows against a zero member's zero row."""
+    try:
+        out = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 @cache

@@ -13,17 +13,22 @@ consumes is each such MS's FIFO queue with those utilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .experiment import ScenarioConfig
+
 EPSILON_BYTES_PER_FRAME = 1.0
 PF_HORIZON_FRAMES = 64
-DEFAULT_BUFFER_CAPACITY_BYTES = 13271  # 12.96 KiB per MS
 HEAVY_TRAFFIC_SHARE = 0.8  # of the finite-rate load, offered to the heavy half of the MSs
 
 PACKET_SIZES = (40, 576, 1500)
 PACKET_SIZE_PROBS = (0.5, 0.2, 0.3)
+# the sizes, and their CDF as Generator.choice builds it: cumsum, divided by the last element
+_SIZES, _SIZE_CDF = np.array(PACKET_SIZES), np.array(PACKET_SIZE_PROBS).cumsum()
+_SIZE_CDF /= _SIZE_CDF[-1]
 TRAFFIC_BLOCK_DRAWS = 64  # packet sizes per block of uniform draws
 
 
@@ -33,7 +38,6 @@ class Flow:
     parallel lists `ids` and `sizes` (bytes), oldest packet first."""
 
     ms: int
-    buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY_BYTES
     load_weight: float = 1.0
     ids: list[int] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
@@ -42,31 +46,7 @@ class Flow:
     offered_credit_bytes: float = 0.0
 
 
-@dataclass(frozen=True)
-class TrafficParams:
-    saturated: bool = True
-    offered_bytes_per_frame_total: float = 0.0
-    buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY_BYTES
-    packet_sizes: tuple[int, ...] = PACKET_SIZES
-    packet_size_probs: tuple[float, ...] = PACKET_SIZE_PROBS
-
-    def __post_init__(self):
-        """Checks the size mix as Generator.choice would, then stores its
-        CDF the way choice builds it: cumsum, divided by the last element."""
-        if not self.packet_sizes or any(size <= 0 for size in self.packet_sizes):
-            raise ValueError("packet sizes must be nonempty and positive")
-        p = np.array(self.packet_size_probs, dtype=float)
-        if p.shape != (len(self.packet_sizes),) or not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("need one finite, nonnegative probability per packet size")
-        if abs(p.sum() - 1.0) > np.sqrt(np.finfo(float).eps):  # choice's tolerance
-            raise ValueError("packet size probabilities must sum to 1")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_sizes", np.array(self.packet_sizes))
-
-
-def make_flows(num_ms: int, params: TrafficParams = TrafficParams()) -> list[Flow]:
+def make_flows(num_ms: int) -> list[Flow]:
     """One flow per MS. In finite-rate mode the first half of the MSs (the
     heavy half) shares HEAVY_TRAFFIC_SHARE of the total offered bytes."""
     heavy = (num_ms + 1) // 2
@@ -80,9 +60,7 @@ def make_flows(num_ms: int, params: TrafficParams = TrafficParams()) -> list[Flo
             w = share / heavy
         else:
             w = (1.0 - share) / light
-        flows.append(
-            Flow(ms=ms, buffer_capacity_bytes=params.buffer_capacity_bytes, load_weight=w)
-        )
+        flows.append(Flow(ms=ms, load_weight=w))
     return flows
 
 
@@ -93,38 +71,39 @@ class TrafficStats:
     dropped_bytes: int = 0
 
 
-def _packet_sizes(rng: np.random.Generator, params: TrafficParams) -> Iterator[int]:
+def _packet_sizes(rng: np.random.Generator) -> Iterator[int]:
     """Endless packet sizes, TRAFFIC_BLOCK_DRAWS uniforms at a time looked
     up in the size CDF as rng.choice does: bit for bit those of one scalar
     choice per packet (same doubles, same CDF)."""
-    cdf, sizes = params._cdf, params._sizes
     while True:
-        yield from sizes[cdf.searchsorted(rng.random(TRAFFIC_BLOCK_DRAWS), "right")].tolist()
+        yield from _SIZES[_SIZE_CDF.searchsorted(rng.random(TRAFFIC_BLOCK_DRAWS), "right")].tolist()
 
 
 def generate_traffic(
     flows: Sequence[Flow],
     frame_index: int,
     seed: int,
-    params: TrafficParams,
+    cfg: ScenarioConfig,
     id_source: Iterator[int],
 ) -> TrafficStats:
-    """Draw this frame's arrivals into the buffers (tail drop when full).
+    """Draw this frame's arrivals into buffers of cfg.buffer_capacity_bytes
+    (tail drop when full).
 
     Deterministic per (seed, frame_index); the flows read their sizes in
-    order from one block-drawn stream. In saturated mode each buffer is
-    topped up until the next arrival no longer fits; in finite-rate mode each
-    flow draws its share of the per-frame offered bytes and arrivals that do
+    order from one block-drawn stream. With cfg.saturated_traffic each buffer
+    is topped up until the next arrival no longer fits; otherwise each flow
+    draws its share of cfg.offered_bytes_per_frame_total and arrivals that do
     not fit are dropped. id_source must stay unique across a drop's frames.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([0x7AFF1C, seed & 0xFFFFFFFFFFFFFFFF, frame_index])
     )
-    draw = _packet_sizes(rng, params)
+    draw = _packet_sizes(rng)
     stats = TrafficStats()
+    cap = cfg.buffer_capacity_bytes
     for flow in flows:
-        ids, sizes, cap = flow.ids, flow.sizes, flow.buffer_capacity_bytes
-        if params.saturated:
+        ids, sizes = flow.ids, flow.sizes
+        if cfg.saturated_traffic:
             while True:
                 size = next(draw)
                 stats.generated_bytes += size
@@ -138,7 +117,7 @@ def generate_traffic(
         else:
             # byte credit carried across frames so the long-run generated
             # volume matches the configured weight exactly
-            flow.offered_credit_bytes += params.offered_bytes_per_frame_total * flow.load_weight
+            flow.offered_credit_bytes += cfg.offered_bytes_per_frame_total * flow.load_weight
             while flow.offered_credit_bytes > 0:
                 size = next(draw)
                 flow.offered_credit_bytes -= size

@@ -1,26 +1,29 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from sdma_fss.channel import (
-    AntennaArrayConfig,
-    ChannelParams,
     ChannelRealization,
     InsufficientCsiError,
     decimate_csi,
     generate_channel,
     subband_csi,
 )
+from sdma_fss.experiment import ScenarioConfig
 from sdma_fss.geometry import SubbandSpec
 
 
 def params(k=3, s=256, m=2, taps=6, spread=0.5e-6, los=False, spacing=10937.5):
-    return ChannelParams(
+    """The default scenario's channel at any subcarrier count, which
+    ScenarioConfig itself cannot express (24 per subchannel)."""
+    return dataclasses.replace(
+        ScenarioConfig().channel_params(),
         num_ms=k,
         num_subcarriers=s,
         subcarrier_spacing_hz=spacing,
-        array=AntennaArrayConfig(num_elements=m),
+        num_antennas=m,
         num_taps=taps,
         rms_delay_spread_s=spread,
         los=los,
@@ -49,7 +52,7 @@ def test_invalid_dimensions_rejected():
     with pytest.raises(ValueError):
         params(s=0)
     with pytest.raises(ValueError):
-        AntennaArrayConfig(num_elements=0)
+        params(m=0)
     with pytest.raises(ValueError):
         params(taps=0)
 

@@ -377,6 +377,11 @@ def test_config_validation():
         dict(frame_duration_s="5e-3"),
         dict(num_subbands=True),
         dict(max_groups_per_subband=True),
+        # a path that is no string: 7 opened file descriptor 7 at drop time,
+        # and the others raised TypeError mid-run
+        dict(mcs_table_path=7),
+        dict(mcs_table_path=True),
+        dict(mcs_table_path=["a"]),
     ]:
         with pytest.raises(ConfigurationError):
             tiny_cfg(**bad)

@@ -179,6 +179,22 @@ def test_minmse_dependent_members_take_pinv_fallback(monkeypatch):
     assert np.allclose(w, d[0] / np.sqrt(5.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_minmse_zero_member_with_subnormal_regularizer(zero_first):
+    # r = G sigma^2 / P = 2e-320 is subnormal: solve overflows 1/r against
+    # the zero member's zero row into nan, and in the second member order
+    # the nan reaches the partner's weights too; pinv keeps both finite
+    zero, h = np.zeros(4, dtype=complex), np.array([1, 2j, 3, 0.5])
+    group = np.array([zero, h] if zero_first else [h, zero])
+    z, p = (0, 1) if zero_first else (1, 0)
+    w = minmse_one(group, noise=1e-300, power=1e20)
+    assert np.array_equal(w[z], zero)
+    assert np.isfinite(w[p]).all() and abs(np.linalg.norm(w[p]) - 1.0) < 1e-12
+    with np.errstate(over="ignore"):  # the partner's SINR overflows to inf
+        gamma = sinr_one(w, group, 1e20 / 2, 1e-300)
+    assert not np.isnan(gamma).any()
+
+
 def test_minmse_rejects_oversized_group():
     with pytest.raises(ValueError):
         minmse_one(np.ones((3, 2), dtype=complex), 0.1, 1.0)

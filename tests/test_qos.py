@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdma_fss.experiment import ScenarioConfig
 from sdma_fss.qos import (
     EPSILON_BYTES_PER_FRAME,
+    PACKET_SIZE_PROBS,
+    PACKET_SIZES,
     PF_HORIZON_FRAMES,
     Flow,
-    TrafficParams,
     TrafficStats,
-    _packet_sizes,
     build_candidate_list,
     commit_transmissions,
     generate_traffic,
@@ -20,9 +21,9 @@ from sdma_fss.qos import (
 )
 
 
-def finite_params(total, capacity=10**9):
-    return TrafficParams(
-        saturated=False, offered_bytes_per_frame_total=total,
+def finite_params(total, capacity=10**7):
+    return ScenarioConfig(
+        saturated_traffic=False, offered_bytes_per_frame_total=total,
         buffer_capacity_bytes=capacity,
     )
 
@@ -36,67 +37,37 @@ def test_make_flows_weight_split():
     assert sum(f.load_weight for f in flows) == pytest.approx(1.0)
 
 
-def test_traffic_params_reject_nonpositive_packet_sizes():
-    for sizes in ((40, 0, 1500), (-40, 576, 1500)):
-        with pytest.raises(ValueError):
-            TrafficParams(packet_sizes=sizes)
-
-
-@pytest.mark.parametrize("probs", [
-    (0.5, 0.5),  # one short
-    (0.5, 0.2, 0.3, 0.0),  # one too many
-    (0.5, float("nan"), 0.5),
-    (0.5, float("inf"), 0.3),
-    (0.7, -0.2, 0.5),
-    (0.5, 0.2, 0.2),  # sums to 0.9
-    (0.5, 0.2, 0.3 + 2e-8),  # beyond Generator.choice's tolerance
-])
-def test_traffic_params_reject_bad_probabilities(probs):
-    with pytest.raises(ValueError):
-        TrafficParams(packet_size_probs=probs)
-
-
-def test_traffic_draws_match_choice_within_its_tolerance():
-    # a sum off 1 by less than choice's tolerance is accepted, and the
-    # stored CDF is normalized as choice normalizes it
-    params = TrafficParams(packet_size_probs=(0.25, 0.25, 0.5 + 1e-8))
-    draws = _packet_sizes(np.random.default_rng(3), params)
-    want = np.random.default_rng(3).choice(params.packet_sizes, size=200,
-                                           p=params.packet_size_probs)
-    assert [next(draws) for _ in range(200)] == want.tolist()
-
-
 def test_zero_offered_load():
-    flows = make_flows(4, finite_params(0.0))
+    flows = make_flows(4)
     stats = generate_traffic(
-        flows, 0, seed=1, params=finite_params(0.0), id_source=itertools.count()
+        flows, 0, seed=1, cfg=finite_params(0.0), id_source=itertools.count()
     )
     assert stats.generated_bytes == 0
     assert all(not f.ids and not f.sizes for f in flows)
 
 
 def test_tail_drop_keeps_oldest():
-    params = TrafficParams(saturated=True, buffer_capacity_bytes=2000)
-    flows = make_flows(1, params)
+    cfg = ScenarioConfig(saturated_traffic=True, buffer_capacity_bytes=2000)
+    flows = make_flows(1)
     ids = itertools.count()
-    generate_traffic(flows, 0, seed=3, params=params, id_source=ids)
+    generate_traffic(flows, 0, seed=3, cfg=cfg, id_source=ids)
     flow = flows[0]
     first_ids = list(flow.ids)
     occupancy = flow.occupancy_bytes
     assert occupancy <= 2000
     # refill attempt: buffer already full-ish, the oldest packets stay
-    generate_traffic(flows, 1, seed=3, params=params, id_source=ids)
+    generate_traffic(flows, 1, seed=3, cfg=cfg, id_source=ids)
     assert flow.ids[: len(first_ids)] == first_ids
     assert flow.occupancy_bytes <= 2000
 
 
 def test_byte_conservation():
-    params = TrafficParams(saturated=True, buffer_capacity_bytes=5000)
-    flows = make_flows(3, params)
+    cfg = ScenarioConfig(saturated_traffic=True, buffer_capacity_bytes=5000)
+    flows = make_flows(3)
     ids = itertools.count()  # ids unique across frames, as in a drop
     enqueued = served = 0
     for i in range(5):
-        stats = generate_traffic(flows, i, seed=9, params=params, id_source=ids)
+        stats = generate_traffic(flows, i, seed=9, cfg=cfg, id_source=ids)
         assert stats.generated_bytes == stats.enqueued_bytes + stats.dropped_bytes
         enqueued += stats.enqueued_bytes
         every_other = [pid for f in flows for pid in f.ids[::2]]
@@ -108,28 +79,28 @@ def test_byte_conservation():
 
 
 def test_traffic_deterministic_per_seed_and_frame():
-    params = finite_params(3000)
-    a = make_flows(2, params)
-    b = make_flows(2, params)
-    generate_traffic(a, 4, seed=7, params=params, id_source=itertools.count())
-    generate_traffic(b, 4, seed=7, params=params, id_source=itertools.count())
+    cfg = finite_params(3000)
+    a = make_flows(2)
+    b = make_flows(2)
+    generate_traffic(a, 4, seed=7, cfg=cfg, id_source=itertools.count())
+    generate_traffic(b, 4, seed=7, cfg=cfg, id_source=itertools.count())
     assert [(f.ms, size) for f in a for size in f.sizes] == [
         (f.ms, size) for f in b for size in f.sizes
     ]
-    c = make_flows(2, params)
-    generate_traffic(c, 5, seed=7, params=params, id_source=itertools.count())
+    c = make_flows(2)
+    generate_traffic(c, 5, seed=7, cfg=cfg, id_source=itertools.count())
     assert [(f.ms, size) for f in a for size in f.sizes] != [
         (f.ms, size) for f in c for size in f.sizes
     ]
 
 
 def test_heavy_half_generates_80_percent():
-    params = finite_params(4000)
-    flows = make_flows(4, params)
+    cfg = finite_params(4000)
+    flows = make_flows(4)
     generated = [0] * len(flows)
     ids = itertools.count()
     for frame in range(10_000):
-        stats = generate_traffic(flows, frame, seed=13, params=params, id_source=ids)
+        stats = generate_traffic(flows, frame, seed=13, cfg=cfg, id_source=ids)
         assert stats.dropped_bytes == 0
         for f in flows:  # drain so quota, not capacity, limits arrivals
             generated[f.ms] += sum(f.sizes)
@@ -140,21 +111,21 @@ def test_heavy_half_generates_80_percent():
     assert heavy / sum(generated) == pytest.approx(0.8, abs=0.02)
 
 
-def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
+def scalar_generate_traffic(flows, frame_index, seed, cfg, id_source):
     """The per-packet loop that generate_traffic replaced: one scalar
     rng.choice per packet from the same per-frame generator."""
     rng = np.random.default_rng(
         np.random.SeedSequence([0x7AFF1C, seed & 0xFFFFFFFFFFFFFFFF, frame_index])
     )
-    sizes = np.asarray(params.packet_sizes)
-    probs = np.asarray(params.packet_size_probs)
+    sizes = np.asarray(PACKET_SIZES)
+    probs = np.asarray(PACKET_SIZE_PROBS)
     stats = TrafficStats()
     for flow in flows:
-        if params.saturated:
+        if cfg.saturated_traffic:
             while True:
                 size = int(rng.choice(sizes, p=probs))
                 stats.generated_bytes += size
-                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                if flow.occupancy_bytes + size > cfg.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     break
                 flow.ids.append(next(id_source))
@@ -162,12 +133,12 @@ def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
                 flow.occupancy_bytes += size
                 stats.enqueued_bytes += size
         else:
-            flow.offered_credit_bytes += params.offered_bytes_per_frame_total * flow.load_weight
+            flow.offered_credit_bytes += cfg.offered_bytes_per_frame_total * flow.load_weight
             while flow.offered_credit_bytes > 0:
                 size = int(rng.choice(sizes, p=probs))
                 flow.offered_credit_bytes -= size
                 stats.generated_bytes += size
-                if flow.occupancy_bytes + size > flow.buffer_capacity_bytes:
+                if flow.occupancy_bytes + size > cfg.buffer_capacity_bytes:
                     stats.dropped_bytes += size
                     continue
                 flow.ids.append(next(id_source))
@@ -177,22 +148,22 @@ def scalar_generate_traffic(flows, frame_index, seed, params, id_source):
     return stats
 
 
-@pytest.mark.parametrize("params", [
-    TrafficParams(saturated=True),  # ~270 draws in frame 0: block edges mid-flow
-    TrafficParams(saturated=True, buffer_capacity_bytes=0),
-    TrafficParams(saturated=True, buffer_capacity_bytes=2000),
-    TrafficParams(saturated=False, offered_bytes_per_frame_total=0.0),
-    TrafficParams(saturated=False, offered_bytes_per_frame_total=8000.0),
-    TrafficParams(saturated=False, offered_bytes_per_frame_total=1e5),  # tail drops
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(saturated_traffic=True),  # ~270 draws in frame 0: block edges mid-flow
+    ScenarioConfig(saturated_traffic=True, buffer_capacity_bytes=0),
+    ScenarioConfig(saturated_traffic=True, buffer_capacity_bytes=2000),
+    ScenarioConfig(saturated_traffic=False, offered_bytes_per_frame_total=0.0),
+    ScenarioConfig(saturated_traffic=False, offered_bytes_per_frame_total=8000.0),
+    ScenarioConfig(saturated_traffic=False, offered_bytes_per_frame_total=1e5),  # tail drops
 ], ids=["saturated", "capacity0", "capacity2000", "rate0", "rate8000", "rate1e5"])
-def test_block_draws_match_scalar_oracle(params):
+def test_block_draws_match_scalar_oracle(cfg):
     state = []
     for gen in (generate_traffic, scalar_generate_traffic):
-        flows = make_flows(12, params)
+        flows = make_flows(12)
         ids = itertools.count()
         frames = []
         for frame_index in range(6):
-            stats = gen(flows, frame_index, 5, params, ids)
+            stats = gen(flows, frame_index, 5, cfg, ids)
             frames.append((
                 stats,
                 [list(zip(f.ids, f.sizes)) for f in flows],
