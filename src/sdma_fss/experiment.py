@@ -26,7 +26,7 @@ from . import __version__
 from .channel import ChannelParams, decimate_csi, generate_channel
 from .frame import OfdmaFrame, frame_construction, initial_vertical_limit, predict_map_size
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
-from .grouping import form_groups
+from .grouping import form_groups, link_evaluators
 from .phy import McsTable, default_mcs_table
 from .qos import (
     TrafficStats,
@@ -83,6 +83,12 @@ class ScenarioConfig:
             if kind and not (isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
                              or v is None and f.type.startswith("Optional")):
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {v!r}")
+        self._mcs_table = default_mcs_table()
+        if self.mcs_table_path:  # a bad table file fails here, not in every drop of a sweep
+            try:
+                self._mcs_table = McsTable.from_json(self.mcs_table_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigurationError(f"MCS table {self.mcs_table_path!r}: {exc}") from None
         if self.fft_size is None or self.num_subchannels is None:
             if self.bandwidth_mhz not in BANDWIDTH_DEFAULTS:
                 raise ConfigurationError(
@@ -157,9 +163,7 @@ class ScenarioConfig:
         )
 
     def mcs_table(self) -> McsTable:
-        if self.mcs_table_path:
-            return McsTable.from_json(self.mcs_table_path)
-        return default_mcs_table()
+        return self._mcs_table
 
     @property
     def occupied_bandwidth_hz(self) -> float:
@@ -212,18 +216,20 @@ def jain_index(values: Sequence[float]) -> float:
 def drop_frames(
     cfg: ScenarioConfig, seed: int
 ) -> Iterator[tuple[TrafficStats, OfdmaFrame, dict[int, int]]]:
-    """One drop frame by frame: a static channel, then frames_per_drop MAC
-    frames, each through traffic -> grouping -> candidate list -> frame
+    """One drop frame by frame: a static channel and its link evaluators,
+    then frames_per_drop MAC frames, each through traffic -> grouping (again
+    only when the active set changes) -> candidate list -> frame
     construction -> commit and PF update. Yields each frame's traffic
     stats, the frame and the bytes it served per MS; a frame with no packet
     queued is MAP-only."""
     geometry = cfg.geometry()
     table = cfg.mcs_table()
-    csi = None  # with no MS there is no channel to draw
-    if cfg.num_ms:
+    subbands = partition_frame(geometry)
+    links = []  # with no MS there is no channel to draw
+    if cfg.num_ms:  # the channel is static: one set of links scores groups all drop
         ch = generate_channel(cfg.channel_params(), seed)
         csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
-    subbands = partition_frame(geometry)
+        links = link_evaluators(csi, subbands, table, cfg.tx_power_w)
     flows = make_flows(cfg.num_ms)
     ids = itertools.count()
 
@@ -236,15 +242,11 @@ def drop_frames(
 
     grouping = None
     active_prev: Optional[tuple[int, ...]] = None
-    metric_cache: dict = {}  # scores and CSI stacks (form_groups), valid all drop: static channel
     for frame_index in range(cfg.frames_per_drop):
         tstats = generate_traffic(flows, frame_index, seed, cfg, ids)
         active = tuple(f.ms for f in flows if f.ids)
         if active != active_prev:
-            grouping = form_groups(
-                csi, subbands, active, table, cfg.tx_power_w, cfg.max_groups_per_subband,
-                cache=metric_cache,
-            )
+            grouping = form_groups(links, subbands, active, cfg.max_groups_per_subband)
             active_prev = active
         candidates = build_candidate_list(flows, grouping.best_bytes_per_slot)
         frame = frame_construction(

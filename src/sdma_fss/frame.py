@@ -97,14 +97,11 @@ def map_columns(slots: int, geometry: FrameGeometry) -> int:
     return math.ceil(slots / geometry.num_subchannels)
 
 
-def predict_map_size(
-    geometry: FrameGeometry,
-    avg_mcs: McsEntry,
-    robust_bytes_per_slot: int = 6,
-) -> int:
+def predict_map_size(geometry: FrameGeometry, avg_mcs: McsEntry, robust_bytes_per_slot: int) -> int:
     """Pessimistic per-layer MAP estimate used to seed the vertical limit:
     assume SC slots at the average MCS are filled with 40-byte packets and
-    every packet needs its own reference."""
+    every packet needs its own reference, sent at the table's most robust
+    payload robust_bytes_per_slot."""
     n_packets = (geometry.num_subchannels * avg_mcs.bytes_per_slot) // 40
     return map_slots_for_ies(n_packets, robust_bytes_per_slot)
 

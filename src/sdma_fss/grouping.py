@@ -15,10 +15,11 @@ its unscored ones, all of one size; each kernel batch scores the trials of
 every search waiting on the size that most of them wait on (the smaller
 on a tie). The kernels are row-independent, so the bits are those of
 searching one subband at a time.
-For the same reason a cache may outlive one call while the channel stays
-the same. Per subband and member mask it holds the group's metric and the
-MCS entry each member sustains, which is all a final group carries: a
-group goes through the kernels once per cache, whatever the active set.
+For the same reason the link evaluators that link_evaluators builds from
+one drop's static CSI serve all its frames. Each keeps, per subband and
+member mask, the group's metric and the MCS entry each member sustains,
+which is all a final group carries: a group goes through the kernels once
+per evaluator, whatever the active set.
 """
 
 from __future__ import annotations
@@ -57,38 +58,35 @@ class GroupingResult:
         return [g for lst in self.per_subband for g in lst]
 
 
-def csi_stack(eff: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """S subbands' (K, N, M) CSI with equal sample counts N as one read-only
-    flat (S*K, N, M) stack, row s*K + ms holding MS ms on subband s, and
-    its read-only center sample (S*K, M)."""
-    flat = np.concatenate(eff)
-    center = flat[:, flat.shape[1] // 2].copy()
-    flat.flags.writeable = center.flags.writeable = False
-    return flat, center
-
-
 class SubbandLinkEvaluator:
-    """Evaluates member sets on a csi_stack of subbands with equal CSI
-    sample counts: MinMSE weights from the center CSI sample, per-sample
-    SINR across the whole subband, EESM + MCS per member. The cache names a
-    subband by its position in the caller's subbands list, not in the stack
-    (stacks vary with the sample counts) nor by SubbandSpec.index (it may
-    repeat). score evaluates only its misses, one batch per group size."""
+    """Evaluates member sets on a stack of subbands with equal CSI sample
+    counts: MinMSE weights from the center CSI sample, per-sample SINR
+    across the whole subband, EESM + MCS per member. It names a subband by
+    its position in the caller's subbands list, not in the stack (stacks
+    vary with the sample counts) nor by SubbandSpec.index (it may repeat).
+    cache[position] maps a member mask to the group's metric and its
+    members' MCS entry indices. score evaluates only its misses, one batch
+    per group size."""
 
-    def __init__(self, flat: np.ndarray, center: np.ndarray, positions: Sequence[int],
-                 noise_power_w: float, total_power_w: float, table: McsTable, cache: dict):
-        self.flat, self.center = flat, center  # pathloss-scaled CSI, see csi_stack
-        k = len(flat) // len(positions)  # MSs per subband
+    def __init__(self, eff: Sequence[np.ndarray], positions: Sequence[int],
+                 noise_power_w: float, total_power_w: float, table: McsTable):
+        # the stacked subbands' pathloss-scaled (K, N, M) CSI as one read-only
+        # flat (S*K, N, M) stack, row s*K + ms holding MS ms on subband s, and
+        # its read-only contiguous center sample (S*K, M)
+        self.flat = np.concatenate(eff)
+        self.center = self.flat[:, self.flat.shape[1] // 2].copy()
+        self.flat.flags.writeable = self.center.flags.writeable = False
+        k = len(self.flat) // len(positions)  # MSs per subband
         self.base = {j: s * k for s, j in enumerate(positions)}  # list position -> first row
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
-        self.num_antennas = flat.shape[2]
-        self.cache = cache
+        self.num_antennas = self.flat.shape[2]
+        self.cache: dict[int, dict[int, Scored]] = {j: {} for j in positions}
 
     def score(self, trials: dict[int, Sequence[int]]) -> None:
         """Score the member masks of {position: masks} that the cache lacks."""
         misses: dict[int, list[Key]] = {}
         for j, masks in trials.items():
-            scored = self.cache.setdefault(j, {})
+            scored = self.cache[j]
             for mask in masks:
                 if mask not in scored:
                     misses.setdefault(mask.bit_count(), []).append((j, mask))
@@ -162,59 +160,54 @@ class _Search:
                     return self.trials
 
 
+def link_evaluators(csi: CsiReport, subbands: Sequence[SubbandSpec], table: McsTable,
+                    total_power_w: float) -> list[SubbandLinkEvaluator]:
+    """One evaluator per stack of subbands with equal CSI sample counts, in
+    order of first appearance, holding every MS's pathloss-scaled CSI.
+    Each subband's CSI is sliced once here; form_groups calls that share the
+    evaluators share their scores. drop_frames builds them once per drop:
+    the channel is static, an entry depends only on its members' CSI and
+    the kernels are row-independent, so a shared entry has the bits a fresh
+    evaluator would give it."""
+    amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
+    eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
+    counts = [e.shape[1] for e in eff]
+    by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
+    return [SubbandLinkEvaluator([eff[j] for j in pos], pos, csi.noise_power_w, total_power_w,
+                                 table) for pos in by_count]
+
+
 def form_groups(
-    csi: Optional[CsiReport],
+    links: Sequence[SubbandLinkEvaluator],
     subbands: Sequence[SubbandSpec],
     active_ms: Sequence[int],
-    table: McsTable,
-    total_power_w: float,
     max_groups_per_subband: Optional[int] = None,
-    cache: Optional[dict] = None,
 ) -> GroupingResult:
     """Run the greedy grouper independently on every subband.
 
-    active_ms are the MSs with queued traffic. MSs with no feasible MCS on
-    a subband are simply left ungrouped there; MSs feasible nowhere are
-    absent from best_bytes_per_slot. With no active MS every subband gets
-    an empty group list and csi is not read (it may be None).
-
-    cache maps a position in subbands to {member mask: the group's metric
-    and its members' MCS entry indices}, and "stacks" to the positions of
-    each stack's subbands with its pathloss-scaled csi_stack; None uses a fresh
-    dict. Bit ms of a mask is MS id ms, not its place among active_ms, so
-    an entry stays valid as the active set changes. Calls with the same
-    csi, subbands, table and power may share one cache (drop_frames shares
-    one per drop): an entry depends only on the members' CSI, and the
-    kernels are row-independent, so it has the bits a fresh batch would
-    give it.
+    links are link_evaluators(csi, subbands, ...), and subbands label the
+    groups. active_ms are the MSs with queued traffic. MSs with no feasible
+    MCS on a subband are simply left ungrouped there; MSs feasible nowhere
+    are absent from best_bytes_per_slot. With no active MS every subband
+    gets an empty group list (links may then be empty). Bit ms of a mask
+    is MS id ms, not its place among active_ms, so the evaluators' scores
+    stay valid as the active set changes.
     """
-    cache = {} if cache is None else cache
     active = sorted(set(active_ms))
     if max_groups_per_subband is not None and max_groups_per_subband < 1:
         raise ValueError("max_groups_per_subband must be >= 1")
-    if not active:
-        return GroupingResult(per_subband=[[] for _ in subbands], best_bytes_per_slot={})
     max_groups = max_groups_per_subband or len(active)
-
-    if "stacks" not in cache:  # subbands with equal sample counts share a stack
-        amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
-        eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
-        counts = [e.shape[1] for e in eff]
-        by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
-        cache["stacks"] = [(pos, *csi_stack([eff[j] for j in pos])) for pos in by_count]
 
     per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
-    for pos, flat, center in cache["stacks"]:
-        ev = SubbandLinkEvaluator(flat, center, pos, csi.noise_power_w, total_power_w, table,
-                                  cache)
-        ev.score({j: [1 << ms for ms in active] for j in pos})
+    for ev in links:
+        ev.score({j: [1 << ms for ms in active] for j in ev.cache})
         searches = {}
-        for j in pos:
-            feasible = [ms for ms in active if cache[j][1 << ms][0] > 0]
+        for j, scored in ev.cache.items():
+            feasible = [ms for ms in active if scored[1 << ms][0] > 0]
             for ms in feasible:  # a one-member metric is the member's payload
-                best_bps[ms] = max(best_bps.get(ms, 0), cache[j][1 << ms][0])
-            searches[j] = _Search(cache[j], feasible, max_groups, ev.num_antennas)
+                best_bps[ms] = max(best_bps.get(ms, 0), scored[1 << ms][0])
+            searches[j] = _Search(scored, feasible, max_groups, ev.num_antennas)
         waiting = {j: misses for j, s in searches.items() if (misses := s.advance())}
         while waiting:  # one batch: the trial size most searches wait on, the smaller on a tie
             sizes = [misses[0].bit_count() for misses in waiting.values()]
@@ -224,9 +217,9 @@ def form_groups(
             waiting.update((j, misses) for j in batch if (misses := searches[j].advance()))
         for j, search in searches.items():
             for mask in search.groups:  # every final group was scored during its search
-                metric, *idx = cache[j][mask]
+                metric, *idx = ev.cache[j][mask]
                 members = tuple(ms for ms in active if mask >> ms & 1)
-                mcs = tuple([table.choices[i] for i in idx])
+                mcs = tuple([ev.table.choices[i] for i in idx])
                 per_subband[j].append(SdmaGroup(subbands[j].index, members, mcs, float(metric)))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))

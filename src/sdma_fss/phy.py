@@ -71,9 +71,14 @@ class McsTable:
 
     @classmethod
     def from_json(cls, path) -> "McsTable":
+        """{"entries": [McsEntry fields, ...]}; malformed content raises
+        ValueError, an unreadable file OSError."""
         with open(path) as f:
             raw = json.load(f)
-        return cls(tuple(McsEntry(**e) for e in raw["entries"]))
+        try:  # no "entries", a missing or extra field, a string where a number belongs
+            return cls(tuple(McsEntry(**e) for e in raw["entries"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed MCS table: {type(exc).__name__}: {exc}") from None
 
 
 def default_mcs_table() -> McsTable:

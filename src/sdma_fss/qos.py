@@ -66,8 +66,7 @@ def make_flows(num_ms: int) -> list[Flow]:
 
 @dataclass
 class TrafficStats:
-    generated_bytes: int = 0
-    enqueued_bytes: int = 0
+    generated_bytes: int = 0  # enqueued: generated_bytes - dropped_bytes
     dropped_bytes: int = 0
 
 
@@ -113,7 +112,6 @@ def generate_traffic(
                 ids.append(next(id_source))
                 sizes.append(size)
                 flow.occupancy_bytes += size
-                stats.enqueued_bytes += size
         else:
             # byte credit carried across frames so the long-run generated
             # volume matches the configured weight exactly
@@ -128,7 +126,6 @@ def generate_traffic(
                 ids.append(next(id_source))
                 sizes.append(size)
                 flow.occupancy_bytes += size
-                stats.enqueued_bytes += size
     return stats
 
 

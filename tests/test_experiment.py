@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,67 @@ def test_mcs_table_via_config(tmp_path):
     a = run_drop(cfg, seed=1)
     b = run_drop(tiny_cfg(), seed=1)
     assert a.transmitted_bytes == b.transmitted_bytes
+
+
+# MCS table files that used to raise KeyError, TypeError or FileNotFoundError
+# from inside a drop, so one of them aborted a whole sweep
+BAD_TABLES = {
+    "empty": "{}",
+    "no_beta": json.dumps({"entries": [{"name": "a", "min_sinr_db": 3.0, "bytes_per_slot": 6}]}),
+    "extra_field": json.dumps({"entries": [
+        {"name": "a", "min_sinr_db": 3.0, "bytes_per_slot": 6, "beta": 1.0, "rate": 1}]}),
+    "string_beta": json.dumps({"entries": [
+        {"name": "a", "min_sinr_db": 3.0, "bytes_per_slot": 6, "beta": "1.0"}]}),
+    "not_a_dict": "[1, 2]",
+    "no_entries": json.dumps({"entries": []}),
+    "not_json": "{entries",
+    "missing": None,
+}
+
+
+def bad_table(tmp_path, kind) -> str:
+    path = tmp_path / f"{kind}.json"
+    if BAD_TABLES[kind] is not None:
+        path.write_text(BAD_TABLES[kind])
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", list(BAD_TABLES))
+def test_bad_mcs_table_rejected_at_construction(tmp_path, kind):
+    path = bad_table(tmp_path, kind)
+    with pytest.raises(ConfigurationError, match=re.escape(f"MCS table {path!r}")):
+        tiny_cfg(mcs_table_path=path)
+    if kind != "missing":  # the loader itself names malformed content a ValueError
+        with pytest.raises(ValueError):
+            sdma_fss.McsTable.from_json(path)
+
+
+@pytest.mark.parametrize("kind", ["empty", "no_beta", "missing"])
+def test_bad_mcs_table_gives_error_rows(tmp_path, kind):
+    # a table file that goes bad after the base config was built fails each
+    # cell's config with an error row; the sweep runs to the end
+    path = tmp_path / "mcs.json"
+    entries = [dataclasses.asdict(e) for e in sdma_fss.default_mcs_table().entries]
+    path.write_text(json.dumps({"entries": entries}))
+    cfg = tiny_cfg(frames_per_drop=1, mcs_table_path=str(path))
+    path.unlink()
+    if BAD_TABLES[kind] is not None:
+        path.write_text(BAD_TABLES[kind])
+    rows = run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0, 1]}), out_dir=tmp_path / "s")
+    assert len(rows) == 2
+    assert all(r["error"].startswith("ConfigurationError: MCS table") for r in rows)
+    assert len(read_rows(tmp_path / "s" / "rows.csv")) == 2
+
+
+@pytest.mark.parametrize("kind", ["empty", "no_beta", "missing"])
+def test_cli_bad_mcs_table_exit_code(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**tiny_cfg(frames_per_drop=1).to_dict(),
+                                    "mcs_table_path": bad_table(tmp_path, kind)}))
+    for argv in (["run"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert cli_main([*argv, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: MCS table ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_one_row_per_seed(tmp_path):

@@ -61,7 +61,9 @@ def test_initial_vertical_limit_clamped():
 def test_predict_map_size_arithmetic():
     qpsk12 = TABLE.entries[0]
     # 30 slots * 6 B = 180 B -> 4 whole 40-B packets -> 88 + 4*60 = 328 bits
-    assert predict_map_size(geo(), qpsk12) == math.ceil(328 / 48) == 7
+    assert predict_map_size(geo(), qpsk12, 6) == math.ceil(328 / 48) == 7
+    # the MAP goes out at the given robust payload: 328 bits in 12-B slots
+    assert predict_map_size(geo(), qpsk12, 12) == math.ceil(328 / 96) == 4
 
 
 def test_map_bits_linear_in_ie_size():

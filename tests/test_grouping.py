@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sdma_fss import experiment, grouping, phy
 from sdma_fss.channel import CsiReport, subband_csi
 from sdma_fss.geometry import SubbandSpec
-from sdma_fss.grouping import SubbandLinkEvaluator, csi_stack, form_groups
+from sdma_fss.grouping import SubbandLinkEvaluator, form_groups, link_evaluators
 from sdma_fss.phy import (
     compute_sinr,
     default_mcs_table,
@@ -22,7 +22,12 @@ TABLE = default_mcs_table()
 
 def evaluator(h, noise=1.0, power=1.0):
     """Evaluator over one subband's (K, N, M) CSI, MS ids 0..K-1."""
-    return SubbandLinkEvaluator(*csi_stack([h]), [0], noise, power, TABLE, {})
+    return SubbandLinkEvaluator([h], [0], noise, power, TABLE)
+
+
+def group(csi, subbands, active, power, max_groups=None):
+    """form_groups on fresh link evaluators."""
+    return form_groups(link_evaluators(csi, subbands, TABLE, power), subbands, active, max_groups)
 
 
 def mask(members) -> int:
@@ -50,9 +55,7 @@ def kernel_rows(monkeypatch) -> list[np.ndarray]:
 
 def greedy_groups(ev, feasible, max_groups):
     """The greedy search alone on the evaluator's subband 0."""
-    h = ev.flat  # one subband; zero pathloss: form_groups sees the same channels
-    result = form_groups(make_csi(h, ev.noise), bands(h.shape[1]), feasible, TABLE,
-                         ev.total_power, max_groups_per_subband=max_groups)
+    result = form_groups([ev], bands(ev.flat.shape[1]), feasible, max_groups)
     return [g.members for g in result.per_subband[0]]
 
 
@@ -85,7 +88,7 @@ def random_csi(rng, k=4, n=8, m=2, scale=1.0):
 def test_single_ms_gives_singleton_groups():
     rng = np.random.default_rng(0)
     csi = random_csi(rng, k=1, n=12, m=2)
-    result = form_groups(csi, bands(12, 3), [0], TABLE, total_power_w=50.0)
+    result = group(csi, bands(12, 3), [0], 50.0)
     for groups in result.per_subband:
         assert len(groups) == 1
         assert groups[0].members == (0,)
@@ -97,7 +100,7 @@ def test_orthogonal_pair_grouped_together():
     h[0, :, 0] = 2.0
     h[1, :, 1] = 2.0
     csi = make_csi(h, noise=1.0)
-    result = form_groups(csi, bands(n), [0, 1], TABLE, total_power_w=100.0)
+    result = group(csi, bands(n), [0, 1], 100.0)
     groups = result.per_subband[0]
     assert groups[0].members == (0, 1)
     singles = {}
@@ -113,7 +116,7 @@ def test_group_metric_single_member_qpsk():
     # weak channel: only the most robust MCS is feasible -> metric 6
     h = np.full((1, 4, 2), 0.11 + 0.0j)
     csi = make_csi(h, noise=1.0)
-    result = form_groups(csi, bands(4), [0], TABLE, total_power_w=100.0)
+    result = group(csi, bands(4), [0], 100.0)
     g = result.per_subband[0][0]
     assert g.mcs[0] is not None and g.mcs[0].name == "QPSK 1/2"
     assert g.metric == 6
@@ -122,22 +125,24 @@ def test_group_metric_single_member_qpsk():
 def test_group_metric_infeasible_members_zero():
     h = np.full((2, 4, 2), 1e-3 + 0.0j)
     csi = make_csi(h, noise=1.0)
-    result = form_groups(csi, bands(4), [0, 1], TABLE, total_power_w=1.0)
+    result = group(csi, bands(4), [0, 1], 1.0)
     assert result.per_subband[0] == []
     assert result.best_bytes_per_slot == {}
 
 
 def test_no_active_ms_gives_empty_groups():
-    # an idle frame groups nobody; it still rejects a bad group cap
+    # an idle frame groups nobody, with or without links (a drop with no MS
+    # has none); it still rejects a bad group cap
     csi = random_csi(np.random.default_rng(3), k=3, n=12, m=2)
-    for channel in (csi, None):
-        result = form_groups(channel, bands(12, 3), [], TABLE, total_power_w=10.0)
+    links = link_evaluators(csi, bands(12, 3), TABLE, 10.0)
+    for evs in (links, []):
+        result = form_groups(evs, bands(12, 3), [])
         assert result.per_subband == [[], [], []]
         assert result.best_bytes_per_slot == {}
     with pytest.raises(ValueError):
-        form_groups(csi, bands(12, 3), [], TABLE, 10.0, max_groups_per_subband=0)
+        form_groups(links, bands(12, 3), [], max_groups_per_subband=0)
     with pytest.raises(ValueError):
-        form_groups(csi, bands(12, 3), [0, 1], TABLE, 10.0, max_groups_per_subband=0)
+        form_groups(links, bands(12, 3), [0, 1], max_groups_per_subband=0)
 
 
 def test_evaluator_matches_scalar_phy_path(monkeypatch):
@@ -205,7 +210,7 @@ def test_greedy_vs_exhaustive_enumeration():
 def test_group_size_never_exceeds_antennas():
     rng = np.random.default_rng(5)
     csi = random_csi(rng, k=6, n=8, m=2, scale=2.0)
-    result = form_groups(csi, bands(8, 2), range(6), TABLE, total_power_w=100.0)
+    result = group(csi, bands(8, 2), range(6), 100.0)
     for groups in result.per_subband:
         for g in groups:
             assert 1 <= len(g.members) <= 2
@@ -215,7 +220,7 @@ def test_group_size_never_exceeds_antennas():
 def test_every_feasible_ms_covered_per_subband():
     rng = np.random.default_rng(6)
     csi = random_csi(rng, k=5, n=12, m=3, scale=1.5)
-    result = form_groups(csi, bands(12, 3), range(5), TABLE, total_power_w=80.0)
+    result = group(csi, bands(12, 3), range(5), 80.0)
     for sb_idx, groups in enumerate(result.per_subband):
         covered = {ms for g in groups for ms in g.members}
         ev_feasible = {
@@ -230,20 +235,20 @@ def test_determinism_and_subband_independence():
     rng = np.random.default_rng(7)
     csi = random_csi(rng, k=4, n=12, m=2, scale=1.2)
     subbands = bands(12, 3)
-    r1 = form_groups(csi, subbands, range(4), TABLE, total_power_w=60.0)
-    r2 = form_groups(csi, subbands, range(4), TABLE, total_power_w=60.0)
+    r1 = group(csi, subbands, range(4), 60.0)
+    r2 = group(csi, subbands, range(4), 60.0)
     sig = lambda r: [[(g.members, g.metric) for g in lst] for lst in r.per_subband]
     assert sig(r1) == sig(r2)
 
     permuted = [subbands[2], subbands[0], subbands[1]]
-    r3 = form_groups(csi, permuted, range(4), TABLE, total_power_w=60.0)
+    r3 = group(csi, permuted, range(4), 60.0)
     assert sig(r3) == [sig(r1)[2], sig(r1)[0], sig(r1)[1]]
 
 
 def test_groups_sorted_by_metric():
     rng = np.random.default_rng(8)
     csi = random_csi(rng, k=6, n=8, m=2, scale=1.5)
-    result = form_groups(csi, bands(8), range(6), TABLE, total_power_w=70.0)
+    result = group(csi, bands(8), range(6), 70.0)
     metrics = [g.metric for g in result.per_subband[0]]
     assert metrics == sorted(metrics, reverse=True)
 
@@ -382,7 +387,7 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
         active = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
         power = float(rng.uniform(5.0, 80.0))
 
-        got = form_groups(csi, subbands, active, TABLE, power, max_groups)
+        got = group(csi, subbands, active, power, max_groups)
         want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power, max_groups)
         assert got.best_bytes_per_slot == want_bps
         assert len(got.per_subband) == len(want)
@@ -401,7 +406,7 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
 def test_flat_stack_batch_matches_sequential_oracle(monkeypatch, g):
     # a batch gathers its members from the flat stack, row stack position
     # * K + MS id; with three subbands in one stack, 13 MSs (masks wider
-    # than a byte) and 8 antennas, each cache entry has the bits that the
+    # than a byte) and 8 antennas, each score entry has the bits that the
     # fancy-index sequential oracle gives on its subband alone
     rng = np.random.default_rng([13, g])
     k, n, m = 13, 6, 8
@@ -409,7 +414,7 @@ def test_flat_stack_batch_matches_sequential_oracle(monkeypatch, g):
     eff = [10 ** rng.uniform(-0.5, 1.0, (k, 1, 1)) * (cn(k, 1, m) + 0.4 * cn(k, n, m))
            for _ in range(3)]
     positions = [4, 0, 2]  # the stacked subbands' places in a subbands list
-    ev = SubbandLinkEvaluator(*csi_stack(eff), positions, 1.0, 50.0, TABLE, {})
+    ev = SubbandLinkEvaluator(eff, positions, 1.0, 50.0, TABLE)
     trials = {j: sorted({mask(rng.choice(k, g, replace=False).tolist()) for _ in range(8)})
               for j in positions}
     seen = kernel_rows(monkeypatch)
@@ -430,14 +435,16 @@ def test_flat_stack_batch_matches_sequential_oracle(monkeypatch, g):
 
 
 def test_cached_stacks_and_identity_are_read_only():
-    # the drop cache's flat and center stacks, and MinMSE's identity, are
-    # shared across calls: a write to one would corrupt every later batch
+    # a drop's link evaluators keep their flat and center stacks, and MinMSE
+    # its identity, across calls: a write to one would corrupt every later batch
     csi = random_csi(np.random.default_rng(2), k=5, n=13, m=4)
-    cache = {}
-    form_groups(csi, bands(13, 3), range(5), TABLE, 10.0, cache=cache)
-    assert [pos for pos, _, _ in cache["stacks"]] == [[0, 1], [2]]  # 4, 4 and 5 samples
-    for pos, flat, center in cache["stacks"]:
-        assert flat.shape == (5 * len(pos), flat.shape[1], 4) and center.shape == (5 * len(pos), 4)
+    links = link_evaluators(csi, bands(13, 3), TABLE, 10.0)
+    form_groups(links, bands(13, 3), range(5))
+    assert [list(ev.cache) for ev in links] == [[0, 1], [2]]  # 4, 4 and 5 samples
+    for ev in links:
+        flat, center = ev.flat, ev.center
+        assert flat.shape == (5 * len(ev.cache), flat.shape[1], 4)
+        assert center.shape == (5 * len(ev.cache), 4)
         assert center.flags.c_contiguous
         assert np.array_equal(center, flat[:, flat.shape[1] // 2])
         for cached in (flat, center):
@@ -470,7 +477,7 @@ def test_group_scores_alone_as_in_any_batch(seed, extra):
         hb = h[np.array(batch)]  # (R, 2, N, M)
         w = minmse_weights(hb[:, :, n // 2], noise, power)
         sinr = compute_sinr(w, hb, power / 2, noise)
-        ev = SubbandLinkEvaluator(*csi_stack([h]), [0], noise, power, TABLE, {0: {}})
+        ev = SubbandLinkEvaluator([h], [0], noise, power, TABLE)
         ev._eval_batch([(0, mask(p)) for p in batch], 2)
         return w, sinr, select_mcs_batch(sinr.reshape(-1, n), TABLE).reshape(-1, 2), ev.cache[0]
 
@@ -484,7 +491,7 @@ def test_group_scores_alone_as_in_any_batch(seed, extra):
         assert np.array(cache_r[mask(p)]).tobytes() == np.array(cache[mask(p)]).tobytes()
 
 
-# ---------------------------------------------------------------- drop-scoped cache
+# ---------------------------------------------------------------- drop-scoped links
 
 # 10 MHz carries 720 subcarriers, CSI every 8th: sample counts 12, 8, 12, 3,
 # 55 give four stacks, one of them two subbands high, and SubbandSpec.index
@@ -507,79 +514,116 @@ def assert_same_grouping(got, want):
                 assert mcs is mcs_ref
 
 
+def slices(monkeypatch) -> list:
+    """Wrap grouping.subband_csi; the returned list collects every subband
+    whose CSI it slices."""
+    sliced = []
+    slice_csi = grouping.subband_csi
+
+    def spy(csi, subband):
+        sliced.append(subband)
+        return slice_csi(csi, subband)
+
+    monkeypatch.setattr(grouping, "subband_csi", spy)
+    return sliced
+
+
+def drop_inputs(monkeypatch, cfg):
+    """The link_evaluators arguments (csi, subbands, table, power) of cfg's
+    seed-0 drop and the active set of its first frame."""
+    seen = []
+    build, form = experiment.link_evaluators, experiment.form_groups
+
+    def built(*args):
+        seen.append(args)
+        return build(*args)
+
+    def formed(links, subbands, active, *rest):
+        seen.append(active)
+        return form(links, subbands, active, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "link_evaluators", built)
+        m.setattr(experiment, "form_groups", formed)
+        next(experiment.drop_frames(cfg, 0))
+    link_args, active = seen
+    return link_args, active
+
+
 @pytest.mark.parametrize("num_subbands", [1, 3, 6])
 def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
-    # drop_frames shares one metric cache across a drop's frames; on every
-    # frame the grouping must equal one from a fresh cache, bit for bit, on
-    # the drop's subbands and on a list with unequal sample counts
-    form = experiment.form_groups
-    hits = []
+    # drop_frames builds its link evaluators once per drop, slicing each
+    # subband's CSI exactly once, and their scores serve every frame while
+    # the active set changes; on every frame the grouping must equal one
+    # from fresh link_evaluators, bit for bit, on the drop's subbands and on
+    # a list with unequal sample counts
+    build, form = experiment.link_evaluators, experiment.form_groups
+    sliced = slices(monkeypatch)
+    drops, hits = [], []
 
-    def checked(csi, subbands, active, *args, cache):
-        hits.append(sum(1 << ms in cache.get(j, {})
-                        for j, ms in itertools.product(range(len(subbands)), active)))
-        got = form(csi, subbands, active, *args, cache=cache)
-        assert_same_grouping(got, form(csi, subbands, active, *args))
-        unequal = form(csi, UNEQUAL_10MHZ, active, *args, cache=unequal_cache)
-        assert_same_grouping(unequal, form(csi, UNEQUAL_10MHZ, active, *args))
+    def built(csi, subbands, table, power):
+        links = build(csi, subbands, table, power)
+        assert sliced == list(subbands)
+        drops.append(((csi, table, power), build(csi, UNEQUAL_10MHZ, table, power)))
+        return links
+
+    def checked(links, subbands, active, max_groups):
+        sliced.clear()
+        hits.append(sum(1 << ms in ev.cache[j] for ev in links for j in ev.cache for ms in active))
+        (csi, table, power), unequal_links = drops[-1]
+        got = form(links, subbands, active, max_groups)
+        unequal = form(unequal_links, UNEQUAL_10MHZ, active, max_groups)
+        assert sliced == []  # the frames slice no CSI
+        for result, sbs in ((got, subbands), (unequal, UNEQUAL_10MHZ)):
+            assert_same_grouping(result, form(build(csi, sbs, table, power), sbs, active,
+                                              max_groups))
         assert got.groups() and unequal.groups()
         return got
 
+    monkeypatch.setattr(experiment, "link_evaluators", built)
     monkeypatch.setattr(experiment, "form_groups", checked)
     cfg = experiment.ScenarioConfig(
         bandwidth_mhz=10.0, num_antennas=4, num_ms=12, num_subbands=num_subbands,
         saturated_traffic=False, offered_bytes_per_frame_total=8000.0, frames_per_drop=10,
     )
     for seed in (0, 1):
-        unequal_cache = {}  # one per drop, as drop_frames keeps its own
+        sliced.clear()
+        groupings = len(hits)
         assert sum(1 for _ in experiment.drop_frames(cfg, seed)) == cfg.frames_per_drop
-    assert len(hits) > 10 and sum(h > 0 for h in hits) > len(hits) // 2  # the cache is reused
+        assert len(hits) - groupings > 2  # form_groups runs only when the active set changes
+    assert len(drops) == 2  # one set of links per drop
+    assert len(hits) > 10 and sum(h > 0 for h in hits) > len(hits) // 2  # the scores are reused
 
 
 def test_warm_cache_runs_no_kernel(monkeypatch):
-    # the cache holds everything a final group carries and the CSI stacks,
-    # so grouping the same active set again with a warm cache evaluates
-    # nothing and slices no subband CSI; the stacks hold every MS, so
-    # another active set reuses them too
-    calls = []
-    form = experiment.form_groups
-
-    def capture(*args, cache):
-        calls.append(args)
-        return form(*args, cache=cache)
-
-    monkeypatch.setattr(experiment, "form_groups", capture)
+    # the link evaluators hold everything a final group carries, so grouping
+    # the same active set again evaluates nothing; their stacks hold every
+    # MS, so no grouping, of this active set or another, slices subband CSI
     cfg = experiment.ScenarioConfig(bandwidth_mhz=10.0, num_subbands=3, frames_per_drop=1)
-    next(experiment.drop_frames(cfg, 0))
-    (args,) = calls
+    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
     seen = kernel_rows(monkeypatch)
-    sliced = []
-
-    def spy(csi, subband):
-        sliced.append(subband)
-        return subband_csi(csi, subband)
-
-    monkeypatch.setattr(grouping, "subband_csi", spy)
-    csi, subbands, active, *rest = args
-    cache = {}
-    cold = form_groups(*args, cache=cache)
-    assert seen and cold.groups() and sliced == list(subbands)
-    seen.clear()
+    sliced = slices(monkeypatch)
+    links = link_evaluators(csi, subbands, table, power)
+    assert sliced == list(subbands)
     sliced.clear()
-    warm = form_groups(*args, cache=cache)
+    cold = form_groups(links, subbands, active)
+    assert seen and cold.groups() and sliced == []
+    seen.clear()
+    warm = form_groups(links, subbands, active)
     assert seen == [] and sliced == []
     assert_same_grouping(warm, cold)
-    other = form_groups(csi, subbands, active[::2], *rest, cache=cache)
+    other = form_groups(links, subbands, active[::2])
     assert sliced == []
-    assert_same_grouping(other, form_groups(csi, subbands, active[::2], *rest))
-    assert sliced == list(subbands)  # no cache: fresh stacks
+    assert_same_grouping(other, form_groups(link_evaluators(csi, subbands, table, power),
+                                            subbands, active[::2]))
+    assert sliced == list(subbands)  # fresh links: fresh stacks
 
 
 @pytest.mark.parametrize("geometry", ["sb3", "unequal"])
 def test_ms_ids_beyond_64_bits(geometry):
     # a member mask has bit ms for MS id ms, so ids 63 and up need more
-    # than 64 bits; the groups still equal the sequential oracle's, and a
-    # cache shared across active sets still gives a fresh cache's bits
+    # than 64 bits; the groups still equal the sequential oracle's, and
+    # links shared across active sets still give fresh links' bits
     subbands = GEOMETRIES[geometry]
     rng = np.random.default_rng(64)
     k, m = 70, 4
@@ -590,7 +634,7 @@ def test_ms_ids_beyond_64_bits(geometry):
     active = sorted(others + [63, 64, 69])
     power = 40.0
 
-    got = form_groups(csi, subbands, active, TABLE, power)
+    got = group(csi, subbands, active, power)
     want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power)
     assert got.best_bytes_per_slot == want_bps
     assert {63, 64, 69} <= {ms for g in got.groups() for ms in g.members}
@@ -601,11 +645,11 @@ def test_ms_ids_beyond_64_bits(geometry):
         for g, (_, _, entries, _) in zip(groups, ref):
             assert all(mcs is r for mcs, r in zip(g.mcs, entries, strict=True))
 
-    cache = {}
-    form_groups(csi, subbands, active, TABLE, power, cache=cache)
+    links = link_evaluators(csi, subbands, TABLE, power)
+    form_groups(links, subbands, active)
     second = sorted(others[:3] + [64, 65, 66, 69])
-    assert_same_grouping(form_groups(csi, subbands, second, TABLE, power, cache=cache),
-                         form_groups(csi, subbands, second, TABLE, power))
+    assert_same_grouping(form_groups(links, subbands, second),
+                         group(csi, subbands, second, power))
 
 
 # ---------------------------------------------------------------- lockstep oracle
@@ -634,35 +678,27 @@ class LockstepSearch(grouping._Search):
                     return self.trials
 
 
-def lockstep_form_groups(csi, subbands, active_ms, table, power, max_groups=None, cache=None):
-    cache = {} if cache is None else cache
+def lockstep_form_groups(links, subbands, active_ms, max_groups=None):
     active = sorted(set(active_ms))
     max_groups = max_groups or len(active)
-    if "stacks" not in cache:
-        amp = np.sqrt(10.0 ** (-csi.pathloss_db / 10.0))[:, None, None]
-        eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
-        counts = [e.shape[1] for e in eff]
-        by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
-        cache["stacks"] = [(pos, *csi_stack([eff[j] for j in pos])) for pos in by_count]
     per_subband, best_bps = [[] for _ in subbands], {}
-    for pos, flat, center in cache["stacks"]:
-        ev = SubbandLinkEvaluator(flat, center, pos, csi.noise_power_w, power, table, cache)
-        ev.score({j: [1 << ms for ms in active] for j in pos})
+    for ev in links:
+        ev.score({j: [1 << ms for ms in active] for j in ev.cache})
         searches = {}
-        for j in pos:
-            feasible = [ms for ms in active if cache[j][1 << ms][0] > 0]
+        for j, scored in ev.cache.items():
+            feasible = [ms for ms in active if scored[1 << ms][0] > 0]
             for ms in feasible:
-                best_bps[ms] = max(best_bps.get(ms, 0), cache[j][1 << ms][0])
-            searches[j] = LockstepSearch(cache[j], feasible, max_groups, ev.num_antennas)
+                best_bps[ms] = max(best_bps.get(ms, 0), scored[1 << ms][0])
+            searches[j] = LockstepSearch(scored, feasible, max_groups, ev.num_antennas)
         live = searches
         while live := {j: s for j, s in live.items() if s.advance()}:
             ev.score({j: s.trials for j, s in live.items()})
         for j, search in searches.items():
             for bits in search.groups:
-                metric, *idx = cache[j][bits]
+                metric, *idx = ev.cache[j][bits]
                 members = tuple(ms for ms in active if bits >> ms & 1)
                 per_subband[j].append(grouping.SdmaGroup(
-                    subbands[j].index, members, tuple(table.choices[i] for i in idx),
+                    subbands[j].index, members, tuple(ev.table.choices[i] for i in idx),
                     float(metric)))
     for built in per_subband:
         built.sort(key=lambda g: (-g.metric, g.members))
@@ -670,18 +706,20 @@ def lockstep_form_groups(csi, subbands, active_ms, table, power, max_groups=None
 
 
 def assert_same_cache(got, want):
-    assert got.keys() == want.keys()
-    for j in got.keys() - {"stacks"}:
-        assert got[j].keys() == want[j].keys()
-        for bits, entry in got[j].items():
-            assert np.array(entry).tobytes() == np.array(want[j][bits]).tobytes()
+    """Two lists of link evaluators hold the same scores, bit for bit."""
+    assert [list(ev.cache) for ev in got] == [list(ev.cache) for ev in want]
+    for ev, ref in zip(got, want):
+        for j, scored in ev.cache.items():
+            assert scored.keys() == ref.cache[j].keys()
+            for bits, entry in scored.items():
+                assert np.array(entry).tobytes() == np.array(ref.cache[j][bits]).tobytes()
 
 
 @pytest.mark.parametrize("max_groups", [None, 2])
 def test_search_loop_matches_lockstep_oracle(max_groups):
     # searches that step through cached trials and batches by trial size
-    # give the lockstep loop's cache entries, groups, metrics and MCS, bit
-    # for bit, on a fresh cache and on one warmed by another active set
+    # give the lockstep loop's scores, groups, metrics and MCS, bit for bit,
+    # on fresh links and on links warmed by another active set
     rng = np.random.default_rng([3, max_groups or 0])
     k, m = 13, 8
     cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -689,15 +727,14 @@ def test_search_loop_matches_lockstep_oracle(max_groups):
         csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
         csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
         power = float(rng.uniform(20.0, 200.0))
-        cache, oracle = {}, {}
-        for _ in range(3):  # a drop's frames: the active set changes, the cache stays
+        links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, power) for _ in range(2))
+        for _ in range(3):  # a drop's frames: the active set changes, the links stay
             active = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)),
                                        replace=False).tolist())
-            got = form_groups(csi, bands(24, 3), active, TABLE, power, max_groups, cache)
-            want = lockstep_form_groups(csi, bands(24, 3), active, TABLE, power, max_groups,
-                                        oracle)
+            got = form_groups(links, bands(24, 3), active, max_groups)
+            want = lockstep_form_groups(oracle, bands(24, 3), active, max_groups)
             assert_same_grouping(got, want)
-            assert_same_cache(cache, oracle)
+            assert_same_cache(links, oracle)
             assert [len(g.members) for g in got.groups()].count(1) < len(got.groups())
 
 
@@ -705,18 +742,9 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
     # on one 20 MHz, M = 8, SB = 6 drop the subbands' searches reach
     # different trial sizes; each batch holds one size, the batches score
     # the lockstep loop's rows and there are fewer of them
-    calls = []
-    form = experiment.form_groups
-
-    def capture(*args, cache):
-        calls.append(args)
-        return form(*args, cache=cache)
-
-    monkeypatch.setattr(experiment, "form_groups", capture)
     cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
                                     frames_per_drop=1)
-    next(experiment.drop_frames(cfg, 0))
-    (args,) = calls
+    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
     batches = []
     eval_batch = SubbandLinkEvaluator._eval_batch
 
@@ -725,10 +753,11 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
         return eval_batch(self, keys, g)
 
     monkeypatch.setattr(SubbandLinkEvaluator, "_eval_batch", spy)
-    got = form_groups(*args)
+    got = form_groups(link_evaluators(csi, subbands, table, power), subbands, active)
     ours = batches[:]
     batches.clear()
-    assert_same_grouping(got, lockstep_form_groups(*args))
+    assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
+                                                   subbands, active))
     assert all(sizes == {g} for sizes, g, _ in ours)
     assert sum(n for *_, n in ours) == sum(n for *_, n in batches)
     assert len({g for _, g, _ in ours}) > 2
