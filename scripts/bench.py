@@ -30,7 +30,11 @@ each seed's counts. The pytest times are raw.
 
 After writing the file it prints a claim check: per workload and
 end-to-end metric, the subject's and each baseline's median, their ratio,
-the baseline's IQR and how many of the same-seed pairs moved the better way.
+the baseline's IQR, how many of the same-seed pairs moved the better way,
+and a verdict: ``gain`` when at least 9 in 10 pairs moved the better way and
+the median moved that way by more than the baseline's IQR, ``worse beyond
+bound`` when the median is worse than the baseline's by more than the
+metric's bound in BENCHMARK.json, ``within noise`` otherwise.
 """
 
 from __future__ import annotations
@@ -167,9 +171,11 @@ def record(pr: str, runs: list[dict], traced: list[dict], slow: dict, counts: li
 
 def claim_check(subject: dict) -> list[str]:
     """One line per workload, end-to-end metric and baseline: both medians,
-    their ratio, the baseline's IQR as a share of its median, and in how
-    many same-seed pairs the subject moved the metric the better way."""
+    their ratio, the baseline's IQR as a share of its median, in how many
+    same-seed pairs the subject moved the metric the better way, and the
+    verdict (see the module docstring)."""
     higher = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
     lines = []
     for name, mine in subject["workloads"].items():
         for metric in END_TO_END:
@@ -181,10 +187,18 @@ def claim_check(subject: dict) -> list[str]:
                 pairs = [(v, by_seed[s]) for s, v in zip(mine["seeds"], got["values"])
                          if s in by_seed]
                 better = sum(a > b if higher[metric] else a < b for a, b in pairs)
+                moved = got["median"] - want["median"]  # the better way if positive
+                moved = moved if higher[metric] else -moved
+                if pairs and 10 * better >= 9 * len(pairs) and moved > want["iqr"]:
+                    verdict = "gain"
+                elif moved < -bound[metric] * want["median"]:
+                    verdict = "worse beyond bound"
+                else:
+                    verdict = "within noise"
                 lines.append(f"{name} {metric}: {got['median']:.4g} vs {want['median']:.4g} "
                              f"(PR {pr}), ratio {got['median'] / want['median']:.3f}, "
                              f"baseline IQR {want['iqr'] / want['median']:.1%}, "
-                             f"better in {better}/{len(pairs)} pairs")
+                             f"better in {better}/{len(pairs)} pairs: {verdict}")
     return lines
 
 

@@ -97,10 +97,7 @@ class SubbandLinkEvaluator:
         rows = []  # stack row of each member, ascending MS id within a key
         for j, mask in keys:
             base = self.base[j]
-            while mask:
-                low = mask & -mask
-                rows.append(base + low.bit_length() - 1)
-                mask ^= low
+            rows += [base + ms for ms in _members(mask)]
         rows = np.array(rows)
         n, m = self.flat.shape[1:]
         h = self.flat.take(rows, axis=0).reshape(-1, g, n, m)  # (R, G, N, M)
@@ -143,8 +140,8 @@ class _Search:
         next step's trials, [] once the search is done."""
         scored, mask, metric = self.scored, self.mask, self.metric
         for t in self.trials:  # the first maximum: ties break to the lowest id
-            if scored[t][0] > metric:
-                mask, metric = t, scored[t][0]
+            if (m := scored[t][0]) > metric:
+                mask, metric = t, m
         while True:
             if mask == self.mask:  # the open group stopped growing
                 if mask:
@@ -158,6 +155,16 @@ class _Search:
                 self.trials = [mask | bit for bit in self.bits if not mask & bit]
                 if self.trials:
                     return self.trials
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a member mask, ascending: its members' MS ids."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def link_evaluators(csi: CsiReport, subbands: Sequence[SubbandSpec], table: McsTable,
@@ -200,13 +207,16 @@ def form_groups(
 
     per_subband: list[list[SdmaGroup]] = [[] for _ in subbands]
     best_bps: dict[int, int] = {}
+    bits = [1 << ms for ms in active]
     for ev in links:
-        ev.score({j: [1 << ms for ms in active] for j in ev.cache})
+        ev.score(dict.fromkeys(ev.cache, bits))
         searches = {}
         for j, scored in ev.cache.items():
-            feasible = [ms for ms in active if scored[1 << ms][0] > 0]
-            for ms in feasible:  # a one-member metric is the member's payload
-                best_bps[ms] = max(best_bps.get(ms, 0), scored[1 << ms][0])
+            feasible = []
+            for ms, bit in zip(active, bits):  # a one-member metric is the member's payload
+                if (metric := scored[bit][0]) > 0:
+                    feasible.append(ms)
+                    best_bps[ms] = max(best_bps.get(ms, 0), metric)
             searches[j] = _Search(scored, feasible, max_groups, ev.num_antennas)
         waiting = {j: misses for j, s in searches.items() if (misses := s.advance())}
         while waiting:  # one batch: the trial size most searches wait on, the smaller on a tie
@@ -218,7 +228,7 @@ def form_groups(
         for j, search in searches.items():
             for mask in search.groups:  # every final group was scored during its search
                 metric, *idx = ev.cache[j][mask]
-                members = tuple(ms for ms in active if mask >> ms & 1)
+                members = tuple(_members(mask))
                 mcs = tuple([ev.table.choices[i] for i in idx])
                 per_subband[j].append(SdmaGroup(subbands[j].index, members, mcs, float(metric)))
     for built in per_subband:

@@ -14,7 +14,8 @@ and effective SINRs are only steps toward the MCS: select_mcs_batch returns
 entry indices, and a group keeps its members' entries, nothing more. The
 weights solve a G x G system per group, not an M x M one. The SINR cross
 products are the batch matmuls that numpy 2.4.6's einsum plan runs for
-them, with einsum's bits; CI's numpy pin guards those bits.
+them, with einsum's bits, and the interference sum adds whole slices in
+the order of numpy 2.4.6's own reduction; CI's numpy pin guards those bits.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return out if np.isfinite(out).all() else None
 
 
+_log = cache(np.log)  # np.log of a sample count, taken once per count
+
+
 @cache
 def _eye(size: int) -> np.ndarray:
     """The read-only identity of the given size."""
@@ -166,6 +170,10 @@ def compute_sinr(
     weights: (R, G, M). channels: (R, G, N, M); entry [r, u, n] is the
     channel member u of group r sees at CSI sample n. per_member_power_w is
     the transmit power of every member. Returns (R, G, N).
+
+    A member's interference is its received power summed over all G
+    weights, in the order numpy 2.4.6's cross.sum(axis=2) adds them (see
+    _sum_axis2), minus its own signal.
     """
     w = np.asarray(weights, dtype=complex)
     h = np.asarray(channels, dtype=complex)
@@ -185,9 +193,36 @@ def compute_sinr(
     cross = np.abs(prod)
     np.square(cross, out=cross)
     signal = cross.diagonal(axis1=1, axis2=2).mT  # (R, G, N)
-    interference = cross.sum(axis=2) - signal
+    interference = _sum_axis2(cross) - signal
     p = per_member_power_w
     return (p * signal) / (noise_power_w + p * interference)
+
+
+def _sum_axis2(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=2) of a 4-d x by whole-array adds of its slices, in the
+    order numpy 2.4.6's add.reduce takes along that axis: one running sum
+    below 8 terms; up to 128, eight running partial sums folded as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the remaining terms one at a time;
+    above that, two halves split at a multiple of 8. numpy's strided
+    reduction over so few terms costs several times these adds."""
+    n = x.shape[2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_axis2(x[:, :, :half]) + _sum_axis2(x[:, :, half:])
+    if n == 1:
+        return x[:, :, 0]
+    if n < 8:
+        s, rest = x[:, :, 0] + x[:, :, 1], range(2, n)
+    else:
+        s, rest = x[:, :, :8].copy(), range(n - n % 8, n)
+        for i in range(8, rest.start, 8):
+            s += x[:, :, i:i + 8]
+        while s.shape[2] > 1:
+            s = s[:, :, 0::2] + s[:, :, 1::2]
+        s = s[:, :, 0]
+    for v in rest:
+        s += x[:, :, v]
+    return s
 
 
 def _envelope(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,7 +248,7 @@ def _eesm_pairs(x, lo, hi, rows, b, pairwise: bool) -> np.ndarray:
     z /= b[:, None] if pairwise else b
     s = np.exp(z, out=z).sum(axis=1 if pairwise else 0)
     floor = lo[rows]
-    val = floor - b * (np.log(s) - np.log(x.shape[1]))
+    val = floor - b * (np.log(s) - _log(x.shape[1]))
     # floor last: the mean of a (near-)constant row can round below its min
     np.minimum(val, hi[rows], out=val)
     return np.maximum(val, floor, out=val)[:n]
@@ -228,12 +263,14 @@ def select_mcs_batch(samples: np.ndarray, table: McsTable) -> np.ndarray:
     row with no feasible entry.
 
     Any effective SINR of a row lies in [min, max(min, mean)], so EESM runs
-    only from the highest entry at or below the min (entry 0 if none, or if
-    the min is inf or nan) to the highest entry not above that top.
+    only from the highest entry at or below the min (entry 0 if none) to
+    the highest entry not above that top. A row whose min is inf or nan
+    needs no special case: it runs the top entry alone, whose effective
+    SINR is nan, and gets -1 as it would from every entry.
     """
     x, lo, hi = _envelope(samples)
     thr = table.thresholds
-    first = np.maximum(thr.searchsorted(lo, "right") * (lo < np.inf) - 1, 0)
+    first = np.maximum(thr.searchsorted(lo, "right") - 1, 0)
     last = np.maximum(thr.searchsorted(np.maximum(lo, hi), "right") - 1, 0)
     counts = last - first + 1
     starts = counts.cumsum() - counts

@@ -286,6 +286,34 @@ def test_kernels_keep_einsum_bits(m):
             assert_same_bits(compute_sinr(w, hx, 2.0, 1e-3), einsum_sinr(w, hx, 2.0, 1e-3))
 
 
+def reduce_sinr(weights, channels, power, noise):
+    """compute_sinr with its interference summed by numpy's own reduction,
+    cross.sum(axis=2), over the kernel's cross products in the kernel's
+    memory layout (which sets the reduction's order)."""
+    (r, g, n, m), wc = channels.shape, weights.conj()
+    if g * m > 1:
+        prod = (channels.reshape(r, g * n, m) @ wc.mT).reshape(r, g, n, g).transpose(0, 1, 3, 2)
+    else:
+        prod = channels[:, :, None, :, 0] * wc[:, :, :, None]
+    cross = np.abs(prod)
+    np.square(cross, out=cross)
+    signal = cross.diagonal(axis1=1, axis2=2).mT
+    return (power * signal) / (noise + power * (cross.sum(axis=2) - signal))
+
+
+def test_sinr_interference_keeps_reduction_bits():
+    # the interference is summed by whole-array adds in add.reduce's order:
+    # a running sum below 8 terms, eight folded partial sums up to 128, two
+    # halves above; weights spread over 10^+-8 make any other order show
+    rng = np.random.default_rng(20)
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    shapes = [(g, r, n) for g in range(1, 21) for r in (1, 3, 48) for n in (1, 5, 24)]
+    for g, r, n in shapes + [(130, 1, n) for n in range(1, 6)]:
+        w = cn(r, g, g) * 10.0 ** (8 * rng.uniform(-1, 1, size=(r, g, 1)))
+        h = cn(r, g, n, g)
+        assert_same_bits(compute_sinr(w, h, 2.0, 1e-3), reduce_sinr(w, h, 2.0, 1e-3))
+
+
 # ---------------------------------------------------------------- Eq. 1 SINR
 
 def test_sinr_single_member_no_interference():
@@ -592,14 +620,15 @@ def exact_table(thresholds):
 
 
 def envelope_rows(rng, r, n, thr, shift):
-    """r rows of n samples across the ladder; row i is, by (i + shift) % 5,
+    """r rows of n samples across the ladder; row i is, by (i + shift) % 7,
     all zero, constant at a threshold, an integer row whose min and mean
-    are thresholds, a random row whose min is a threshold, or random."""
+    are thresholds, a random row whose min is a threshold, random, all inf
+    (min inf) or random with a nan."""
     x = rng.exponential(1.0, (r, n)) * 10 ** rng.uniform(-0.5, 2.0, (r, 1))
     for i in range(r):
         k = int(rng.integers(len(thr)))
         t_lo, t_hi = (thr[k - 1], thr[k]) if k else (0.0, thr[k])
-        kind = (i + shift) % 5
+        kind = (i + shift) % 7
         if kind == 0:
             x[i] = 0.0
         elif kind == 1:
@@ -612,7 +641,18 @@ def envelope_rows(rng, r, n, thr, shift):
         elif kind == 3:
             x[i] += thr[k] - x[i].min()
             assert x[i].min() == thr[k]
+        elif kind == 5:
+            x[i] = np.inf
+        elif kind == 6:
+            x[i, rng.integers(n)] = np.nan
     return x
+
+
+def assert_same_bits_or_nan(got, want):
+    """Equal bits where want is a number, nan where want is nan."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert_same_bits(got[~nan], want[~nan])
 
 
 @pytest.mark.parametrize("thresholds", [[9], [4, 16], [2, 4, 6, 9, 16, 21, 36]],
@@ -620,22 +660,26 @@ def envelope_rows(rng, r, n, thr, shift):
 def test_envelope_pruning_keeps_full_grid_bits(thresholds):
     # entries at or below a row's min pass and those above its top fail
     # without an exp; the rest, and every chosen entry, give the full
-    # grid's bits, and eesm_batch is the full grid itself
+    # grid's bits, and eesm_batch is the full grid itself. A row whose min
+    # is inf or nan gets -1 and a nan effective SINR, as on the full grid.
     table = exact_table(thresholds)
     thr, betas = np.array(thresholds, dtype=float), [e.beta for e in table.entries]
     rng = np.random.default_rng(len(thresholds))
-    decided = 0
-    for r, n, shift in itertools.product((1, 3, 48), (1, 2, 9, 90, 180), range(5)):
+    decided = nonfinite = 0
+    for r, n, shift in itertools.product((1, 3, 48), (1, 2, 9, 90, 180), range(7)):
         x = envelope_rows(rng, r, n, thr, shift)
-        idx = select_mcs_batch(x, table)
-        geff = chosen_geff(x, idx, table)
-        want_idx, want_geff = full_grid_select(x, table)
+        with np.errstate(invalid="ignore"):  # inf - inf in the exponents
+            idx = select_mcs_batch(x, table)
+            geff = chosen_geff(x, idx, table)
+            want_idx, want_geff = full_grid_select(x, table)
+            assert_same_bits_or_nan(eesm_batch(x, betas), full_grid_eesm(x, betas))
         assert_same_bits(idx, want_idx)
-        assert_same_bits(geff, want_geff)
-        assert_same_bits(eesm_batch(x, betas), full_grid_eesm(x, betas))
+        assert_same_bits_or_nan(geff, want_geff)
         lo, top = x.min(axis=1), np.maximum(x.min(axis=1), x.mean(axis=1))
         decided += ((thr <= lo[:, None]) | (thr > top[:, None])).sum()
-    assert decided > 0
+        nonfinite += (~np.isfinite(lo)).sum()
+        assert (idx[~np.isfinite(lo)] == -1).all()
+    assert decided > 0 and nonfinite > 0
 
 
 # ---------------------------------------------------------------- slot capacity
