@@ -24,8 +24,12 @@ def _load_config(path: str | None) -> tuple[ScenarioConfig, dict]:
         return ScenarioConfig(), {}
     with open(path) as f:
         raw = json.load(f)
-    sweep_raw = raw.pop("sweep", {})
-    return ScenarioConfig.from_dict(raw), sweep_raw
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: a config must be a JSON object, got {raw!r}")
+    sweep_raw = raw.pop("sweep", None)
+    if not isinstance(sweep_raw, (dict, type(None))):
+        raise ConfigurationError(f"the sweep section must be a JSON object, got {sweep_raw!r}")
+    return ScenarioConfig.from_dict(raw), sweep_raw or {}
 
 
 def _parse_seeds(spec: str) -> list[int]:

@@ -112,8 +112,8 @@ class ScenarioConfig:
             for sb in partition_frame(self.geometry())
         ):
             raise ConfigurationError(f"bad CSI decimation {d}")
-        if self.frames_per_drop < 1:
-            raise ConfigurationError("need frames_per_drop >= 1")
+        if self.frames_per_drop < 1 or self.num_seeds < 1:
+            raise ConfigurationError("need frames_per_drop >= 1 and num_seeds >= 1")
         # time grows linearly with the load and memory with the buffer: capped at 10**7 B
         if not 0 <= self.offered_bytes_per_frame_total <= 10**7:
             raise ConfigurationError("offered_bytes_per_frame_total must be in [0, 10**7]")
@@ -332,7 +332,9 @@ class SweepSpec:
     def from_config(cls, cfg: ScenarioConfig, raw: Optional[dict] = None) -> "SweepSpec":
         """Axes absent from the sweep section take the base config's value.
         Each key needs a nonempty list of values of its field's type."""
-        raw = raw or {}
+        raw = {} if raw is None else raw
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"the sweep section must be a JSON object, got {raw!r}")
         unknown = set(raw) - {*SWEEP_AXES, "seeds"}
         if unknown:
             raise ConfigurationError(
@@ -366,9 +368,8 @@ FLOW_CSV_COLUMNS = [*KEY_COLUMNS, "ms", "served_bytes"]
 def _run_cell(args: tuple[dict, dict]) -> tuple[dict, list[dict]]:
     """One drop of a sweep: the base config with the key's axis values.
 
-    A config the model rejects (a ValueError, which includes
-    ConfigurationError and InsufficientCsiError) becomes an error row;
-    any other exception is a bug and propagates.
+    A config the model rejects (a ValueError, such as ConfigurationError)
+    becomes an error row; any other exception is a bug and propagates.
     """
     base_raw, key = args
     raw = {**base_raw, **{field: key[field] for field in SWEEP_AXES.values()}}
@@ -483,6 +484,9 @@ class CellSummary:
 def summarize(rows: list[dict]) -> list[CellSummary]:
     """Aggregate raw rows into per-cell means/CIs and attach the gain of
     frequency-selective scheduling relative to the single-subband baseline."""
+    needed = [*SWEEP_AXES.values(), "goodput_bytes_per_s", "map_overhead_fraction"]
+    if missing := [c for c in needed if any(c not in r for r in rows)]:
+        raise ConfigurationError(f"rows lack the columns {missing}: not a sweep's rows.csv?")
     cells: dict[tuple, list[dict]] = {}
     for r in rows:
         if r.get("error"):

@@ -378,11 +378,8 @@ def frame_construction(
                     taken = 0
                     if committed is not None and grp is not committed.group:
                         taken = committed.columns * scsb
-                    offered = (v_limit - taken) // scsb
-                    if offered < 1:
-                        continue
                     packer.stats.util_evals += 1
-                    burst = packer.trial(grp, offered)
+                    burst = packer.trial(grp, (v_limit - taken) // scsb)
                     if burst is None:
                         continue
                     util_new = packer.util[j] + burst.utility

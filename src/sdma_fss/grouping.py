@@ -8,13 +8,15 @@ frequency selectivity compressed by EESM.
 
 The search is a greedy best-fit: seed with the best uncovered singleton,
 then keep adding the MS that maximizes the metric while it strictly
-improves. A member set is an integer mask, bit ms for MS id ms. One loop
-runs the searches of a stack of subbands with equal CSI sample counts
-together. A search steps on while its trials are cached and then waits on
-its unscored ones, all of one size; each kernel batch scores the trials of
-every search waiting on the size that most of them wait on (the smaller
-on a tie). The kernels are row-independent, so the bits are those of
-searching one subband at a time.
+improves. A member set is an integer mask, bit ms for MS id ms. Each
+subband's search is a generator that steps on while its trials are cached
+and waits on its unscored ones, all of one size; its first wait is on the
+singletons. form_groups is the one scheduler: it runs the searches of a
+stack of subbands with equal CSI sample counts together, and each kernel
+batch scores the trials of every search waiting on the size that most of
+them wait on (the smaller on a tie), so the singletons of every subband
+form the first batch. The kernels are row-independent, so the bits are
+those of searching one subband at a time.
 For the same reason the link evaluators that link_evaluators builds from
 one drop's static CSI serve all its frames. Each keeps, per subband and
 member mask, the group's metric and the MCS entry each member sustains,
@@ -25,7 +27,7 @@ per evaluator, whatever the active set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +67,8 @@ class SubbandLinkEvaluator:
     its position in the caller's subbands list, not in the stack (stacks
     vary with the sample counts) nor by SubbandSpec.index (it may repeat).
     cache[position] maps a member mask to the group's metric and its
-    members' MCS entry indices. score evaluates only its misses, one batch
-    per group size."""
+    members' MCS entry indices, filled by one _eval_batch call per kernel
+    batch."""
 
     def __init__(self, eff: Sequence[np.ndarray], positions: Sequence[int],
                  noise_power_w: float, total_power_w: float, table: McsTable):
@@ -81,17 +83,6 @@ class SubbandLinkEvaluator:
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
         self.num_antennas = self.flat.shape[2]
         self.cache: dict[int, dict[int, Scored]] = {j: {} for j in positions}
-
-    def score(self, trials: dict[int, Sequence[int]]) -> None:
-        """Score the member masks of {position: masks} that the cache lacks."""
-        misses: dict[int, list[Key]] = {}
-        for j, masks in trials.items():
-            scored = self.cache[j]
-            for mask in masks:
-                if mask not in scored:
-                    misses.setdefault(mask.bit_count(), []).append((j, mask))
-        for g in sorted(misses):
-            self._eval_batch(misses[g], g)
 
     def _eval_batch(self, keys: list[Key], g: int) -> None:
         rows = []  # stack row of each member, ascending MS id within a key
@@ -111,50 +102,33 @@ class SubbandLinkEvaluator:
             self.cache[j][mask] = (metric, *i)
 
 
-class _Search:
-    """Best-fit construction on one subband; argmax ties always break to the
-    lowest MS id. Every feasible MS ends up in at least one group (each new
-    group is seeded with an uncovered MS), so the frame constructor can
-    schedule any MS on any subband."""
-
-    def __init__(self, scored: dict[int, Scored], feasible: list[int], max_groups: int,
-                 num_antennas: int):
-        self.scored, self.max_groups, self.num_antennas = scored, max_groups, num_antennas
-        self.bits = [1 << ms for ms in feasible]
-        self.seeds = sorted(self.bits, key=lambda bit: -scored[bit][0])  # stable: ties by id
-        self.groups: list[int] = []
-        self.mask = self.metric = 0  # the open group and its metric
-        self.trials: list[int] = []  # the open group plus each candidate, ascending id
-
-    def advance(self) -> list[int]:
-        """Step while every trial of a step is scored. Returns the unscored
-        trials of the next step, all of one size, [] once the search is done."""
-        while trials := self._step():
-            if misses := [t for t in trials if t not in self.scored]:
-                return misses
-        return []
-
-    def _step(self) -> list[int]:
-        """Grow the open group by its best scored trial if that strictly
-        improves the metric, else close it and seed the next. Returns the
-        next step's trials, [] once the search is done."""
-        scored, mask, metric = self.scored, self.mask, self.metric
-        for t in self.trials:  # the first maximum: ties break to the lowest id
-            if (m := scored[t][0]) > metric:
-                mask, metric = t, m
-        while True:
-            if mask == self.mask:  # the open group stopped growing
-                if mask:
-                    self.groups.append(mask)
-                    self.seeds = [bit for bit in self.seeds if not bit & mask]  # uncovered
-                if not self.seeds or len(self.groups) == self.max_groups:
-                    return []
-                mask, metric = self.seeds[0], scored[self.seeds[0]][0]
-            self.mask, self.metric = mask, metric
-            if mask.bit_count() < self.num_antennas:
-                self.trials = [mask | bit for bit in self.bits if not mask & bit]
-                if self.trials:
-                    return self.trials
+def _search(scored: dict[int, Scored], bits: list[int], max_groups: int, num_antennas: int,
+            groups: list[int]) -> Iterator[list[int]]:
+    """Best-fit construction on one subband over the one-member masks bits;
+    argmax ties always break to the lowest MS id. Yields the unscored
+    trials it waits on, all of one size, the singletons first, and appends
+    each closed group's mask to groups. Every feasible MS ends up in at
+    least one group (each new group is seeded with an uncovered MS), so the
+    frame constructor can schedule any MS on any subband."""
+    if misses := [bit for bit in bits if bit not in scored]:
+        yield misses
+    bits = [bit for bit in bits if scored[bit][0] > 0]  # a one-member metric is the payload
+    seeds = sorted(bits, key=lambda bit: -scored[bit][0])  # stable: ties by id
+    while seeds and len(groups) < max_groups:
+        mask, metric = seeds[0], scored[seeds[0]][0]
+        while mask.bit_count() < num_antennas and (
+                trials := [mask | bit for bit in bits if not mask & bit]):
+            if misses := [t for t in trials if t not in scored]:
+                yield misses
+            grown = mask
+            for t in trials:  # the first maximum: ties break to the lowest id
+                if (m := scored[t][0]) > metric:
+                    grown, metric = t, m
+            if grown == mask:  # no trial strictly improves: close the group
+                break
+            mask = grown
+        groups.append(mask)
+        seeds = [bit for bit in seeds if not bit & mask]  # uncovered
 
 
 def _members(mask: int) -> list[int]:
@@ -209,25 +183,22 @@ def form_groups(
     best_bps: dict[int, int] = {}
     bits = [1 << ms for ms in active]
     for ev in links:
-        ev.score(dict.fromkeys(ev.cache, bits))
-        searches = {}
-        for j, scored in ev.cache.items():
-            feasible = []
-            for ms, bit in zip(active, bits):  # a one-member metric is the member's payload
-                if (metric := scored[bit][0]) > 0:
-                    feasible.append(ms)
-                    best_bps[ms] = max(best_bps.get(ms, 0), metric)
-            searches[j] = _Search(scored, feasible, max_groups, ev.num_antennas)
-        waiting = {j: misses for j, s in searches.items() if (misses := s.advance())}
+        groups: dict[int, list[int]] = {j: [] for j in ev.cache}
+        searches = {j: _search(ev.cache[j], bits, max_groups, ev.num_antennas, groups[j])
+                    for j in ev.cache}
+        waiting = {j: misses for j, s in searches.items() if (misses := next(s, None))}
         while waiting:  # one batch: the trial size most searches wait on, the smaller on a tie
             sizes = [misses[0].bit_count() for misses in waiting.values()]
             g = max(sorted(set(sizes)), key=sizes.count)
             batch = [j for j, n in zip(waiting, sizes) if n == g]
             ev._eval_batch([(j, t) for j in batch for t in waiting.pop(j)], g)
-            waiting.update((j, misses) for j in batch if (misses := searches[j].advance()))
-        for j, search in searches.items():
-            for mask in search.groups:  # every final group was scored during its search
-                metric, *idx = ev.cache[j][mask]
+            waiting.update((j, misses) for j in batch if (misses := next(searches[j], None)))
+        for j, scored in ev.cache.items():
+            for ms, bit in zip(active, bits):
+                if (metric := scored[bit][0]) > 0:
+                    best_bps[ms] = max(best_bps.get(ms, 0), metric)
+            for mask in groups[j]:  # every final group was scored during its search
+                metric, *idx = scored[mask]
                 members = tuple(_members(mask))
                 mcs = tuple([ev.table.choices[i] for i in idx])
                 per_subband[j].append(SdmaGroup(subbands[j].index, members, mcs, float(metric)))

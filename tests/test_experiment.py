@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -368,6 +369,15 @@ def test_report_single_row_ci_na():
     assert "n/a" in text
 
 
+def test_summarize_skips_error_rows():
+    failed = dict.fromkeys(CSV_COLUMNS, "")
+    failed.update(bandwidth_mhz=10.0, num_antennas=2, num_ms=12, num_subbands=5, los=True,
+                  seed=0, error="ConfigurationError: 6 rows not divisible by 5")
+    rows = [fake_row(1, 0, 1e6), failed, fake_row(1, 1, 3e6)]
+    (summary,) = summarize(rows)
+    assert (summary.num_subbands, summary.n, summary.goodput_mean) == (1, 2, 2e6)
+
+
 def test_report_missing_baseline_warns():
     text = report([fake_row(6, 0, 1e6)])
     assert "no single-subband baseline" in text
@@ -416,6 +426,8 @@ def test_config_validation():
         dict(saturated_traffic=False, offered_bytes_per_frame_total=2.0**53),
         dict(cell_radius_m=math.inf),
         dict(frame_duration_s=math.inf),
+        dict(num_seeds=0),  # a sweep without seeds then failed on an empty seed list
+        dict(num_seeds=-3),
         dict(buffer_capacity_bytes=math.inf),  # saturated top-up would never stop
         # found by tests/test_config_fuzz.py: each raised mid-run or never returned
         dict(buffer_capacity_bytes=1e300),
@@ -495,6 +507,47 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("raw", [
+    [1, 2],  # was a TypeError from list.pop
+    "cfg",
+    {"sweep": [{}]},  # was a TypeError: unhashable type 'dict'
+    {"sweep": 3},
+], ids=str)
+def test_cli_non_object_config_exit_code(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    for argv in (["run"], ["sweep", "--out", str(tmp_path / "s")],
+                 ["sweep", "--out", str(tmp_path / "s"), "--seeds", "0:1"]):
+        assert cli_main([*argv, "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_section_must_be_an_object():
+    for raw in ([{}], [], 3):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            SweepSpec.from_config(tiny_cfg(), raw)
+
+
+def test_cli_report_on_flows_names_missing_columns(tmp_path, capsys):
+    # flows.csv has the key columns but no goodput: was a KeyError
+    cfg = tiny_cfg(frames_per_drop=1)
+    run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0]}), out_dir=tmp_path / "s")
+    assert cli_main(["report", "--rows", str(tmp_path / "s" / "flows.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "goodput_bytes_per_s" in err and "map_overhead_fraction" in err
+    assert "num_subbands" not in err
+
+
+def test_cli_run_default_config_writes_printed_metrics(tmp_path, capsys):
+    assert cli_main(["run", "--seed", "1", "--out", str(tmp_path / "r")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads((tmp_path / "r" / "metrics.json").read_text()) == printed
+    want = dataclasses.asdict(run_drop(ScenarioConfig(), 1))
+    assert {**printed, "wall_time_s": 0} == {**want, "wall_time_s": 0}
+
+
 @pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2", "5:2"])  # 5:2 was an empty sweep
 def test_cli_bad_seeds_exit_code(tmp_path, capsys, seeds):
     cfg_path = tmp_path / "cfg.json"
@@ -531,6 +584,16 @@ def test_import_pins_blas_threads_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.split()
     assert out == [preset or "1", "1", "1"]
+
+
+def test_pin_after_numpy_import_warns_in_process(monkeypatch):
+    # the subprocess case below, run in this interpreter (numpy is loaded)
+    # so that a line trace of the suite sees the warning raised
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    monkeypatch.setattr(os, "environ", env)
+    with pytest.warns(RuntimeWarning, match="numpy was imported before sdma_fss"):
+        importlib.reload(sdma_fss)
+    assert [env[v] for v in BLAS_VARS] == ["1", "1", "1"]
 
 
 @pytest.mark.parametrize("preset", [(), BLAS_VARS[:1], BLAS_VARS])

@@ -231,6 +231,20 @@ def test_commit_keeps_memoized_fits_of_untouched_members(monkeypatch):
     assert walks == [0, 1, 0, 2, 0]
 
 
+def offers_at_least_one_column(monkeypatch):
+    """Wrap _Packer.trial to check that frame_construction never offers a
+    group less than one column: the vertical limit grows by at least one
+    subband's rows each round, a subband leaves the round's set when it
+    commits, and a committed burst is never wider than the limit it got."""
+    trial = _Packer.trial
+
+    def checked_trial(packer, group, offered_cols):
+        assert offered_cols >= 1
+        return trial(packer, group, offered_cols)
+
+    monkeypatch.setattr(_Packer, "trial", checked_trial)
+
+
 @pytest.mark.parametrize("allow_displacement", [False, True])
 def test_shared_fits_equal_fresh_walks(monkeypatch, allow_displacement):
     # a fit memoized under key None, in a subband that holds none of the
@@ -261,6 +275,7 @@ def test_shared_fits_equal_fresh_walks(monkeypatch, allow_displacement):
 
     monkeypatch.setattr(frame_module, "pack_group_area", checked_pack)
     monkeypatch.setattr(_Packer, "commit", checked_commit)
+    offers_at_least_one_column(monkeypatch)
     for seed in range(40):
         grouping, candidates, geometry = random_instance(np.random.default_rng(seed), max_sb=4)
         frame_construction(
@@ -295,6 +310,7 @@ def test_incremental_totals_equal_recount(monkeypatch, allow_displacement):
             assert packer.util[w] == utility  # the same bits, not approximately
 
     monkeypatch.setattr(_Packer, "commit", checked_commit)
+    offers_at_least_one_column(monkeypatch)
     for seed in range(60):
         grouping, candidates, geometry = random_instance(np.random.default_rng(seed), max_sb=4)
         frame_construction(

@@ -34,8 +34,20 @@ def mask(members) -> int:
     return sum(1 << ms for ms in members)
 
 
+def score(ev, trials) -> None:
+    """Score the member masks of {position: masks} that the evaluator's
+    cache lacks, one kernel batch per group size, smallest first."""
+    misses = {}
+    for j, masks in trials.items():
+        for bits in masks:
+            if bits not in ev.cache[j]:
+                misses.setdefault(bits.bit_count(), []).append((j, bits))
+    for g in sorted(misses):
+        ev._eval_batch(misses[g], g)
+
+
 def metric(ev, members) -> float:
-    ev.score({0: [mask(members)]})
+    score(ev, {0: [mask(members)]})
     return float(ev.cache[0][mask(members)][0])
 
 
@@ -155,7 +167,7 @@ def test_evaluator_matches_scalar_phy_path(monkeypatch):
     ev = evaluator(h, noise, power)
     seen = kernel_rows(monkeypatch)
     for members in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3)]:
-        ev.score({0: [mask(members)]})
+        score(ev, {0: [mask(members)]})
         rep = h[list(members), 9 // 2, :]
         w_ref = oracle_minmse(rep, noise, power)
         p = power / len(members)
@@ -418,7 +430,7 @@ def test_flat_stack_batch_matches_sequential_oracle(monkeypatch, g):
     trials = {j: sorted({mask(rng.choice(k, g, replace=False).tolist()) for _ in range(8)})
               for j in positions}
     seen = kernel_rows(monkeypatch)
-    ev.score(trials)
+    score(ev, trials)
     assert len(seen) == 1  # one batch for all three subbands
     picked = set()
     for s, j in enumerate(positions):
@@ -473,7 +485,7 @@ def test_group_scores_alone_as_in_any_batch(seed, extra):
                                         for _ in range(extra)]
     pairs = [pairs[i] for i in rng.permutation(len(pairs))]
 
-    def score(batch):
+    def evaluate(batch):
         hb = h[np.array(batch)]  # (R, 2, N, M)
         w = minmse_weights(hb[:, :, n // 2], noise, power)
         sinr = compute_sinr(w, hb, power / 2, noise)
@@ -482,8 +494,8 @@ def test_group_scores_alone_as_in_any_batch(seed, extra):
         return w, sinr, select_mcs_batch(sinr.reshape(-1, n), TABLE).reshape(-1, 2), ev.cache[0]
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf SINRs; nan weights of MS 2
-        w, sinr, idx, cache = score(pairs)
-        alone = [score([p]) for p in pairs]
+        w, sinr, idx, cache = evaluate(pairs)
+        alone = [evaluate([p]) for p in pairs]
     for r, (p, (w_r, sinr_r, idx_r, cache_r)) in enumerate(zip(pairs, alone)):
         assert w_r[0].tobytes() == w[r].tobytes()
         assert sinr_r[0].tobytes() == sinr[r].tobytes()
@@ -657,7 +669,15 @@ def test_ms_ids_beyond_64_bits(geometry):
 # each round, every live search takes one step and the round scores all of
 # their trials, one kernel batch per trial size.
 
-class LockstepSearch(grouping._Search):
+class LockstepSearch:
+    def __init__(self, scored, feasible, max_groups, num_antennas):
+        self.scored, self.max_groups, self.num_antennas = scored, max_groups, num_antennas
+        self.bits = [1 << ms for ms in feasible]
+        self.seeds = sorted(self.bits, key=lambda bit: -scored[bit][0])
+        self.groups = []
+        self.mask = self.metric = 0
+        self.trials = []
+
     def advance(self):
         scored, mask, metric = self.scored, self.mask, self.metric
         for t in self.trials:
@@ -683,7 +703,7 @@ def lockstep_form_groups(links, subbands, active_ms, max_groups=None):
     max_groups = max_groups or len(active)
     per_subband, best_bps = [[] for _ in subbands], {}
     for ev in links:
-        ev.score({j: [1 << ms for ms in active] for j in ev.cache})
+        score(ev, {j: [1 << ms for ms in active] for j in ev.cache})
         searches = {}
         for j, scored in ev.cache.items():
             feasible = [ms for ms in active if scored[1 << ms][0] > 0]
@@ -692,7 +712,7 @@ def lockstep_form_groups(links, subbands, active_ms, max_groups=None):
             searches[j] = LockstepSearch(scored, feasible, max_groups, ev.num_antennas)
         live = searches
         while live := {j: s for j, s in live.items() if s.advance()}:
-            ev.score({j: s.trials for j, s in live.items()})
+            score(ev, {j: s.trials for j, s in live.items()})
         for j, search in searches.items():
             for bits in search.groups:
                 metric, *idx = ev.cache[j][bits]
@@ -741,7 +761,8 @@ def test_search_loop_matches_lockstep_oracle(max_groups):
 def test_search_loop_batches_by_trial_size(monkeypatch):
     # on one 20 MHz, M = 8, SB = 6 drop the subbands' searches reach
     # different trial sizes; each batch holds one size, the batches score
-    # the lockstep loop's rows and there are fewer of them
+    # the lockstep loop's rows and there are fewer of them. Each evaluator's
+    # first batch holds every subband's singletons, subband by subband.
     cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
                                     frames_per_drop=1)
     (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
@@ -749,16 +770,20 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
     eval_batch = SubbandLinkEvaluator._eval_batch
 
     def spy(self, keys, g):
-        batches.append(({bits.bit_count() for _, bits in keys}, g, len(keys)))
+        batches.append((self, list(keys), g))
         return eval_batch(self, keys, g)
 
     monkeypatch.setattr(SubbandLinkEvaluator, "_eval_batch", spy)
-    got = form_groups(link_evaluators(csi, subbands, table, power), subbands, active)
+    links = link_evaluators(csi, subbands, table, power)
+    got = form_groups(links, subbands, active)
     ours = batches[:]
     batches.clear()
     assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
                                                    subbands, active))
-    assert all(sizes == {g} for sizes, g, _ in ours)
-    assert sum(n for *_, n in ours) == sum(n for *_, n in batches)
-    assert len({g for _, g, _ in ours}) > 2
+    assert all({bits.bit_count() for _, bits in keys} == {g} for _, keys, g in ours)
+    assert sum(len(keys) for _, keys, _ in ours) == sum(len(keys) for _, keys, _ in batches)
+    assert len({g for *_, g in ours}) > 2
     assert len(ours) < len(batches), (len(ours), len(batches))
+    for ev in links:
+        first = next((keys, g) for owner, keys, g in ours if owner is ev)
+        assert first == ([(j, 1 << ms) for j in ev.cache for ms in sorted(active)], 1)
