@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
             rows = read_rows(args.rows)
             out = Path(args.out) if args.out else None
             print(report(rows, out_dir=out))
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,6 +11,7 @@ across runs and worker counts.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -18,12 +19,12 @@ import time
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, decimate_csi, generate_channel
+from .channel import ChannelParams, CsiReport, decimate_csi, generate_channel
 from .frame import OfdmaFrame, frame_construction, initial_vertical_limit, predict_map_size
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
 from .grouping import form_groups, link_evaluators
@@ -213,9 +214,29 @@ def jain_index(values: Sequence[float]) -> float:
     return float(x.sum() ** 2 / (x.size * (x**2).sum()))
 
 
-def drop_frames(
-    cfg: ScenarioConfig, seed: int
-) -> Iterator[tuple[TrafficStats, OfdmaFrame, dict[int, int]]]:
+class FrameRecord(NamedTuple):
+    """What drop_frames yields per frame."""
+
+    traffic: TrafficStats
+    frame: OfdmaFrame
+    served: dict[int, int]  # bytes served per MS
+
+
+@functools.lru_cache(maxsize=1)
+def _drop_csi(params: ChannelParams, seed: int, decimation: int,
+              noise_power_w: float) -> CsiReport:
+    """The drop's decimated CSI, with read-only arrays. The channel is a pure
+    function of (params, seed) and params hold no subband split, so
+    run_sweep's sibling tasks (one per split, run back to back) share one
+    draw. Calls generate_channel and decimate_csi through this module's
+    names, so a wrapper set on them sees every draw."""
+    csi = decimate_csi(generate_channel(params, seed), decimation, noise_power_w)
+    for a in (csi.sample_indices, csi.samples, csi.pathloss_db):
+        a.flags.writeable = False
+    return csi
+
+
+def drop_frames(cfg: ScenarioConfig, seed: int) -> Iterator[FrameRecord]:
     """One drop frame by frame: a static channel and its link evaluators,
     then frames_per_drop MAC frames, each through traffic -> grouping (again
     only when the active set changes) -> candidate list -> frame
@@ -227,8 +248,7 @@ def drop_frames(
     subbands = partition_frame(geometry)
     links = []  # with no MS there is no channel to draw
     if cfg.num_ms:  # the channel is static: one set of links scores groups all drop
-        ch = generate_channel(cfg.channel_params(), seed)
-        csi = decimate_csi(ch, cfg.csi_decimation, cfg.noise_power_w)
+        csi = _drop_csi(cfg.channel_params(), seed, cfg.csi_decimation, cfg.noise_power_w)
         links = link_evaluators(csi, subbands, table, cfg.tx_power_w)
     flows = make_flows(cfg.num_ms)
     ids = itertools.count()
@@ -255,7 +275,7 @@ def drop_frames(
         )
         served = commit_transmissions(flows, frame.packed_packet_ids())
         update_pf_averages(flows, served)
-        yield tstats, frame, served
+        yield FrameRecord(tstats, frame, served)
 
 
 def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
@@ -271,15 +291,15 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> RunMetrics:
     util_evals = 0
     util_evals_max = 0
 
-    for tstats, frame, served in drop_frames(cfg, seed):
-        gen_bytes += tstats.generated_bytes
-        drop_bytes += tstats.dropped_bytes
-        for ms, nbytes in served.items():
+    for rec in drop_frames(cfg, seed):
+        gen_bytes += rec.traffic.generated_bytes
+        drop_bytes += rec.traffic.dropped_bytes
+        for ms, nbytes in rec.served.items():
             per_ms[ms] += nbytes
-        map_slot_sum += frame.map_region.slots
-        map_col_sum += frame.map_region.columns
-        util_evals += frame.build_stats.util_evals
-        util_evals_max = max(util_evals_max, frame.build_stats.util_evals)
+        map_slot_sum += rec.frame.map_region.slots
+        map_col_sum += rec.frame.map_region.columns
+        util_evals += rec.frame.build_stats.util_evals
+        util_evals_max = max(util_evals_max, rec.frame.build_stats.util_evals)
 
     tx_bytes = sum(per_ms)
     return RunMetrics(
@@ -404,22 +424,27 @@ def run_sweep(
     """Cartesian product over the sweep axes, one row per (cell, seed).
 
     Rows are sorted canonically before writing, so output is independent of
-    worker count and scheduling order. jobs >= 1 worker processes run the
-    cells, never more than there are (cell, seed) tasks.
+    worker count and scheduling order. The subband splits of one (other
+    axes, seed) are sibling tasks: they run back to back in one worker and
+    share one channel draw (see _drop_csi). jobs >= 1 worker processes run
+    the tasks, never more than there are sibling sets.
     """
     if jobs < 1:
         raise ConfigurationError(f"need jobs >= 1, got {jobs}")
     base_raw = cfg.to_dict()
+    axes = dict(zip(KEY_COLUMNS, [*(getattr(sweep, key) for key in SWEEP_AXES), sweep.seeds]))
+    splits = axes.pop("num_subbands")
     tasks = [
-        (base_raw, dict(zip(KEY_COLUMNS, values)))
-        for values in itertools.product(*(getattr(sweep, key) for key in SWEEP_AXES), sweep.seeds)
+        (base_raw, {**dict(zip(axes, values)), "num_subbands": sb})
+        for values in itertools.product(*axes.values()) for sb in splits
     ]
-    workers = min(jobs, len(tasks))  # a fork start forks every worker up front
+    # a fork start forks every worker up front: at most one per sibling set
+    workers = min(jobs, len(tasks) // max(len(splits), 1))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares one-process runs the import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=1))
+            results = list(pool.map(_run_cell, tasks, chunksize=len(splits)))
     else:
         results = [_run_cell(t) for t in tasks]
 
@@ -488,11 +513,16 @@ def summarize(rows: list[dict]) -> list[CellSummary]:
     if missing := [c for c in needed if any(c not in r for r in rows)]:
         raise ConfigurationError(f"rows lack the columns {missing}: not a sweep's rows.csv?")
     cells: dict[tuple, list[dict]] = {}
-    for r in rows:
+    for i, r in enumerate(rows, 1):
         if r.get("error"):
             continue
-        key = tuple(_axis_value(field, r[field]) for field in SWEEP_AXES.values())
-        cells.setdefault(key, []).append(r)
+        key = []
+        for field in SWEEP_AXES.values():
+            try:
+                key.append(_axis_value(field, r[field]))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(f"row {i}: bad {field} value {r[field]!r}") from None
+        cells.setdefault(tuple(key), []).append(r)
 
     summaries: dict[tuple, CellSummary] = {}
     for key in sorted(cells):

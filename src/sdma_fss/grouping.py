@@ -11,12 +11,14 @@ then keep adding the MS that maximizes the metric while it strictly
 improves. A member set is an integer mask, bit ms for MS id ms. Each
 subband's search is a generator that steps on while its trials are cached
 and waits on its unscored ones, all of one size; its first wait is on the
-singletons. form_groups is the one scheduler: it runs the searches of a
-stack of subbands with equal CSI sample counts together, and each kernel
-batch scores the trials of every search waiting on the size that most of
-them wait on (the smaller on a tie), so the singletons of every subband
-form the first batch. The kernels are row-independent, so the bits are
-those of searching one subband at a time.
+singletons and, with more than one antenna, its second on every pair of
+feasible MSs, since most of them get scored anyway. form_groups is the one
+scheduler: it runs the searches of a stack of subbands with equal CSI
+sample counts together, and each kernel batch scores the trials of every
+search waiting on the size that most of them wait on (the smaller on a
+tie), so the singletons of every subband form the first batch and their
+pairs the second. The kernels are row-independent, so the bits are those
+of searching one subband at a time, trial by trial.
 For the same reason the link evaluators that link_evaluators builds from
 one drop's static CSI serve all its frames. Each keeps, per subband and
 member mask, the group's metric and the MCS entry each member sustains,
@@ -26,6 +28,7 @@ per evaluator, whatever the active set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -83,12 +86,21 @@ class SubbandLinkEvaluator:
         self.noise, self.total_power, self.table = noise_power_w, total_power_w, table
         self.num_antennas = self.flat.shape[2]
         self.cache: dict[int, dict[int, Scored]] = {j: {} for j in positions}
+        self._members: dict[int, list[int]] = {}
+
+    def members(self, mask: int) -> list[int]:
+        """The set bits of a member mask, ascending: its members' MS ids,
+        kept per mask for the evaluator's life."""
+        if (members := self._members.get(mask)) is None:
+            members = self._members[mask] = [ms for ms in range(mask.bit_length())
+                                             if mask >> ms & 1]
+        return members
 
     def _eval_batch(self, keys: list[Key], g: int) -> None:
         rows = []  # stack row of each member, ascending MS id within a key
         for j, mask in keys:
             base = self.base[j]
-            rows += [base + ms for ms in _members(mask)]
+            rows += [base + ms for ms in self.members(mask)]
         rows = np.array(rows)
         n, m = self.flat.shape[1:]
         h = self.flat.take(rows, axis=0).reshape(-1, g, n, m)  # (R, G, N, M)
@@ -113,6 +125,10 @@ def _search(scored: dict[int, Scored], bits: list[int], max_groups: int, num_ant
     if misses := [bit for bit in bits if bit not in scored]:
         yield misses
     bits = [bit for bit in bits if scored[bit][0] > 0]  # a one-member metric is the payload
+    # most pairs get scored anyway: score them all in one wait, not one per group
+    if num_antennas > 1 and (misses := [a | b for a, b in itertools.combinations(bits, 2)
+                                        if a | b not in scored]):
+        yield misses
     seeds = sorted(bits, key=lambda bit: -scored[bit][0])  # stable: ties by id
     while seeds and len(groups) < max_groups:
         mask, metric = seeds[0], scored[seeds[0]][0]
@@ -129,16 +145,6 @@ def _search(scored: dict[int, Scored], bits: list[int], max_groups: int, num_ant
             mask = grown
         groups.append(mask)
         seeds = [bit for bit in seeds if not bit & mask]  # uncovered
-
-
-def _members(mask: int) -> list[int]:
-    """The set bits of a member mask, ascending: its members' MS ids."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
 
 
 def link_evaluators(csi: CsiReport, subbands: Sequence[SubbandSpec], table: McsTable,
@@ -199,7 +205,7 @@ def form_groups(
                     best_bps[ms] = max(best_bps.get(ms, 0), metric)
             for mask in groups[j]:  # every final group was scored during its search
                 metric, *idx = scored[mask]
-                members = tuple(_members(mask))
+                members = tuple(ev.members(mask))
                 mcs = tuple([ev.table.choices[i] for i in idx])
                 per_subband[j].append(SdmaGroup(subbands[j].index, members, mcs, float(metric)))
     for built in per_subband:

@@ -12,3 +12,14 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60, derandomize=True
 )
 hypothesis.settings.load_profile("default")
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def fresh_channel_draws():
+    """Every test starts without a cached drop CSI, so a test that wraps
+    experiment.generate_channel sees every draw it asks for."""
+    from sdma_fss import experiment
+
+    experiment._drop_csi.cache_clear()

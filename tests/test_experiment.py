@@ -312,6 +312,43 @@ def test_sweep_starts_at_most_one_worker_per_task(monkeypatch):
     assert asked == [2]  # one task runs in this process
 
 
+def test_sweep_draws_one_channel_per_sibling_set(tmp_path, monkeypatch):
+    # a CLI sweep over SB {1, 2, 3, 6} draws each seed's channel once for
+    # its four splits, and writes the bytes of a sweep that draws it afresh
+    # for every cell; the shared CSI is read-only
+    draws = []
+    generate = experiment.generate_channel
+
+    def counted(params, seed):
+        draws.append((params, seed))
+        return generate(params, seed)
+
+    monkeypatch.setattr(experiment, "generate_channel", counted)
+    cfg = tiny_cfg(frames_per_drop=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg.to_dict(),
+                                    "sweep": {"subbands": [1, 2, 3, 6], "seeds": [0, 1]}}))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "shared")]) == 0
+    assert [seed for _, seed in draws] == [0, 1] and draws[0][0] == cfg.channel_params()
+
+    run_cell = experiment._run_cell
+
+    def fresh(args):
+        experiment._drop_csi.cache_clear()
+        return run_cell(args)
+
+    monkeypatch.setattr(experiment, "_run_cell", fresh)
+    draws.clear()
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "fresh")]) == 0
+    assert len(draws) == 8
+    for name in ("rows.csv", "flows.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    csi = experiment._drop_csi(cfg.channel_params(), 1, cfg.csi_decimation, cfg.noise_power_w)
+    assert len(draws) == 8  # the last cell's draw is still cached
+    for a in (csi.samples, csi.sample_indices, csi.pathloss_db):
+        assert not a.flags.writeable
+
+
 def test_study_configs_match_their_grids():
     grids = {
         "bandwidth_study": ([5.0, 10.0, 20.0], [2, 4, 8], [12], [1, 2, 3, 6], [True]),
@@ -497,6 +534,29 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert cli_main(["report", "--rows", str(sweep_dir / "rows.csv"),
                      "--out", str(tmp_path / "rep")]) == 0
     assert (tmp_path / "rep" / "summary.csv").exists()
+
+
+def test_cli_report_bad_key_cell_exit_code(tmp_path, capsys):
+    # a key cell that is no number was a ValueError from int()
+    cfg = tiny_cfg(frames_per_drop=1)
+    run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0, 1]}), out_dir=tmp_path / "s")
+    rows = read_rows(tmp_path / "s" / "rows.csv")
+    rows[1]["num_antennas"] = "x"
+    experiment.write_rows(tmp_path / "bad.csv", rows, CSV_COLUMNS)
+    assert cli_main(["report", "--rows", str(tmp_path / "bad.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err and "num_antennas" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "report"])
+def test_cli_directory_as_input_exit_code(tmp_path, capsys, monkeypatch, command):
+    # a directory where a file belongs was an IsADirectoryError
+    monkeypatch.chdir(tmp_path)
+    argv = {"run": ["run", "--config", "."], "sweep": ["sweep", "--config", ".", "--out", "s"],
+            "report": ["report", "--rows", "."]}[command]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -725,14 +725,27 @@ def lockstep_form_groups(links, subbands, active_ms, max_groups=None):
     return grouping.GroupingResult(per_subband, best_bps)
 
 
-def assert_same_cache(got, want):
-    """Two lists of link evaluators hold the same scores, bit for bit."""
+def feasible_pairs(ev, j, active) -> set[int]:
+    """The masks of every pair of active MSs that are feasible alone on
+    position j (their singletons scored): what a search scores in its one
+    pair wait, given more than one antenna."""
+    if ev.num_antennas < 2:
+        return set()
+    bits = [1 << ms for ms in active if ev.cache[j][1 << ms][0] > 0]
+    return {a | b for a, b in itertools.combinations(bits, 2)}
+
+
+def assert_same_cache(got, want, actives):
+    """got holds want's scores bit for bit, and beyond them exactly the
+    feasible pairs of the active sets actives that want never scored."""
     assert [list(ev.cache) for ev in got] == [list(ev.cache) for ev in want]
     for ev, ref in zip(got, want):
         for j, scored in ev.cache.items():
-            assert scored.keys() == ref.cache[j].keys()
-            for bits, entry in scored.items():
-                assert np.array(entry).tobytes() == np.array(ref.cache[j][bits]).tobytes()
+            pairs = set().union(*(feasible_pairs(ref, j, active) for active in actives))
+            assert ref.cache[j].keys() <= scored.keys()
+            assert scored.keys() - ref.cache[j].keys() == pairs - ref.cache[j].keys()
+            for bits, entry in ref.cache[j].items():
+                assert np.array(entry).tobytes() == np.array(scored[bits]).tobytes()
 
 
 @pytest.mark.parametrize("max_groups", [None, 2])
@@ -748,24 +761,43 @@ def test_search_loop_matches_lockstep_oracle(max_groups):
         csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
         power = float(rng.uniform(20.0, 200.0))
         links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, power) for _ in range(2))
+        actives = []
         for _ in range(3):  # a drop's frames: the active set changes, the links stay
             active = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)),
                                        replace=False).tolist())
+            actives.append(active)
             got = form_groups(links, bands(24, 3), active, max_groups)
             want = lockstep_form_groups(oracle, bands(24, 3), active, max_groups)
             assert_same_grouping(got, want)
-            assert_same_cache(links, oracle)
+            assert_same_cache(links, oracle, actives)
             assert [len(g.members) for g in got.groups()].count(1) < len(got.groups())
 
 
-def test_search_loop_batches_by_trial_size(monkeypatch):
-    # on one 20 MHz, M = 8, SB = 6 drop the subbands' searches reach
-    # different trial sizes; each batch holds one size, the batches score
-    # the lockstep loop's rows and there are fewer of them. Each evaluator's
-    # first batch holds every subband's singletons, subband by subband.
-    cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
-                                    frames_per_drop=1)
-    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+def test_search_loop_scores_no_pair_of_an_infeasible_ms():
+    # the pair wait covers the feasible MSs only: MSs 0 and 1, feasible
+    # nowhere, join no scored pair, and the cache holds the lockstep loop's
+    # entries plus the other MSs' pairs
+    rng = np.random.default_rng(11)
+    k, m = 9, 4
+    cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+    csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
+    csi.pathloss_db[:2] = 60.0
+    links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, 50.0) for _ in range(2))
+    actives = [list(range(k)), [0, 1, 4, 6, 7]]
+    for active in actives:
+        got = form_groups(links, bands(24, 3), active)
+        assert_same_grouping(got, lockstep_form_groups(oracle, bands(24, 3), active))
+        assert not {0, 1} & {ms for g in got.groups() for ms in g.members}
+        assert any(len(g.members) > 1 for g in got.groups())
+    assert_same_cache(links, oracle, actives)
+    assert all(scored[1 << ms][0] == 0 for ev in links for scored in ev.cache.values()
+               for ms in (0, 1))
+
+
+def batch_spy(monkeypatch) -> list[tuple[SubbandLinkEvaluator, list, int]]:
+    """Wrap SubbandLinkEvaluator._eval_batch; the returned list collects the
+    (evaluator, keys, size) of every kernel batch."""
     batches = []
     eval_batch = SubbandLinkEvaluator._eval_batch
 
@@ -774,6 +806,20 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
         return eval_batch(self, keys, g)
 
     monkeypatch.setattr(SubbandLinkEvaluator, "_eval_batch", spy)
+    return batches
+
+
+def test_search_loop_batches_by_trial_size(monkeypatch):
+    # on one 20 MHz, M = 8, SB = 6 drop the subbands' searches reach
+    # different trial sizes; each batch holds one size, and there are fewer
+    # batches than the lockstep loop's. They score the lockstep loop's rows
+    # plus every feasible pair it never scored, none twice. Each
+    # evaluator's first batch holds every subband's singletons, subband by
+    # subband, and its second every subband's feasible pairs.
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
+                                    frames_per_drop=1)
+    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    batches = batch_spy(monkeypatch)
     links = link_evaluators(csi, subbands, table, power)
     got = form_groups(links, subbands, active)
     ours = batches[:]
@@ -781,9 +827,33 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
     assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
                                                    subbands, active))
     assert all({bits.bit_count() for _, bits in keys} == {g} for _, keys, g in ours)
-    assert sum(len(keys) for _, keys, _ in ours) == sum(len(keys) for _, keys, _ in batches)
+    scored = [key for _, keys, _ in ours for key in keys]
+    pairs = {(j, p) for ev in links for j in ev.cache for p in feasible_pairs(ev, j, active)}
+    assert len(scored) == len(set(scored))
+    assert set(scored) == {key for _, keys, _ in batches for key in keys} | pairs
     assert len({g for *_, g in ours}) > 2
     assert len(ours) < len(batches), (len(ours), len(batches))
     for ev in links:
-        first = next((keys, g) for owner, keys, g in ours if owner is ev)
+        first, second = [(keys, g) for owner, keys, g in ours if owner is ev][:2]
         assert first == ([(j, 1 << ms) for j in ev.cache for ms in sorted(active)], 1)
+        assert second[1] == 2
+        assert sorted(second[0]) == sorted((j, p) for j in ev.cache
+                                           for p in feasible_pairs(ev, j, active))
+
+
+@pytest.mark.parametrize("num_subbands", [1, 3, 6])
+def test_two_antennas_two_batches_per_evaluator(monkeypatch, num_subbands):
+    # at M = 2 a group is a singleton or a pair: an evaluator's singletons
+    # form one batch and its feasible pairs the other, and the greedy steps
+    # read only cached scores; the groups are the lockstep loop's
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=2,
+                                    num_subbands=num_subbands, frames_per_drop=1)
+    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    batches = batch_spy(monkeypatch)
+    links = link_evaluators(csi, subbands, table, power)
+    got = form_groups(links, subbands, active)
+    assert [(owner, g) for owner, _, g in batches] == [(ev, g) for ev in links for g in (1, 2)]
+    assert any(len(g.members) == 2 for g in got.groups())
+    batches.clear()
+    assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
+                                                   subbands, active))
