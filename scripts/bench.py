@@ -4,7 +4,10 @@ with its parent measured in the same session.
     python3 scripts/bench.py 8=. 7=../parent-checkout
 
 Each ``PR=DIR`` names a checkout of the repository at that PR; the first is
-the one recorded, the others are its baselines. For seed i = 0..RUNS-1 and
+the one recorded, the others are its baselines. First each checkout's
+``src/`` and ``perfbench/`` are byte-compiled (``python -m compileall``, even
+under ``PYTHONDONTWRITEBYTECODE``), so ``setup_s`` never times a compile.
+Then, for seed i = 0..RUNS-1 and
 for each workload in turn, every checkout runs
 ``perfbench/run.py --trace 0 --seed i`` for BENCHMARK.json's ``run_seconds``,
 the checkouts in an order that alternates from run to run, so checkouts
@@ -68,6 +71,15 @@ def count_metrics() -> list[str]:
     tree = ast.parse((ROOT / "perfbench" / "bench.py").read_text())
     return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "COUNT_METRICS")
+
+
+def compile_bytecode(checkout: Path) -> None:
+    """Byte-compile checkout's src/ and perfbench/, with bytecode writes
+    allowed whatever this shell sets, so that every set-up probe imports
+    from current bytecode instead of compiling stale or missing modules."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout,
+                   env=env, check=True, timeout=600)
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -213,6 +225,8 @@ def main(argv=None) -> int:
             ap.error(f"{arg!r}: need PR=DIR with DIR a checkout holding perfbench/run.py")
         checkouts[pr] = Path(path).resolve()
 
+    for path in checkouts.values():
+        compile_bytecode(path)
     runs = {pr: [] for pr in checkouts}
     order = list(checkouts)
     for i in range(RUNS):

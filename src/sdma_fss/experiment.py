@@ -509,28 +509,29 @@ class CellSummary:
 def summarize(rows: list[dict]) -> list[CellSummary]:
     """Aggregate raw rows into per-cell means/CIs and attach the gain of
     frequency-selective scheduling relative to the single-subband baseline."""
-    needed = [*SWEEP_AXES.values(), "goodput_bytes_per_s", "map_overhead_fraction"]
+    values = ("goodput_bytes_per_s", "map_overhead_fraction")
+    needed = [*SWEEP_AXES.values(), *values]
     if missing := [c for c in needed if any(c not in r for r in rows)]:
         raise ConfigurationError(f"rows lack the columns {missing}: not a sweep's rows.csv?")
-    cells: dict[tuple, list[dict]] = {}
+    cells: dict[tuple, list[list[float]]] = {}  # key cells -> each row's value cells
     for i, r in enumerate(rows, 1):
         if r.get("error"):
             continue
-        key = []
-        for field in SWEEP_AXES.values():
+        parsed = []
+        for field in needed:
             try:
-                key.append(_axis_value(field, r[field]))
+                parsed.append(float(r[field]) if field in values else _axis_value(field, r[field]))
             except (TypeError, ValueError, OverflowError):
                 raise ConfigurationError(f"row {i}: bad {field} value {r[field]!r}") from None
-        cells.setdefault(tuple(key), []).append(r)
+        cells.setdefault(tuple(parsed[:len(SWEEP_AXES)]), []).append(parsed[len(SWEEP_AXES):])
 
     summaries: dict[tuple, CellSummary] = {}
     for key in sorted(cells):
-        grp = cells[key]
-        gp_mean, gp_ci = _mean_ci([float(r["goodput_bytes_per_s"]) for r in grp])
-        ov_mean, ov_ci = _mean_ci([float(r["map_overhead_fraction"]) for r in grp])
+        goodput, overhead = zip(*cells[key])
+        gp_mean, gp_ci = _mean_ci(list(goodput))
+        ov_mean, ov_ci = _mean_ci(list(overhead))
         summaries[key] = CellSummary(
-            **dict(zip(SWEEP_AXES.values(), key)), n=len(grp),
+            **dict(zip(SWEEP_AXES.values(), key)), n=len(goodput),
             goodput_mean=gp_mean, goodput_ci95=gp_ci,
             overhead_mean=ov_mean, overhead_ci95=ov_ci,
         )

@@ -17,8 +17,10 @@ scheduler: it runs the searches of a stack of subbands with equal CSI
 sample counts together, and each kernel batch scores the trials of every
 search waiting on the size that most of them wait on (the smaller on a
 tie), so the singletons of every subband form the first batch and their
-pairs the second. The kernels are row-independent, so the bits are those
-of searching one subband at a time, trial by trial.
+pairs the second. A batch runs as consecutive kernel calls that each
+gather at most CALL_CSI_BYTES of CSI, since an all-pairs batch grows as the
+square of the MS count. The kernels are row-independent, so the bits are
+those of searching one subband at a time, trial by trial.
 For the same reason the link evaluators that link_evaluators builds from
 one drop's static CSI serve all its frames. Each keeps, per subband and
 member mask, the group's metric and the MCS entry each member sustains,
@@ -37,6 +39,10 @@ import numpy as np
 from .channel import CsiReport, subband_csi
 from .geometry import SubbandSpec
 from .phy import McsEntry, McsTable, compute_sinr, minmse_weights, select_mcs_batch
+
+# the most CSI one kernel call gathers, in bytes: an all-pairs batch holds
+# K^2/2 keys, and a call's transients are about three times its CSI stack
+CALL_CSI_BYTES = 1 << 20
 
 Key = tuple[int, int]  # (position in the subbands list, member mask)
 # (metric, then each member's index into the MCS entries by ascending MS id, -1: none feasible)
@@ -97,21 +103,26 @@ class SubbandLinkEvaluator:
         return members
 
     def _eval_batch(self, keys: list[Key], g: int) -> None:
-        rows = []  # stack row of each member, ascending MS id within a key
-        for j, mask in keys:
-            base = self.base[j]
-            rows += [base + ms for ms in self.members(mask)]
-        rows = np.array(rows)
+        """Score keys, all of g members, in consecutive kernel calls that
+        each gather at most CALL_CSI_BYTES of CSI, or one key."""
         n, m = self.flat.shape[1:]
-        h = self.flat.take(rows, axis=0).reshape(-1, g, n, m)  # (R, G, N, M)
-        w = minmse_weights(self.center.take(rows, axis=0).reshape(-1, g, m), self.noise,
-                           self.total_power)
-        sinr = compute_sinr(w, h, self.total_power / g, self.noise)  # (R, G, N)
-        idx = select_mcs_batch(sinr.reshape(-1, n), self.table).reshape(-1, g)
-        # small integer payloads: the sums are exact, as floats too
-        metrics = self.table.payloads[idx].sum(axis=1).tolist()
-        for (j, mask), metric, i in zip(keys, metrics, idx.tolist()):
-            self.cache[j][mask] = (metric, *i)
+        step = max(1, CALL_CSI_BYTES // (g * n * m * self.flat.itemsize))
+        for start in range(0, len(keys), step):
+            chunk = keys[start:start + step]
+            rows = []  # stack row of each member, ascending MS id within a key
+            for j, mask in chunk:
+                base = self.base[j]
+                rows += [base + ms for ms in self.members(mask)]
+            rows = np.array(rows)
+            h = self.flat.take(rows, axis=0).reshape(-1, g, n, m)  # (R, G, N, M)
+            w = minmse_weights(self.center.take(rows, axis=0).reshape(-1, g, m), self.noise,
+                               self.total_power)
+            sinr = compute_sinr(w, h, self.total_power / g, self.noise)  # (R, G, N)
+            idx = select_mcs_batch(sinr.reshape(-1, n), self.table).reshape(-1, g)
+            # small integer payloads: the sums are exact, as floats too
+            metrics = self.table.payloads[idx].sum(axis=1).tolist()
+            for (j, mask), metric, i in zip(chunk, metrics, idx.tolist()):
+                self.cache[j][mask] = (metric, *i)
 
 
 def _search(scored: dict[int, Scored], bits: list[int], max_groups: int, num_antennas: int,

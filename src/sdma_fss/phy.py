@@ -213,9 +213,10 @@ def _sum_axis2(x: np.ndarray) -> np.ndarray:
         return x[:, :, 0]
     if n < 8:
         s, rest = x[:, :, 0] + x[:, :, 1], range(2, n)
-    else:
-        s, rest = x[:, :, :8].copy(), range(n - n % 8, n)
-        for i in range(8, rest.start, 8):
+    else:  # the running sums start as the first block, or the sum of the first two
+        rest = range(n - n % 8, n)
+        s = x[:, :, :8] + x[:, :, 8:16] if rest.start > 8 else x[:, :, :8]
+        for i in range(16, rest.start, 8):
             s += x[:, :, i:i + 8]
         while s.shape[2] > 1:
             s = s[:, :, 0::2] + s[:, :, 1::2]

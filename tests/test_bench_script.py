@@ -39,3 +39,17 @@ def test_claim_check_gives_one_verdict_per_line():
         "w peak_rss_mib": "within noise",
     }
     assert "better in 10/10 pairs" in lines[0] and "(PR 23)" in lines[0]
+
+
+def test_compile_bytecode_writes_pycache_under_dontwritebytecode(tmp_path, monkeypatch):
+    # setup_s must not time a compile: the recorder writes each checkout's
+    # bytecode before its first run, whatever the calling shell sets
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for name in ("src/pkg/mod.py", "perfbench/tool.py"):
+        (tmp_path / name).parent.mkdir(parents=True)
+        (tmp_path / name).write_text("X = 1\n")
+    recorder.compile_bytecode(tmp_path)
+    assert [p.name.split(".")[0] for p in (tmp_path / "src" / "pkg" / "__pycache__").iterdir()] \
+        == ["mod"]
+    assert [p.name.split(".")[0] for p in (tmp_path / "perfbench" / "__pycache__").iterdir()] \
+        == ["tool"]

@@ -548,6 +548,19 @@ def test_cli_report_bad_key_cell_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "row 2" in err and "num_antennas" in err
 
 
+@pytest.mark.parametrize("column", ["goodput_bytes_per_s", "map_overhead_fraction"])
+def test_cli_report_bad_value_cell_exit_code(tmp_path, capsys, column):
+    # a value cell that is no number was a ValueError from float()
+    cfg = tiny_cfg(frames_per_drop=1)
+    run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0, 1]}), out_dir=tmp_path / "s")
+    rows = read_rows(tmp_path / "s" / "rows.csv")
+    rows[1][column] = "x"
+    experiment.write_rows(tmp_path / "bad.csv", rows, CSV_COLUMNS)
+    assert cli_main(["report", "--rows", str(tmp_path / "bad.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err and column in err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "report"])
 def test_cli_directory_as_input_exit_code(tmp_path, capsys, monkeypatch, command):
     # a directory where a file belongs was an IsADirectoryError

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -857,3 +858,74 @@ def test_two_antennas_two_batches_per_evaluator(monkeypatch, num_subbands):
     batches.clear()
     assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
                                                    subbands, active))
+
+
+# ---------------------------------------------------------------- per-call CSI budget
+
+
+def thirty_six_users(monkeypatch):
+    """Fresh link evaluators of the seed-0 drop at 20 MHz, M = 8, K = 36,
+    SB = 1, where the pair batch gathers several budgets of CSI, and the
+    (subbands, active) arguments of its first form_groups call."""
+    cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_ms=36,
+                                    num_subbands=1, frames_per_drop=1)
+    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    return link_evaluators(csi, subbands, table, power), subbands, active
+
+
+def test_chunked_calls_keep_every_entry(monkeypatch):
+    # with a budget of a few members' CSI, every batch of G = 1..8 runs as
+    # several kernel calls, none above the budget unless it holds one key,
+    # and every entry keeps the bits of one call per batch
+    rng = np.random.default_rng(27)
+    k, n, m = 14, 6, 8
+    h = rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))
+    batches = {g: [(0, mask(rng.choice(k, g, replace=False).tolist())) for _ in range(30)]
+               for g in range(1, m + 1)}
+    batches = {g: list(dict.fromkeys(keys)) for g, keys in batches.items()}
+    one, chunked = evaluator(h), evaluator(h)
+    for g, keys in batches.items():
+        one._eval_batch(keys, g)
+    member_bytes = n * m * h.itemsize
+    monkeypatch.setattr(grouping, "CALL_CSI_BYTES", 5 * member_bytes)
+    calls = kernel_rows(monkeypatch)
+    for g, keys in batches.items():
+        calls.clear()
+        chunked._eval_batch(keys, g)
+        assert len(calls) == -(-len(keys) // max(1, 5 // g)) > 1
+        assert all(len(c) * member_bytes <= max(5 * member_bytes, g * member_bytes)
+                   for c in calls)
+    assert list(chunked.cache[0]) == list(one.cache[0])
+    for bits, entry in one.cache[0].items():
+        assert np.array(entry).tobytes() == np.array(chunked.cache[0][bits]).tobytes()
+
+
+def test_budget_bounds_every_call_at_36_users(monkeypatch):
+    # the pair batch of 36 users gathers more than the budget: it runs as
+    # several calls, and no call gathers more than the budget (one M = 8
+    # key of a 20 MHz subband is far below it)
+    links, subbands, active = thirty_six_users(monkeypatch)
+    (ev,) = links
+    n, m = ev.flat.shape[1:]
+    member_bytes = n * m * ev.flat.itemsize
+    assert m * member_bytes < grouping.CALL_CSI_BYTES
+    batches = batch_spy(monkeypatch)
+    calls = kernel_rows(monkeypatch)
+    form_groups(links, subbands, active)
+    pairs = next(keys for _, keys, g in batches if g == 2)
+    assert len(pairs) * 2 * member_bytes > 2 * grouping.CALL_CSI_BYTES
+    assert len(calls) > len(batches)
+    assert max(len(c) for c in calls) * member_bytes <= grouping.CALL_CSI_BYTES
+
+
+def test_cold_grouping_peak_memory_at_36_users(monkeypatch):
+    # one cold grouping of 36 users once traced a 45 MiB peak, most of it
+    # the transients of its one all-pairs kernel call
+    links, subbands, active = thirty_six_users(monkeypatch)
+    tracemalloc.start()
+    try:
+        form_groups(links, subbands, active)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
