@@ -15,47 +15,3 @@ if _unset and "numpy" in sys.modules:
                   "to 1 has no effect", RuntimeWarning, stacklevel=2)
 
 __version__ = "0.1.0"
-
-from .channel import (
-    ChannelParams,
-    ChannelRealization,
-    CsiReport,
-    decimate_csi,
-    generate_channel,
-    subband_csi,
-)
-from .frame import (
-    Burst,
-    OfdmaFrame,
-    frame_construction,
-    initial_vertical_limit,
-    pack_group_area,
-    predict_map_size,
-)
-from .geometry import ConfigurationError, FrameGeometry, SubbandSpec, partition_frame
-from .grouping import GroupingResult, SdmaGroup, form_groups
-from .phy import (
-    McsEntry,
-    McsTable,
-    compute_sinr,
-    default_mcs_table,
-    minmse_weights,
-    select_mcs_batch,
-)
-from .qos import (
-    CandidateList,
-    Flow,
-    build_candidate_list,
-    generate_traffic,
-    make_flows,
-    update_pf_averages,
-)
-from .experiment import (
-    RunMetrics,
-    ScenarioConfig,
-    SweepSpec,
-    drop_frames,
-    report,
-    run_drop,
-    run_sweep,
-)

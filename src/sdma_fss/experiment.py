@@ -46,6 +46,13 @@ _FIELD_TYPES = {"bool": bool, "int": Integral, "Optional[int]": Integral, "float
                 "Optional[str]": str}
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether value is of the type a ScenarioConfig annotation names."""
+    kind = _FIELD_TYPES[annotation]
+    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            or value is None and annotation.startswith("Optional"))
+
+
 @dataclass
 class ScenarioConfig:
     bandwidth_mhz: float = 10.0
@@ -80,9 +87,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):  # a JSON config may carry "false", 2.5 or NaN where it is wrong
-            v, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type)
-            if kind and not (isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
-                             or v is None and f.type.startswith("Optional")):
+            if not _has_type(v := getattr(self, f.name), f.type):
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {v!r}")
         self._mcs_table = default_mcs_table()
         if self.mcs_table_path:  # a bad table file fails here, not in every drop of a sweep
@@ -328,15 +333,10 @@ SWEEP_AXES = {
     "los": "los",
 }
 KEY_COLUMNS = [*SWEEP_AXES.values(), "seed"]
-_AXIS_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name in KEY_COLUMNS}
-_AXIS_TYPES["seed"] = int
-
-
-def _axis_value(field: str, value):
-    """An axis value as its config field's type; CSV rows hold strings."""
-    if _AXIS_TYPES[field] is bool:
-        return str(value) in ("True", "true", "1")
-    return _AXIS_TYPES[field](value)
+# each key column's ScenarioConfig annotation, and the parser of its rows.csv text
+_KEY_TYPES = {f.name: f.type for f in fields(ScenarioConfig) if f.name in KEY_COLUMNS}
+_KEY_TYPES["seed"] = "int"
+_PARSE = {"bool": {"True": True, "False": False}.__getitem__, "int": int, "float": float}
 
 
 @dataclass
@@ -351,7 +351,8 @@ class SweepSpec:
     @classmethod
     def from_config(cls, cfg: ScenarioConfig, raw: Optional[dict] = None) -> "SweepSpec":
         """Axes absent from the sweep section take the base config's value.
-        Each key needs a nonempty list of values of its field's type."""
+        Each key needs a nonempty list of distinct values of its field's type,
+        checked as ScenarioConfig checks it."""
         raw = {} if raw is None else raw
         if not isinstance(raw, dict):
             raise ConfigurationError(f"the sweep section must be a JSON object, got {raw!r}")
@@ -363,14 +364,13 @@ class SweepSpec:
         axes = {}
         for key, field in [*SWEEP_AXES.items(), ("seeds", "seed")]:
             default = list(range(cfg.num_seeds)) if key == "seeds" else [getattr(cfg, field)]
-            values = raw.get(key, default)
-            try:
-                axes[key] = [_axis_value(field, v) for v in values]
-            except (TypeError, ValueError, OverflowError):  # "x" or inf where an int belongs
-                axes[key] = None
-            if not values or not isinstance(values, list) or axes[key] != values:  # or 2.5 cut to 2
-                raise ConfigurationError(f"sweep {key} must be a nonempty list of {field} values, "
-                                         f"got {values!r}")
+            values, kind = raw.get(key, default), _KEY_TYPES[field]
+            # the type check comes first, so set() sees only hashable values
+            if not (isinstance(values, list) and values and all(_has_type(v, kind) for v in values)
+                    and len(set(values)) == len(values)):  # a repeat would count a drop twice
+                raise ConfigurationError(f"sweep {key} must be a nonempty list of distinct "
+                                         f"{kind} values, got {values!r}")
+            axes[key] = [float(v) if kind == "float" else v for v in values]  # 10 -> 10.0
         return cls(**axes)
 
 
@@ -518,10 +518,10 @@ def summarize(rows: list[dict]) -> list[CellSummary]:
         if r.get("error"):
             continue
         parsed = []
-        for field in needed:
+        for field in needed:  # run_sweep's own rows hold typed cells, rows.csv text
             try:
-                parsed.append(float(r[field]) if field in values else _axis_value(field, r[field]))
-            except (TypeError, ValueError, OverflowError):
+                parsed.append(_PARSE[_KEY_TYPES.get(field, "float")](str(r[field])))
+            except (KeyError, ValueError):  # a bool cell reads True or False
                 raise ConfigurationError(f"row {i}: bad {field} value {r[field]!r}") from None
         cells.setdefault(tuple(parsed[:len(SWEEP_AXES)]), []).append(parsed[len(SWEEP_AXES):])
 
@@ -574,7 +574,6 @@ def report(rows: list[dict], out_dir: Optional[Path] = None) -> str:
              for k, v in asdict(s).items()}
             for s in summaries
         ]
-        cols = list(agg[0].keys()) if agg else []
-        write_rows(out_dir / "summary.csv", agg, cols)
+        write_rows(out_dir / "summary.csv", agg, [f.name for f in fields(CellSummary)])
         (out_dir / "summary.txt").write_text(text + "\n")
     return text

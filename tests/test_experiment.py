@@ -165,7 +165,7 @@ def test_bad_mcs_table_rejected_at_construction(tmp_path, kind):
         tiny_cfg(mcs_table_path=path)
     if kind != "missing":  # the loader itself names malformed content a ValueError
         with pytest.raises(ValueError):
-            sdma_fss.McsTable.from_json(path)
+            sdma_fss.phy.McsTable.from_json(path)
 
 
 @pytest.mark.parametrize("kind", ["empty", "no_beta", "missing"])
@@ -173,7 +173,7 @@ def test_bad_mcs_table_gives_error_rows(tmp_path, kind):
     # a table file that goes bad after the base config was built fails each
     # cell's config with an error row; the sweep runs to the end
     path = tmp_path / "mcs.json"
-    entries = [dataclasses.asdict(e) for e in sdma_fss.default_mcs_table().entries]
+    entries = [dataclasses.asdict(e) for e in sdma_fss.phy.default_mcs_table().entries]
     path.write_text(json.dumps({"entries": entries}))
     cfg = tiny_cfg(frames_per_drop=1, mcs_table_path=str(path))
     path.unlink()
@@ -253,6 +253,16 @@ def test_sweep_rejects_unknown_keys(tmp_path):
     {"antennas": [2.5]},  # was cut to 2
     {"los": ["yes"]},  # was False
     {"subbands": []},
+    # a bool is no int and an int no bool, as the config checks them: these ran
+    # as M=1, K=0, LOS, seed 1 and M=2
+    {"antennas": [True]},
+    {"users": [False]},
+    {"los": [1]},
+    {"seeds": [True]},
+    {"antennas": [2.0]},
+    # a repeated value ran one drop twice, inflating n and shrinking the CI
+    {"subbands": [2, 2]},
+    {"seeds": [0, 0]},
 ], ids=str)
 def test_sweep_rejects_bad_values(raw):
     with pytest.raises(ConfigurationError, match=next(iter(raw))):
@@ -536,16 +546,31 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert (tmp_path / "rep" / "summary.csv").exists()
 
 
-def test_cli_report_bad_key_cell_exit_code(tmp_path, capsys):
-    # a key cell that is no number was a ValueError from int()
+# a key cell that is no number was a ValueError from int(), and a los cell
+# other than True or False was summarized as NLOS
+@pytest.mark.parametrize("column, cell", [("num_antennas", "x"), ("los", "x"), ("los", "")])
+def test_cli_report_bad_key_cell_exit_code(tmp_path, capsys, column, cell):
     cfg = tiny_cfg(frames_per_drop=1)
     run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0, 1]}), out_dir=tmp_path / "s")
     rows = read_rows(tmp_path / "s" / "rows.csv")
-    rows[1]["num_antennas"] = "x"
+    rows[1][column] = cell
     experiment.write_rows(tmp_path / "bad.csv", rows, CSV_COLUMNS)
-    assert cli_main(["report", "--rows", str(tmp_path / "bad.csv")]) == 2
+    assert cli_main(["report", "--rows", str(tmp_path / "bad.csv"),
+                     "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "row 2" in err and "num_antennas" in err
+    assert err.startswith("error: ") and "row 2" in err and column in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_on_no_good_row_writes_summary_header(tmp_path):
+    # summary.csv held only a line break when no row was free of errors
+    failed = dict.fromkeys(CSV_COLUMNS, "")
+    failed.update(bandwidth_mhz=10.0, num_antennas=2, num_ms=12, num_subbands=5, los=True,
+                  seed=0, error="ConfigurationError: 6 rows not divisible by 5")
+    for rows in ([], [failed]):
+        report(rows, out_dir=tmp_path)
+        header = (tmp_path / "summary.csv").read_text().splitlines()
+        assert header == [",".join(f.name for f in dataclasses.fields(experiment.CellSummary))]
 
 
 @pytest.mark.parametrize("column", ["goodput_bytes_per_s", "map_overhead_fraction"])
@@ -621,7 +646,8 @@ def test_cli_run_default_config_writes_printed_metrics(tmp_path, capsys):
     assert {**printed, "wall_time_s": 0} == {**want, "wall_time_s": 0}
 
 
-@pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2", "5:2"])  # 5:2 was an empty sweep
+# 5:2 was an empty sweep and 3,3 ran seed 3 twice
+@pytest.mark.parametrize("seeds", ["abc", "1:x", "1,,2", "5:2", "3,3"])
 def test_cli_bad_seeds_exit_code(tmp_path, capsys, seeds):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_cfg(frames_per_drop=1).to_dict()))
@@ -629,6 +655,7 @@ def test_cli_bad_seeds_exit_code(tmp_path, capsys, seeds):
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
                      "--seeds", seeds]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_seed_override(tmp_path):
