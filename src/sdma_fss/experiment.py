@@ -508,12 +508,14 @@ class CellSummary:
 
 def summarize(rows: list[dict]) -> list[CellSummary]:
     """Aggregate raw rows into per-cell means/CIs and attach the gain of
-    frequency-selective scheduling relative to the single-subband baseline."""
+    frequency-selective scheduling relative to the single-subband baseline.
+    A (cell, seed) pair given twice is an error, not a second drop."""
     values = ("goodput_bytes_per_s", "map_overhead_fraction")
-    needed = [*SWEEP_AXES.values(), *values]
+    needed, n = [*KEY_COLUMNS, *values], len(KEY_COLUMNS)
     if missing := [c for c in needed if any(c not in r for r in rows)]:
         raise ConfigurationError(f"rows lack the columns {missing}: not a sweep's rows.csv?")
-    cells: dict[tuple, list[list[float]]] = {}  # key cells -> each row's value cells
+    cells: dict[tuple, list[list[float]]] = {}  # cell -> each row's value cells
+    first: dict[tuple, int] = {}  # (cell, seed) -> its row
     for i, r in enumerate(rows, 1):
         if r.get("error"):
             continue
@@ -523,7 +525,11 @@ def summarize(rows: list[dict]) -> list[CellSummary]:
                 parsed.append(_PARSE[_KEY_TYPES.get(field, "float")](str(r[field])))
             except (KeyError, ValueError):  # a bool cell reads True or False
                 raise ConfigurationError(f"row {i}: bad {field} value {r[field]!r}") from None
-        cells.setdefault(tuple(parsed[:len(SWEEP_AXES)]), []).append(parsed[len(SWEEP_AXES):])
+        key = tuple(parsed[:n])  # the cell, then the seed
+        if (j := first.setdefault(key, i)) != i:
+            raise ConfigurationError(f"rows {j} and {i} both hold seed {key[-1]} of cell "
+                                     f"{key[:-1]}")
+        cells.setdefault(key[:-1], []).append(parsed[n:])
 
     summaries: dict[tuple, CellSummary] = {}
     for key in sorted(cells):

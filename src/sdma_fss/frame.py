@@ -14,6 +14,13 @@ only a later commit in that subband releases them again. Trials never
 change the frozen state; they read it, and a per-frame memo of per-member
 first-fit results that a commit retires for exactly the MSs it touched.
 A trial returns a slotted record; a commit updates the totals it changed.
+Within one selection step, a group whose members and slot payloads
+(`SdmaGroup.trial_key`) were already tried in a subband with no burst is
+counted in util_evals but not tried again in another such subband. No MS
+holds frozen packets in a subband with no burst, the whole limit is
+offered, and the other bursts' IEs, columns and utility are those of all
+bursts; so the trial would repeat the earlier one bit for bit, and a tie
+never wins.
 """
 
 from __future__ import annotations
@@ -366,6 +373,7 @@ def frame_construction(
         j_set = set(range(g.num_subbands))
         while j_set:
             best: Optional[tuple[float, Burst]] = None
+            tried = set()  # trial keys of this step's groups in subbands with no burst
             for j in sorted(j_set):
                 committed = packer.bursts.get(j)
                 if committed is not None and not allow_displacement:
@@ -379,6 +387,10 @@ def frame_construction(
                     if committed is not None and grp is not committed.group:
                         taken = committed.columns * scsb
                     packer.stats.util_evals += 1
+                    if committed is None:  # a repeat would tie an earlier trial
+                        if grp.trial_key in tried:
+                            continue
+                        tried.add(grp.trial_key)
                     burst = packer.trial(grp, (v_limit - taken) // scsb)
                     if burst is None:
                         continue

@@ -31,7 +31,7 @@ per evaluator, whatever the active set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,13 @@ class SdmaGroup:
     members: tuple[int, ...]
     mcs: tuple[Optional[McsEntry], ...]  # aligned with members, None: no MCS feasible
     metric: float  # capacity score: members' slot payloads summed, infeasible ones add 0
+    # all a trial in a subband with no burst reads of the group: its members
+    # and their slot payloads (None: no MCS); frame_construction's dedup key
+    trial_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.trial_key = (self.members,
+                          tuple(None if e is None else e.bytes_per_slot for e in self.mcs))
 
 
 @dataclass
