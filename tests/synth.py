@@ -1,5 +1,6 @@
 """Synthetic test instances, the frame auditor, the golden-text frame
-renderer and the FD baseline packer shared by the tests.
+renderer, the FD baseline packer and the every-trial reference packer
+shared by the tests.
 
 Groups and candidate lists are built directly (no PHY in the loop) so the
 packer can be exercised against independent oracles over thousands of
@@ -253,6 +254,67 @@ def fd_baseline_pack(
             packer.stats.accepted_utilities.append(utility)
         free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
         step = min(max(free_cols, 1) * sc, step)
+        v_limit += step
+
+    return packer.finish()
+
+
+def reference_frame_construction(
+    grouping: GroupingResult,
+    candidates: CandidateList,
+    geometry: FrameGeometry,
+    table: McsTable,
+    *,
+    init_columns: int,
+    allow_displacement: bool = False,
+) -> OfdmaFrame:
+    """frame_construction's extension/selection loop without its skip of
+    repeated trials: every offered group of every open subband is trialed
+    in every selection step, including a group whose members and slot
+    payloads an earlier trial of the step already packed in another subband
+    with no burst. The library's frames must equal these."""
+    g = geometry
+    scsb = g.rows_per_subband
+    packer = _Packer(g, table, candidates)
+    if not candidates.by_ms:
+        return packer.finish()
+    max_area = (g.num_columns - 1) * scsb
+    min_slots = _min_slot_size(candidates, grouping.best_bytes_per_slot, scsb, max_area)
+    step = -(-min_slots // scsb) * scsb
+    v_limit = max(init_columns * scsb, step)
+    utility_total = 0.0
+
+    while v_limit * g.num_subbands + packer.map_slots() < g.frame_size_slots:
+        packer.stats.rounds += 1
+        j_set = set(range(g.num_subbands))
+        while j_set:
+            best: Optional[tuple[float, Burst]] = None
+            for j in sorted(j_set):
+                committed = packer.bursts.get(j)
+                if committed is not None and not allow_displacement:
+                    cand = [committed.group]
+                else:
+                    cand = grouping.per_subband[j]
+                for grp in cand:
+                    taken = 0
+                    if committed is not None and grp is not committed.group:
+                        taken = committed.columns * scsb
+                    packer.stats.util_evals += 1
+                    burst = packer.trial(grp, (v_limit - taken) // scsb)
+                    if burst is None:
+                        continue
+                    util_new = packer.util[j] + burst.utility
+                    if best is None or util_new > best[0]:
+                        best = (util_new, burst)
+            if best is None or best[0] <= utility_total:
+                j_set.clear()
+                continue
+            utility_total, burst = best
+            packer.commit(burst)
+            packer.stats.accepted_utilities.append(utility_total)
+            j_set.discard(burst.subband)
+        free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
+        step = min(max(free_cols, 1) * scsb, step)
         v_limit += step
 
     return packer.finish()

@@ -425,6 +425,14 @@ def test_summarize_skips_error_rows():
     assert (summary.num_subbands, summary.n, summary.goodput_mean) == (1, 2, 2e6)
 
 
+def test_summarize_rejects_repeated_cell_and_seed():
+    # a repeated drop was counted twice: n=2 for one seed and a narrower CI
+    rows = [fake_row(1, 0, 1e6), fake_row(6, 0, 2e6), fake_row(1, 1, 3e6), fake_row(1, 0, 1e6)]
+    with pytest.raises(ConfigurationError, match="rows 1 and 4"):
+        summarize(rows)
+    assert [s.n for s in summarize(rows[:3])] == [2, 1]  # the same seed in another cell
+
+
 def test_report_missing_baseline_warns():
     text = report([fake_row(6, 0, 1e6)])
     assert "no single-subband baseline" in text
@@ -559,6 +567,19 @@ def test_cli_report_bad_key_cell_exit_code(tmp_path, capsys, column, cell):
                      "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 2" in err and column in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_cli_report_repeated_rows_exit_code(tmp_path, capsys):
+    # a rows.csv whose body is appended again reported every cell at n=4
+    cfg = tiny_cfg(frames_per_drop=1)
+    run_sweep(cfg, SweepSpec.from_config(cfg, {"seeds": [0, 1]}), out_dir=tmp_path / "s")
+    text = (tmp_path / "s" / "rows.csv").read_text()
+    (tmp_path / "twice.csv").write_text(text + text.split("\n", 1)[1])
+    assert cli_main(["report", "--rows", str(tmp_path / "twice.csv"),
+                     "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rows 1 and 3" in err
     assert not (tmp_path / "rep").exists()
 
 

@@ -17,6 +17,7 @@ from sdma_fss.frame import (
     predict_map_size,
 )
 from sdma_fss.geometry import FrameGeometry
+from sdma_fss.grouping import SdmaGroup
 from sdma_fss.phy import default_mcs_table
 from synth import (
     audit_frame,
@@ -27,6 +28,7 @@ from synth import (
     make_grouping,
     member_packets,
     random_instance,
+    reference_frame_construction,
     render_frame,
 )
 
@@ -406,6 +408,121 @@ def test_sb1_matches_fd_baseline():
             init_columns=init, best_bytes_per_slot=grouping.best_bytes_per_slot,
         )
         assert_same_frames(a, b)
+
+
+def with_copies(grouping, rng):
+    """The grouping with about half of its groups copied, members and MCS
+    entries alike, into each other subband."""
+    per_subband = [list(groups) for groups in grouping.per_subband]
+    for j, groups in enumerate(grouping.per_subband):
+        for grp in groups:
+            for k, into in enumerate(per_subband):
+                if k != j and rng.random() < 0.5:
+                    into.append(SdmaGroup(k, grp.members, grp.mcs, grp.metric))
+    for groups in per_subband:
+        groups.sort(key=lambda g: (-g.metric, g.members))
+    return make_grouping(per_subband)
+
+
+def assert_identical_frames(a: OfdmaFrame, b: OfdmaFrame):
+    """Equal field by field and bit for bit, bursts in commit order built
+    from the same group objects."""
+    assert a.map_region == b.map_region
+    assert a.utility == b.utility
+    assert a.build_stats == b.build_stats  # util_evals, rounds, accepted_utilities
+    assert list(a.bursts) == list(b.bursts)
+    for ba, bb in zip(a.bursts.values(), b.bursts.values()):
+        assert ba.group is bb.group
+        assert (ba.subband, ba.columns, ba.fits, ba.utility) == (
+            bb.subband, bb.columns, bb.fits, bb.utility)
+
+
+@pytest.mark.parametrize("allow_displacement", [False, True])
+def test_skipped_repeats_equal_every_trial_reference(monkeypatch, allow_displacement):
+    # a group whose members and payloads repeat an earlier trial of the step
+    # in another subband with no burst is not packed, and no frame changes
+    pack = frame_module.pack_group_area
+    calls = [0]
+
+    def counting_pack(*args):
+        calls[0] += 1
+        return pack(*args)
+
+    monkeypatch.setattr(frame_module, "pack_group_area", counting_pack)
+    packs = {False: [0, 0], True: [0, 0]}  # copies? -> [library, reference] pack calls
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        grouping, candidates, geometry = random_instance(rng, max_sb=4)
+        for copies, instance in ((False, grouping), (True, with_copies(grouping, rng))):
+            frames = []
+            for side, construct in enumerate((frame_construction, reference_frame_construction)):
+                before = calls[0]
+                frames.append(construct(
+                    instance, candidates, geometry, TABLE,
+                    init_columns=init_columns_for(geometry), allow_displacement=allow_displacement,
+                ))
+                packs[copies][side] += calls[0] - before
+            assert_identical_frames(*frames)
+    assert packs[False][0] <= packs[False][1]
+    assert packs[True][0] < 0.9 * packs[True][1]
+
+
+def packs_and_commits(monkeypatch) -> list:
+    """Log ("pack", subband, group) per pack_group_area call and ("commit",
+    subband, group) per commit of frame_construction."""
+    pack, commit = frame_module.pack_group_area, _Packer.commit
+    log = []
+
+    def logging_pack(group, *args):
+        log.append(("pack", group.subband, group))
+        return pack(group, *args)
+
+    def logging_commit(packer, burst):
+        log.append(("commit", burst.subband, burst.group))
+        commit(packer, burst)
+
+    monkeypatch.setattr(frame_module, "pack_group_area", logging_pack)
+    monkeypatch.setattr(_Packer, "commit", logging_commit)
+    return log
+
+
+def test_repeated_group_packed_once_per_step(monkeypatch):
+    # one member set with the same payloads on two subbands with no burst:
+    # the first step packs it once, in subband 0, and its tie never wins,
+    # so the burst commits there; the same members with another payload
+    # are packed. A key packed in a subband with a burst skips nothing.
+    log = packs_and_commits(monkeypatch)
+    g0 = make_group(0, {0: 6, 1: 6})
+    g1, other = make_group(1, {0: 6, 1: 6}), make_group(1, {0: 6, 1: 12})
+    assert g0.trial_key == g1.trial_key != other.trial_key
+    geometry = FrameGeometry(num_subchannels=4, num_columns=10, num_subbands=2, max_subbands=6)
+    frame = frame_construction(make_grouping([[g0], [other, g1]]),
+                               make_candidates([(0, 0, 40, 2.0), (1, 1, 40, 1.0)]),
+                               geometry, TABLE, init_columns=1)
+    assert log == [
+        ("pack", 0, g0), ("pack", 1, other), ("commit", 0, g0),  # round 1, step 1
+        ("pack", 1, other), ("pack", 1, g1),  # step 2: subband 1 alone
+        ("pack", 0, g0), ("pack", 1, other), ("pack", 1, g1),  # round 2: g0 has a burst
+    ]
+    assert frame.build_stats.util_evals == 8  # the seven packs and the skipped repeat
+    assert list(frame.bursts) == [0]
+
+
+def test_subband_with_a_burst_is_never_skipped(monkeypatch):
+    # with displacement, a subband's committed burst offers its competitors
+    # the rest of the limit: such a trial is packed even when a subband with
+    # no burst already packed the same members and payloads in this step
+    log = packs_and_commits(monkeypatch)
+    k0, y1, k1 = make_group(0, {0: 6}), make_group(1, {0: 12}), make_group(1, {0: 6})
+    geometry = FrameGeometry(num_subchannels=4, num_columns=30, num_subbands=2, max_subbands=6)
+    frame_construction(make_grouping([[k0], [y1, k1]]),
+                       make_candidates([(i, 0, 120, 1.0) for i in range(2)]),
+                       geometry, TABLE, init_columns=1, allow_displacement=True)
+    assert log[:7] == [
+        ("pack", 0, k0), ("pack", 1, y1), ("commit", 1, y1),  # k1 repeats k0
+        ("pack", 0, k0),  # step 2: subband 0 alone
+        ("pack", 0, k0), ("pack", 1, y1), ("pack", 1, k1),  # round 2: subband 1 has a burst
+    ]
 
 
 def assert_same_frames(a: OfdmaFrame, b: OfdmaFrame):
