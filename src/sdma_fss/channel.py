@@ -7,6 +7,9 @@ mapped onto a uniform-linear-array steering vector. Frequency responses are
 obtained by evaluating the tap delay line at every subcarrier. Large-scale
 pathloss uses a log-distance model with uniform MS placement in a disc.
 
+One record, ChannelRealization, holds a drop's response at a set of
+absolute subcarrier indices: generate_channel gives every subcarrier, and
+decimate_csi keeps every D-th, the error-free CSI the scheduler sees.
 Everything is a pure function of (params, seed): the same inputs give a
 bit-identical realization.
 """
@@ -64,31 +67,15 @@ class ChannelParams:
 
 @dataclass
 class ChannelRealization:
-    """One drop: small-scale frequency response plus large-scale terms.
+    """One drop at the subcarriers it holds.
 
-    h: complex (K, S, M) amplitude gains, unit average power per entry.
-    pathloss_db: (K,) large-scale loss; distances_m kept for diagnostics.
+    h: complex (K, n, M) amplitude gains, unit average power per entry, at
+    the absolute subcarrier indices subcarriers (n,), ascending.
+    pathloss_db: (K,) large-scale loss.
     """
 
     h: np.ndarray
-    pathloss_db: np.ndarray
-    los: np.ndarray
-    distances_m: np.ndarray
-    subcarrier_spacing_hz: float
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.h.shape[1]
-
-
-@dataclass
-class CsiReport:
-    """Decimated but error-free CSI available to the scheduler."""
-
-    decimation: int
-    sample_indices: np.ndarray
-    samples: np.ndarray  # (K, ceil(S/D), M), true channel at sampled indices
-    noise_power_w: float
+    subcarriers: np.ndarray
     pathloss_db: np.ndarray
 
 
@@ -112,8 +99,7 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
     )
     azimuths = rng.uniform(-np.pi / 2, np.pi / 2, size=k)
 
-    los = np.full(k, bool(params.los))
-    exponent = np.where(los, params.pathloss_exponent_los, params.pathloss_exponent_nlos)
+    exponent = params.pathloss_exponent_los if params.los else params.pathloss_exponent_nlos
     pathloss_db = PATHLOSS_REF_DB + 10.0 * exponent * np.log10(distances)
 
     delays = np.arange(l) * params.rms_delay_spread_s
@@ -142,42 +128,28 @@ def generate_channel(params: ChannelParams, seed: int) -> ChannelRealization:
     tap_phase = np.exp(-2j * np.pi * np.outer(delays, freqs))  # (taps, S)
     h = np.einsum("kl,lf,klm->kfm", gains, tap_phase, steer, optimize=True)
 
-    return ChannelRealization(
-        h=h,
-        pathloss_db=pathloss_db,
-        los=los,
-        distances_m=distances,
-        subcarrier_spacing_hz=params.subcarrier_spacing_hz,
-    )
+    return ChannelRealization(h, np.arange(s), pathloss_db)
 
 
-def decimate_csi(ch: ChannelRealization, decimation: int, noise_power_w: float) -> CsiReport:
-    """Sample the true channel at every D-th subcarrier (no estimation error)."""
-    s = ch.num_subcarriers
+def decimate_csi(ch: ChannelRealization, decimation: int) -> ChannelRealization:
+    """Sample the channel at every D-th of its subcarriers (no estimation error)."""
+    s = len(ch.subcarriers)
     if not 1 <= decimation <= s:
         raise ValueError(f"decimation {decimation} outside [1, {s}]")
-    idx = np.arange(0, s, decimation)
-    return CsiReport(
-        decimation=decimation,
-        sample_indices=idx,
-        samples=ch.h[:, idx, :].copy(),
-        noise_power_w=noise_power_w,
-        pathloss_db=ch.pathloss_db.copy(),
-    )
+    return ChannelRealization(ch.h[:, ::decimation].copy(), ch.subcarriers[::decimation],
+                              ch.pathloss_db)
 
 
-def subband_csi(csi: CsiReport, subband: SubbandSpec) -> tuple[np.ndarray, np.ndarray]:
-    """CSI samples falling inside the subband's contiguous subcarrier range.
+def subband_csi(csi: ChannelRealization, subband: SubbandSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The channel at its subcarriers inside the subband's contiguous range.
 
-    Returns (samples (K, n, M), their subcarrier indices). Raises
-    InsufficientCsiError when the subband is narrower than the CSI grid.
+    Returns (h (K, n, M), their subcarrier indices). Raises
+    InsufficientCsiError when none of them falls inside the subband.
     """
-    mask = (csi.sample_indices >= subband.subcarrier_lo) & (
-        csi.sample_indices < subband.subcarrier_hi
-    )
+    mask = (csi.subcarriers >= subband.subcarrier_lo) & (csi.subcarriers < subband.subcarrier_hi)
     if not mask.any():
         raise InsufficientCsiError(
             f"insufficient CSI resolution: subband {subband.index} "
-            f"[{subband.subcarrier_lo}, {subband.subcarrier_hi}) has no samples at D={csi.decimation}"
+            f"[{subband.subcarrier_lo}, {subband.subcarrier_hi}) has no samples"
         )
-    return csi.samples[:, mask, :], csi.sample_indices[mask]
+    return csi.h[:, mask, :], csi.subcarriers[mask]

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, CsiReport, decimate_csi, generate_channel
+from .channel import ChannelParams, ChannelRealization, decimate_csi, generate_channel
 from .frame import OfdmaFrame, frame_construction, initial_vertical_limit, predict_map_size
 from .geometry import ConfigurationError, FrameGeometry, partition_frame
 from .grouping import form_groups, link_evaluators
@@ -228,15 +228,14 @@ class FrameRecord(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1)
-def _drop_csi(params: ChannelParams, seed: int, decimation: int,
-              noise_power_w: float) -> CsiReport:
+def _drop_csi(params: ChannelParams, seed: int, decimation: int) -> ChannelRealization:
     """The drop's decimated CSI, with read-only arrays. The channel is a pure
     function of (params, seed) and params hold no subband split, so
     run_sweep's sibling tasks (one per split, run back to back) share one
     draw. Calls generate_channel and decimate_csi through this module's
     names, so a wrapper set on them sees every draw."""
-    csi = decimate_csi(generate_channel(params, seed), decimation, noise_power_w)
-    for a in (csi.sample_indices, csi.samples, csi.pathloss_db):
+    csi = decimate_csi(generate_channel(params, seed), decimation)
+    for a in (csi.h, csi.subcarriers, csi.pathloss_db):
         a.flags.writeable = False
     return csi
 
@@ -253,8 +252,8 @@ def drop_frames(cfg: ScenarioConfig, seed: int) -> Iterator[FrameRecord]:
     subbands = partition_frame(geometry)
     links = []  # with no MS there is no channel to draw
     if cfg.num_ms:  # the channel is static: one set of links scores groups all drop
-        csi = _drop_csi(cfg.channel_params(), seed, cfg.csi_decimation, cfg.noise_power_w)
-        links = link_evaluators(csi, subbands, table, cfg.tx_power_w)
+        csi = _drop_csi(cfg.channel_params(), seed, cfg.csi_decimation)
+        links = link_evaluators(csi, subbands, table, cfg.noise_power_w, cfg.tx_power_w)
     flows = make_flows(cfg.num_ms)
     ids = itertools.count()
 

@@ -55,13 +55,12 @@ class MapRegion:
 
 @dataclass(slots=True)
 class Burst:
-    """One SDMA group's allocation: the rightmost `columns` columns of its
-    subband, one spatial layer per member.
+    """One SDMA group's allocation: the rightmost `columns` columns of the
+    group's subband, one spatial layer per member.
 
     `fits` holds one (ms, packed ids, used slots) per member that got
     packets, in member order; each is one MAP IE."""
 
-    subband: int
     group: SdmaGroup
     columns: int
     fits: tuple[tuple[int, list[int], int], ...]
@@ -84,8 +83,6 @@ class BuildStats:
 
 @dataclass
 class OfdmaFrame:
-    geometry: FrameGeometry
-    robust_bytes_per_slot: int
     map_region: MapRegion
     bursts: dict[int, Burst]
     utility: float
@@ -224,7 +221,7 @@ def pack_group_area(
             fits.append(fit)
             if fit[2] > top:
                 top = fit[2]
-    return Burst(j, group, -(-top // scsb), tuple(fits), utility)
+    return Burst(group, -(-top // scsb), tuple(fits), utility)
 
 
 def _min_slot_size(
@@ -308,7 +305,7 @@ class _Packer:
 
     def commit(self, burst: Burst) -> None:
         """Make `burst` its subband's burst, replacing any earlier one."""
-        j = burst.subband
+        j = burst.group.subband
         old, held = self.bursts.get(j), self.memo.held
         if old is not None:
             self.ies -= old.ie_count
@@ -335,10 +332,8 @@ class _Packer:
     def finish(self) -> OfdmaFrame:
         slots = self.map_slots()
         region = MapRegion(ie_count=self.ies, slots=slots, columns=map_columns(slots, self.g))
-        return OfdmaFrame(
-            geometry=self.g, robust_bytes_per_slot=self.robust, map_region=region,
-            bursts=self.bursts, utility=self.util[None], build_stats=self.stats,
-        )
+        return OfdmaFrame(map_region=region, bursts=self.bursts, utility=self.util[None],
+                          build_stats=self.stats)
 
 
 def frame_construction(
@@ -403,7 +398,7 @@ def frame_construction(
             utility_total, burst = best
             packer.commit(burst)
             packer.stats.accepted_utilities.append(utility_total)
-            j_set.discard(burst.subband)
+            j_set.discard(burst.group.subband)
         free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
         step = min(max(free_cols, 1) * scsb, step)
         v_limit += step

@@ -29,7 +29,7 @@ class FrameGeometry:
     num_subchannels: int
     num_columns: int
     num_subbands: int
-    max_subbands: int = 6
+    max_subbands: int
 
     def __post_init__(self):
         if self.num_subchannels <= 0 or self.num_columns < 2:

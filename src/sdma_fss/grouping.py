@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import CsiReport, subband_csi
+from .channel import ChannelRealization, subband_csi
 from .geometry import SubbandSpec
 from .phy import McsEntry, McsTable, compute_sinr, minmse_weights, select_mcs_batch
 
@@ -165,10 +165,11 @@ def _search(scored: dict[int, Scored], bits: list[int], max_groups: int, num_ant
         seeds = [bit for bit in seeds if not bit & mask]  # uncovered
 
 
-def link_evaluators(csi: CsiReport, subbands: Sequence[SubbandSpec], table: McsTable,
-                    total_power_w: float) -> list[SubbandLinkEvaluator]:
+def link_evaluators(csi: ChannelRealization, subbands: Sequence[SubbandSpec], table: McsTable,
+                    noise_power_w: float, total_power_w: float) -> list[SubbandLinkEvaluator]:
     """One evaluator per stack of subbands with equal CSI sample counts, in
-    order of first appearance, holding every MS's pathloss-scaled CSI.
+    order of first appearance, holding every MS's pathloss-scaled CSI and
+    the link budget (noise and total transmit power) it scores against.
     Each subband's CSI is sliced once here; form_groups calls that share the
     evaluators share their scores. drop_frames builds them once per drop:
     the channel is static, an entry depends only on its members' CSI and
@@ -178,8 +179,8 @@ def link_evaluators(csi: CsiReport, subbands: Sequence[SubbandSpec], table: McsT
     eff = [subband_csi(csi, sb)[0] * amp for sb in subbands]
     counts = [e.shape[1] for e in eff]
     by_count = ([j for j, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts))
-    return [SubbandLinkEvaluator([eff[j] for j in pos], pos, csi.noise_power_w, total_power_w,
-                                 table) for pos in by_count]
+    return [SubbandLinkEvaluator([eff[j] for j in pos], pos, noise_power_w, total_power_w, table)
+            for pos in by_count]
 
 
 def form_groups(

@@ -128,15 +128,17 @@ def random_instance(rng: np.random.Generator, *, max_sb: int = 3, max_k: int = 6
     return grouping, make_candidates(rows), geometry
 
 
-def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> None:
-    """Assert every packing invariant; raises AssertionError with context."""
-    g = frame.geometry
+def audit_frame(frame: OfdmaFrame, geometry: FrameGeometry, table: McsTable,
+                candidates: CandidateList, num_ms: int) -> None:
+    """Assert every packing invariant of a frame built on geometry with
+    table; raises AssertionError with context."""
+    g = geometry
     region = frame.map_region
 
     # MAP consistency: IE count matches bursts, slots match the bit model
     ies = sum(b.ie_count for b in frame.bursts.values())
     assert region.ie_count == ies, f"map IE count {region.ie_count} != bursts {ies}"
-    expect_slots = map_slots_for_ies(ies, frame.robust_bytes_per_slot)
+    expect_slots = map_slots_for_ies(ies, table.most_robust.bytes_per_slot)
     assert region.slots == expect_slots
     assert region.columns == map_columns(region.slots, g)
 
@@ -146,7 +148,7 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     seen_ids: set[int] = set()
     total_util = 0.0
     for j, b in frame.bursts.items():
-        assert b.subband == j
+        assert b.group.subband == j
         assert 1 <= b.columns <= g.num_columns
         first = g.num_columns - b.columns  # bursts are anchored at the right edge
         assert first >= region.columns, (
@@ -186,9 +188,9 @@ def audit_frame(frame: OfdmaFrame, candidates: CandidateList, num_ms: int) -> No
     )
 
 
-def render_frame(frame: OfdmaFrame) -> str:
+def render_frame(frame: OfdmaFrame, geometry: FrameGeometry) -> str:
     """Stable structured-text rendering of the slot grid for golden tests."""
-    g = frame.geometry
+    g = geometry
     lines = [
         f"frame SC={g.num_subchannels} DL_sl={g.num_columns} SB={g.num_subbands} "
         f"util={frame.utility:.6f}",
@@ -312,7 +314,7 @@ def reference_frame_construction(
             utility_total, burst = best
             packer.commit(burst)
             packer.stats.accepted_utilities.append(utility_total)
-            j_set.discard(burst.subband)
+            j_set.discard(burst.group.subband)
         free_cols = g.num_columns - map_columns(packer.map_slots(), g) - packer.cols[None]
         step = min(max(free_cols, 1) * scsb, step)
         v_limit += step

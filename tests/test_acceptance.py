@@ -61,7 +61,7 @@ def test_acceptance_1_packing_validity():
             grouping, candidates, geometry, TABLE, init_columns=init_columns_for(geometry),
             allow_displacement=bool(rng.integers(0, 4) == 0),
         )
-        audit_frame(frame, candidates, num_ms=6)
+        audit_frame(frame, geometry, TABLE, candidates, num_ms=6)
         runs += 1
     dt = time.perf_counter() - t0
     assert runs >= 1000
@@ -142,7 +142,7 @@ def test_acceptance_2_oracle_optimality_bound():
     for _ in range(200):
         grouping, candidates, geometry = tiny_instance(rng)
         frame = frame_construction(grouping, candidates, geometry, TABLE, init_columns=1)
-        audit_frame(frame, candidates, num_ms=4)
+        audit_frame(frame, geometry, TABLE, candidates, num_ms=4)
         opt = exhaustive_optimum(grouping, candidates, geometry)
         assert frame.utility <= opt + 1e-9, "greedy exceeded exhaustive optimum"
         ratios.append(1.0 if opt <= 0 else frame.utility / opt)

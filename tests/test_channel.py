@@ -57,15 +57,16 @@ def test_invalid_dimensions_rejected():
         params(taps=0)
 
 
-def coherence_bandwidth_50(ch: ChannelRealization) -> float:
-    """50%-correlation width of the frequency autocorrelation, in Hz.
+def coherence_bandwidth_50(ch: ChannelRealization, spacing: float) -> float:
+    """50%-correlation width of the frequency autocorrelation, in Hz, of a
+    channel at every subcarrier, spacing Hz apart.
 
     Averages H(f) H*(f+lag) over MSs, antennas and frequency, normalizes by
     the zero-lag value, and returns the first lag (linearly interpolated)
     where the magnitude drops below one half.
     """
     h = ch.h
-    s = ch.num_subcarriers
+    s = h.shape[1]
     corr = np.empty(s)
     for lag in range(s):
         prod = h[:, : s - lag, :] * np.conj(h[:, lag:, :])
@@ -73,31 +74,29 @@ def coherence_bandwidth_50(ch: ChannelRealization) -> float:
     corr /= corr[0]
     below = np.nonzero(corr < 0.5)[0]
     if below.size == 0:
-        return s * ch.subcarrier_spacing_hz
+        return s * spacing
     i = below[0]
     if i == 0:
         return 0.0
     frac = (corr[i - 1] - 0.5) / (corr[i - 1] - corr[i])
-    return (i - 1 + frac) * ch.subcarrier_spacing_hz
+    return (i - 1 + frac) * spacing
 
 
-_DUMP_MAGIC = b"HMATv1\x00\x00"
+_DUMP_MAGIC = b"HMATv2\x00\x00"
 
 
 def dump_channel(ch: ChannelRealization, path) -> None:
     """Binary channel dump for cross-implementation comparison.
 
-    Layout: 8-byte magic, int64 K, S, M, float64 subcarrier spacing,
-    float64 pathloss[K], uint8 los[K], float64 distances[K], then the
-    response MS-major, subcarrier, antenna with each complex value stored
-    as interleaved re/im 64-bit floats.
+    Layout: 8-byte magic, int64 K, n, M, int64 subcarriers[n], float64
+    pathloss[K], then the response MS-major, subcarrier, antenna with each
+    complex value stored as interleaved re/im 64-bit floats.
     """
     with open(path, "wb") as f:
         f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<qqqd", *ch.h.shape, ch.subcarrier_spacing_hz))
+        f.write(struct.pack("<qqq", *ch.h.shape))
+        ch.subcarriers.astype("<i8").tofile(f)
         ch.pathloss_db.astype("<f8").tofile(f)
-        ch.los.astype(np.uint8).tofile(f)
-        ch.distances_m.astype("<f8").tofile(f)
         inter = np.empty(ch.h.shape + (2,))
         inter[..., 0] = ch.h.real
         inter[..., 1] = ch.h.imag
@@ -110,18 +109,11 @@ def load_channel_dump(path) -> ChannelRealization:
         magic = f.read(8)
         if magic != _DUMP_MAGIC:
             raise ValueError(f"not a channel dump (magic {magic!r})")
-        k, s, m, spacing = struct.unpack("<qqqd", f.read(32))
+        k, s, m = struct.unpack("<qqq", f.read(24))
+        subcarriers = np.fromfile(f, dtype="<i8", count=s)
         pathloss = np.fromfile(f, dtype="<f8", count=k)
-        los = np.fromfile(f, dtype=np.uint8, count=k).astype(bool)
-        dist = np.fromfile(f, dtype="<f8", count=k)
         inter = np.fromfile(f, dtype="<f8", count=k * s * m * 2).reshape(k, s, m, 2)
-    return ChannelRealization(
-        h=inter[..., 0] + 1j * inter[..., 1],
-        pathloss_db=pathloss,
-        los=los,
-        distances_m=dist,
-        subcarrier_spacing_hz=spacing,
-    )
+    return ChannelRealization(inter[..., 0] + 1j * inter[..., 1], subcarriers, pathloss)
 
 
 def _oracle_coherence_bw(h, spacing):
@@ -151,7 +143,7 @@ def test_coherence_bandwidth_matches_bruteforce_oracle():
     # 10 MHz-class spacing, 1024 subcarriers, M=4, L=6
     p = params(k=2, s=1024, m=4, taps=6)
     ch = generate_channel(p, seed=5)
-    fast = coherence_bandwidth_50(ch)
+    fast = coherence_bandwidth_50(ch, p.subcarrier_spacing_hz)
     oracle = _oracle_coherence_bw(ch.h, p.subcarrier_spacing_hz)
     assert abs(fast - oracle) < 1e-6 * max(1.0, oracle)
     assert 0 < fast < 1024 * 10937.5
@@ -181,40 +173,41 @@ def test_power_normalization_los():
 
 def test_coherence_bw_monotone_in_delay_spread():
     narrow, wide = [], []
+    pn, pw = params(k=1, s=128, spread=0.2e-6), params(k=1, s=128, spread=1.0e-6)
     for seed in range(100):
-        narrow.append(coherence_bandwidth_50(generate_channel(params(k=1, s=128, spread=0.2e-6), seed)))
-        wide.append(coherence_bandwidth_50(generate_channel(params(k=1, s=128, spread=1.0e-6), seed)))
+        narrow.append(coherence_bandwidth_50(generate_channel(pn, seed), pn.subcarrier_spacing_hz))
+        wide.append(coherence_bandwidth_50(generate_channel(pw, seed), pw.subcarrier_spacing_hz))
     assert np.mean(wide) < np.mean(narrow)
 
 
 def test_decimation_identity_and_boundary():
     p = params(k=2, s=64)
     ch = generate_channel(p, seed=3)
-    full = decimate_csi(ch, 1, noise_power_w=1e-13)
-    assert full.samples.shape[1] == 64
-    assert np.array_equal(full.samples, ch.h)
-    one = decimate_csi(ch, 64, noise_power_w=1e-13)
-    assert one.samples.shape[1] == 1
-    assert np.array_equal(one.samples[:, 0, :], ch.h[:, 0, :])
+    full = decimate_csi(ch, 1)
+    assert full.h.shape[1] == 64
+    assert np.array_equal(full.h, ch.h)
+    one = decimate_csi(ch, 64)
+    assert one.h.shape[1] == 1
+    assert np.array_equal(one.h[:, 0, :], ch.h[:, 0, :])
 
 
 def test_decimation_indices_oracle():
     p = params(k=2, s=1024, m=2)
     ch = generate_channel(p, seed=11)
-    csi = decimate_csi(ch, 8, noise_power_w=1e-13)
-    assert csi.samples.shape[1] == 128
+    csi = decimate_csi(ch, 8)
+    assert csi.h.shape[1] == 128
     expected = [i for i in range(1024) if i % 8 == 0]  # 0-based: 1st, 9th, 17th...
-    assert list(csi.sample_indices) == expected
+    assert list(csi.subcarriers) == expected
     for j, f in enumerate(expected):
-        assert np.array_equal(csi.samples[:, j, :], ch.h[:, f, :])
+        assert np.array_equal(csi.h[:, j, :], ch.h[:, f, :])
 
 
 def test_decimation_rejects_bad_d():
     ch = generate_channel(params(k=1, s=16), seed=0)
     with pytest.raises(ValueError):
-        decimate_csi(ch, 0, 1e-13)
+        decimate_csi(ch, 0)
     with pytest.raises(ValueError):
-        decimate_csi(ch, 17, 1e-13)
+        decimate_csi(ch, 17)
 
 
 def _band(idx, lo, hi):
@@ -223,7 +216,7 @@ def _band(idx, lo, hi):
 
 def test_subband_csi_identity_and_counts():
     ch = generate_channel(params(k=2, s=1024, m=2), seed=4)
-    csi = decimate_csi(ch, 8, 1e-13)
+    csi = decimate_csi(ch, 8)
     samples, idx = subband_csi(csi, _band(0, 0, 1024))
     assert samples.shape[1] == 128
     half, _ = subband_csi(csi, _band(0, 0, 512))
@@ -232,7 +225,7 @@ def test_subband_csi_identity_and_counts():
 
 def test_subband_csi_partition_oracle():
     ch = generate_channel(params(k=2, s=1024, m=2), seed=4)
-    csi = decimate_csi(ch, 8, 1e-13)
+    csi = decimate_csi(ch, 8)
     thirds = [(0, 342), (342, 684), (684, 1024)]
     sizes = []
     for j, (lo, hi) in enumerate(thirds):
@@ -245,7 +238,7 @@ def test_subband_csi_partition_oracle():
 
 def test_subband_csi_insufficient_resolution():
     ch = generate_channel(params(k=1, s=64), seed=1)
-    csi = decimate_csi(ch, 16, 1e-13)
+    csi = decimate_csi(ch, 16)
     with pytest.raises(InsufficientCsiError):
         subband_csi(csi, _band(0, 1, 9))  # gap between samples 0 and 16
 
@@ -257,5 +250,4 @@ def test_dump_roundtrip(tmp_path):
     back = load_channel_dump(path)
     assert np.array_equal(back.h, ch.h)
     assert np.array_equal(back.pathloss_db, ch.pathloss_db)
-    assert np.array_equal(back.los, ch.los)
-    assert back.subcarrier_spacing_hz == ch.subcarrier_spacing_hz
+    assert np.array_equal(back.subcarriers, ch.subcarriers)

@@ -92,8 +92,9 @@ def test_fuzzed_configs_reject_or_run(raw, seed):
     assert 0.0 <= m.map_overhead_fraction <= m.map_overhead_columns_fraction <= 1.0
     # generated = transmitted + dropped + queued, with nothing queued below 0
     queued = 0
-    for tstats, _, served in drop_frames(cfg, seed):
-        assert 0 <= tstats.dropped_bytes <= tstats.generated_bytes
-        queued += tstats.generated_bytes - tstats.dropped_bytes - sum(served.values())
+    for rec in drop_frames(cfg, seed):
+        t = rec.traffic
+        assert 0 <= t.dropped_bytes <= t.generated_bytes
+        queued += t.generated_bytes - t.dropped_bytes - sum(rec.served.values())
         assert queued >= 0
     assert m.generated_bytes == m.transmitted_bytes + m.dropped_bytes + queued

@@ -353,9 +353,9 @@ def test_sweep_draws_one_channel_per_sibling_set(tmp_path, monkeypatch):
     assert len(draws) == 8
     for name in ("rows.csv", "flows.csv"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-    csi = experiment._drop_csi(cfg.channel_params(), 1, cfg.csi_decimation, cfg.noise_power_w)
+    csi = experiment._drop_csi(cfg.channel_params(), 1, cfg.csi_decimation)
     assert len(draws) == 8  # the last cell's draw is still cached
-    for a in (csi.samples, csi.sample_indices, csi.pathloss_db):
+    for a in (csi.h, csi.subcarriers, csi.pathloss_db):
         assert not a.flags.writeable
 
 

@@ -89,7 +89,7 @@ def test_map_slots_bit_arithmetic_oracle():
 
 def test_map_size_counts_member_allocations_not_bursts():
     mk = lambda members: Burst(
-        subband=0, group=make_group(0, {ms: 6 for ms in members}), columns=1,
+        group=make_group(0, {ms: 6 for ms in members}), columns=1,
         fits=tuple((ms, [ms], 1) for ms in members), utility=1.0,
     )
     ten_single = [mk([i]) for i in range(10)]
@@ -303,7 +303,7 @@ def test_incremental_totals_equal_recount(monkeypatch, allow_displacement):
     replaced = []
 
     def checked_commit(packer, burst):
-        replaced.append(burst.subband in packer.bursts)
+        replaced.append(burst.group.subband in packer.bursts)
         commit(packer, burst)
         for w in [None, *range(packer.g.num_subbands)]:
             ies, cols, utility = recount(packer, w)
@@ -368,7 +368,7 @@ def build_one(seed, **kw):
 def test_random_instances_pass_audit():
     for seed in range(60):
         grouping, candidates, geometry, frame = build_one(seed)
-        audit_frame(frame, candidates, num_ms=6)
+        audit_frame(frame, geometry, TABLE, candidates, num_ms=6)
 
 
 def test_empty_when_frame_too_small():
@@ -433,8 +433,8 @@ def assert_identical_frames(a: OfdmaFrame, b: OfdmaFrame):
     assert list(a.bursts) == list(b.bursts)
     for ba, bb in zip(a.bursts.values(), b.bursts.values()):
         assert ba.group is bb.group
-        assert (ba.subband, ba.columns, ba.fits, ba.utility) == (
-            bb.subband, bb.columns, bb.fits, bb.utility)
+        assert (ba.group.subband, ba.columns, ba.fits, ba.utility) == (
+            bb.group.subband, bb.columns, bb.fits, bb.utility)
 
 
 @pytest.mark.parametrize("allow_displacement", [False, True])
@@ -478,7 +478,7 @@ def packs_and_commits(monkeypatch) -> list:
         return pack(group, *args)
 
     def logging_commit(packer, burst):
-        log.append(("commit", burst.subband, burst.group))
+        log.append(("commit", burst.group.subband, burst.group))
         commit(packer, burst)
 
     monkeypatch.setattr(frame_module, "pack_group_area", logging_pack)
@@ -567,8 +567,8 @@ def test_displacement_flag_allows_competitors():
     b = frame_construction(
         grouping, cand, geometry, TABLE, init_columns=2, allow_displacement=True
     )
-    audit_frame(a, cand, num_ms=2)
-    audit_frame(b, cand, num_ms=2)
+    audit_frame(a, geometry, TABLE, cand, num_ms=2)
+    audit_frame(b, geometry, TABLE, cand, num_ms=2)
     assert b.utility >= a.utility - 1e-12
 
 
@@ -580,8 +580,8 @@ def test_render_frame_stable():
     cand = make_candidates(rows)
     geometry = FrameGeometry(num_subchannels=4, num_columns=8, num_subbands=2, max_subbands=6)
     frame = frame_construction(grouping, cand, geometry, TABLE, init_columns=1)
-    audit_frame(frame, cand, num_ms=2)
-    text = render_frame(frame)
+    audit_frame(frame, geometry, TABLE, cand, num_ms=2)
+    text = render_frame(frame, geometry)
     assert text.splitlines()[0] == "frame SC=4 DL_sl=8 SB=2 util=5.000000"
     assert "map: ies=2" in text
     for j in frame.bursts:

@@ -6,7 +6,7 @@ from sdma_fss.geometry import ConfigurationError, FrameGeometry, partition_frame
 
 
 def test_equal_split():
-    g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=3)
+    g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=3, max_subbands=6)
     subbands = partition_frame(g)
     assert len(subbands) == 3
     assert [sb.index * g.rows_per_subband for sb in subbands] == [0, 10, 20]
@@ -14,7 +14,7 @@ def test_equal_split():
 
 
 def test_single_subband_is_whole_band():
-    g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=1)
+    g = FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=1, max_subbands=6)
     (sb,) = partition_frame(g)
     assert sb.index == 0 and g.rows_per_subband == 30
     assert sb.subcarrier_lo == 0 and sb.subcarrier_hi == g.num_subcarriers
@@ -22,14 +22,14 @@ def test_single_subband_is_whole_band():
 
 def test_nondivisible_rejected():
     with pytest.raises(ConfigurationError):
-        FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=4)
+        FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=4, max_subbands=6)
 
 
 def test_bad_dimensions_rejected():
     with pytest.raises(ConfigurationError):
-        FrameGeometry(num_subchannels=0, num_columns=17, num_subbands=1)
+        FrameGeometry(num_subchannels=0, num_columns=17, num_subbands=1, max_subbands=6)
     with pytest.raises(ConfigurationError):
-        FrameGeometry(num_subchannels=30, num_columns=1, num_subbands=1)
+        FrameGeometry(num_subchannels=30, num_columns=1, num_subbands=1, max_subbands=6)
     with pytest.raises(ConfigurationError):
         FrameGeometry(num_subchannels=30, num_columns=17, num_subbands=7, max_subbands=6)
 
@@ -40,7 +40,7 @@ def test_bad_dimensions_rejected():
     dl=st.integers(min_value=2, max_value=40),
 )
 def test_partition_covers_frame(scsb, sb, dl):
-    g = FrameGeometry(num_subchannels=scsb * sb, num_columns=dl, num_subbands=sb)
+    g = FrameGeometry(num_subchannels=scsb * sb, num_columns=dl, num_subbands=sb, max_subbands=6)
     subbands = partition_frame(g)
     per = g.rows_per_subband
     rows = [r for s in subbands for r in range(s.index * per, (s.index + 1) * per)]

@@ -62,9 +62,10 @@ FRAME_CASES.update(
 
 def render_drop(cfg: ScenarioConfig, seed: int) -> str:
     """`render_frame` of every frame `drop_frames` builds for one drop."""
+    geometry = cfg.geometry()
     return "".join(
-        f"# frame {i}\n{render_frame(frame)}\n"
-        for i, (_, frame, _) in enumerate(drop_frames(cfg, seed))
+        f"# frame {i}\n{render_frame(rec.frame, geometry)}\n"
+        for i, rec in enumerate(drop_frames(cfg, seed))
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdma_fss import experiment, grouping, phy
-from sdma_fss.channel import CsiReport, subband_csi
+from sdma_fss.channel import ChannelRealization, subband_csi
 from sdma_fss.geometry import SubbandSpec
 from sdma_fss.grouping import SubbandLinkEvaluator, form_groups, link_evaluators
 from sdma_fss.phy import (
@@ -27,8 +27,9 @@ def evaluator(h, noise=1.0, power=1.0):
 
 
 def group(csi, subbands, active, power, max_groups=None):
-    """form_groups on fresh link evaluators."""
-    return form_groups(link_evaluators(csi, subbands, TABLE, power), subbands, active, max_groups)
+    """form_groups on fresh link evaluators at unit noise power."""
+    return form_groups(link_evaluators(csi, subbands, TABLE, 1.0, power), subbands, active,
+                       max_groups)
 
 
 def mask(members) -> int:
@@ -72,15 +73,9 @@ def greedy_groups(ev, feasible, max_groups):
     return [g.members for g in result.per_subband[0]]
 
 
-def make_csi(samples: np.ndarray, noise: float = 1.0) -> CsiReport:
+def make_csi(samples: np.ndarray) -> ChannelRealization:
     k, n, m = samples.shape
-    return CsiReport(
-        decimation=1,
-        sample_indices=np.arange(n),
-        samples=samples,
-        noise_power_w=noise,
-        pathloss_db=np.zeros(k),
-    )
+    return ChannelRealization(samples, np.arange(n), np.zeros(k))
 
 
 def bands(n_samples: int, count: int = 1) -> list[SubbandSpec]:
@@ -112,7 +107,7 @@ def test_orthogonal_pair_grouped_together():
     h = np.zeros((2, n, 2), dtype=complex)
     h[0, :, 0] = 2.0
     h[1, :, 1] = 2.0
-    csi = make_csi(h, noise=1.0)
+    csi = make_csi(h)
     result = group(csi, bands(n), [0, 1], 100.0)
     groups = result.per_subband[0]
     assert groups[0].members == (0, 1)
@@ -128,7 +123,7 @@ def test_orthogonal_pair_grouped_together():
 def test_group_metric_single_member_qpsk():
     # weak channel: only the most robust MCS is feasible -> metric 6
     h = np.full((1, 4, 2), 0.11 + 0.0j)
-    csi = make_csi(h, noise=1.0)
+    csi = make_csi(h)
     result = group(csi, bands(4), [0], 100.0)
     g = result.per_subband[0][0]
     assert g.mcs[0] is not None and g.mcs[0].name == "QPSK 1/2"
@@ -137,7 +132,7 @@ def test_group_metric_single_member_qpsk():
 
 def test_group_metric_infeasible_members_zero():
     h = np.full((2, 4, 2), 1e-3 + 0.0j)
-    csi = make_csi(h, noise=1.0)
+    csi = make_csi(h)
     result = group(csi, bands(4), [0, 1], 1.0)
     assert result.per_subband[0] == []
     assert result.best_bytes_per_slot == {}
@@ -147,7 +142,7 @@ def test_no_active_ms_gives_empty_groups():
     # an idle frame groups nobody, with or without links (a drop with no MS
     # has none); it still rejects a bad group cap
     csi = random_csi(np.random.default_rng(3), k=3, n=12, m=2)
-    links = link_evaluators(csi, bands(12, 3), TABLE, 10.0)
+    links = link_evaluators(csi, bands(12, 3), TABLE, 1.0, 10.0)
     for evs in (links, []):
         result = form_groups(evs, bands(12, 3), [])
         assert result.per_subband == [[], [], []]
@@ -347,7 +342,7 @@ def sequential_greedy(ev, feasible, max_groups):
     return groups
 
 
-def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=None):
+def sequential_form_groups(csi, subbands, active_ms, table, noise, power, max_groups=None):
     """(per-subband [(subband, members, member MCS entries, metric)], best_bytes_per_slot)."""
     active = sorted(set(active_ms))
     max_groups = len(active) if max_groups is None else max_groups
@@ -355,7 +350,7 @@ def sequential_form_groups(csi, subbands, active_ms, table, power, max_groups=No
     per_subband, best_bps = [], {}
     for sb in subbands:
         samples, _ = subband_csi(csi, sb)
-        ev = SequentialEvaluator((samples * amp)[active], active, csi.noise_power_w, power, table)
+        ev = SequentialEvaluator((samples * amp)[active], active, noise, power, table)
         single = ev.metrics_for([(ms,) for ms in active])
         feasible = [ms for ms, met in zip(active, single) if met > 0]
         for ms in feasible:
@@ -395,13 +390,14 @@ def test_lockstep_matches_sequential_oracle(geometry, max_groups):
     for trial in range(6):
         k, m = int(rng.integers(3, 10)), int(rng.choice([2, 4]))
         cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)  # mildly selective
+        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)))  # mildly selective
         csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
         active = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
         power = float(rng.uniform(5.0, 80.0))
 
         got = group(csi, subbands, active, power, max_groups)
-        want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power, max_groups)
+        want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, 1.0, power,
+                                                max_groups)
         assert got.best_bytes_per_slot == want_bps
         assert len(got.per_subband) == len(want)
         for groups, ref in zip(got.per_subband, want):
@@ -451,7 +447,7 @@ def test_cached_stacks_and_identity_are_read_only():
     # a drop's link evaluators keep their flat and center stacks, and MinMSE
     # its identity, across calls: a write to one would corrupt every later batch
     csi = random_csi(np.random.default_rng(2), k=5, n=13, m=4)
-    links = link_evaluators(csi, bands(13, 3), TABLE, 10.0)
+    links = link_evaluators(csi, bands(13, 3), TABLE, 1.0, 10.0)
     form_groups(links, bands(13, 3), range(5))
     assert [list(ev.cache) for ev in links] == [[0, 1], [2]]  # 4, 4 and 5 samples
     for ev in links:
@@ -542,7 +538,7 @@ def slices(monkeypatch) -> list:
 
 
 def drop_inputs(monkeypatch, cfg):
-    """The link_evaluators arguments (csi, subbands, table, power) of cfg's
+    """The link_evaluators arguments (csi, subbands, table, noise, power) of cfg's
     seed-0 drop and the active set of its first frame."""
     seen = []
     build, form = experiment.link_evaluators, experiment.form_groups
@@ -574,21 +570,21 @@ def test_drop_cache_matches_fresh_grouping(monkeypatch, num_subbands):
     sliced = slices(monkeypatch)
     drops, hits = [], []
 
-    def built(csi, subbands, table, power):
-        links = build(csi, subbands, table, power)
+    def built(csi, subbands, table, noise, power):
+        links = build(csi, subbands, table, noise, power)
         assert sliced == list(subbands)
-        drops.append(((csi, table, power), build(csi, UNEQUAL_10MHZ, table, power)))
+        drops.append(((csi, table, noise, power), build(csi, UNEQUAL_10MHZ, table, noise, power)))
         return links
 
     def checked(links, subbands, active, max_groups):
         sliced.clear()
         hits.append(sum(1 << ms in ev.cache[j] for ev in links for j in ev.cache for ms in active))
-        (csi, table, power), unequal_links = drops[-1]
+        (csi, table, noise, power), unequal_links = drops[-1]
         got = form(links, subbands, active, max_groups)
         unequal = form(unequal_links, UNEQUAL_10MHZ, active, max_groups)
         assert sliced == []  # the frames slice no CSI
         for result, sbs in ((got, subbands), (unequal, UNEQUAL_10MHZ)):
-            assert_same_grouping(result, form(build(csi, sbs, table, power), sbs, active,
+            assert_same_grouping(result, form(build(csi, sbs, table, noise, power), sbs, active,
                                               max_groups))
         assert got.groups() and unequal.groups()
         return got
@@ -613,10 +609,10 @@ def test_warm_cache_runs_no_kernel(monkeypatch):
     # the same active set again evaluates nothing; their stacks hold every
     # MS, so no grouping, of this active set or another, slices subband CSI
     cfg = experiment.ScenarioConfig(bandwidth_mhz=10.0, num_subbands=3, frames_per_drop=1)
-    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    (csi, subbands, table, noise, power), active = drop_inputs(monkeypatch, cfg)
     seen = kernel_rows(monkeypatch)
     sliced = slices(monkeypatch)
-    links = link_evaluators(csi, subbands, table, power)
+    links = link_evaluators(csi, subbands, table, noise, power)
     assert sliced == list(subbands)
     sliced.clear()
     cold = form_groups(links, subbands, active)
@@ -627,7 +623,7 @@ def test_warm_cache_runs_no_kernel(monkeypatch):
     assert_same_grouping(warm, cold)
     other = form_groups(links, subbands, active[::2])
     assert sliced == []
-    assert_same_grouping(other, form_groups(link_evaluators(csi, subbands, table, power),
+    assert_same_grouping(other, form_groups(link_evaluators(csi, subbands, table, noise, power),
                                             subbands, active[::2]))
     assert sliced == list(subbands)  # fresh links: fresh stacks
 
@@ -641,14 +637,14 @@ def test_ms_ids_beyond_64_bits(geometry):
     rng = np.random.default_rng(64)
     k, m = 70, 4
     cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)))
     csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
     others = rng.choice(63, size=6, replace=False).tolist()
     active = sorted(others + [63, 64, 69])
     power = 40.0
 
     got = group(csi, subbands, active, power)
-    want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, power)
+    want, want_bps = sequential_form_groups(csi, subbands, active, TABLE, 1.0, power)
     assert got.best_bytes_per_slot == want_bps
     assert {63, 64, 69} <= {ms for g in got.groups() for ms in g.members}
     for groups, ref in zip(got.per_subband, want, strict=True):
@@ -658,7 +654,7 @@ def test_ms_ids_beyond_64_bits(geometry):
         for g, (_, _, entries, _) in zip(groups, ref):
             assert all(mcs is r for mcs, r in zip(g.mcs, entries, strict=True))
 
-    links = link_evaluators(csi, subbands, TABLE, power)
+    links = link_evaluators(csi, subbands, TABLE, 1.0, power)
     form_groups(links, subbands, active)
     second = sorted(others[:3] + [64, 65, 66, 69])
     assert_same_grouping(form_groups(links, subbands, second),
@@ -758,10 +754,10 @@ def test_search_loop_matches_lockstep_oracle(max_groups):
     k, m = 13, 8
     cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for trial in range(4):
-        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+        csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)))
         csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
         power = float(rng.uniform(20.0, 200.0))
-        links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, power) for _ in range(2))
+        links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, 1.0, power) for _ in range(2))
         actives = []
         for _ in range(3):  # a drop's frames: the active set changes, the links stay
             active = sorted(rng.choice(k, size=int(rng.integers(2, k + 1)),
@@ -781,10 +777,10 @@ def test_search_loop_scores_no_pair_of_an_infeasible_ms():
     rng = np.random.default_rng(11)
     k, m = 9, 4
     cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)), noise=1.0)
+    csi = make_csi(3.0 * (cn(k, 1, m) + 0.3 * cn(k, 24, m)))
     csi.pathloss_db[:] = rng.uniform(-6.0, 6.0, size=k)
     csi.pathloss_db[:2] = 60.0
-    links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, 50.0) for _ in range(2))
+    links, oracle = (link_evaluators(csi, bands(24, 3), TABLE, 1.0, 50.0) for _ in range(2))
     actives = [list(range(k)), [0, 1, 4, 6, 7]]
     for active in actives:
         got = form_groups(links, bands(24, 3), active)
@@ -819,14 +815,14 @@ def test_search_loop_batches_by_trial_size(monkeypatch):
     # subband, and its second every subband's feasible pairs.
     cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_subbands=6,
                                     frames_per_drop=1)
-    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    (csi, subbands, table, noise, power), active = drop_inputs(monkeypatch, cfg)
     batches = batch_spy(monkeypatch)
-    links = link_evaluators(csi, subbands, table, power)
+    links = link_evaluators(csi, subbands, table, noise, power)
     got = form_groups(links, subbands, active)
     ours = batches[:]
     batches.clear()
-    assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
-                                                   subbands, active))
+    assert_same_grouping(got, lockstep_form_groups(
+        link_evaluators(csi, subbands, table, noise, power), subbands, active))
     assert all({bits.bit_count() for _, bits in keys} == {g} for _, keys, g in ours)
     scored = [key for _, keys, _ in ours for key in keys]
     pairs = {(j, p) for ev in links for j in ev.cache for p in feasible_pairs(ev, j, active)}
@@ -849,15 +845,15 @@ def test_two_antennas_two_batches_per_evaluator(monkeypatch, num_subbands):
     # read only cached scores; the groups are the lockstep loop's
     cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=2,
                                     num_subbands=num_subbands, frames_per_drop=1)
-    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
+    (csi, subbands, table, noise, power), active = drop_inputs(monkeypatch, cfg)
     batches = batch_spy(monkeypatch)
-    links = link_evaluators(csi, subbands, table, power)
+    links = link_evaluators(csi, subbands, table, noise, power)
     got = form_groups(links, subbands, active)
     assert [(owner, g) for owner, _, g in batches] == [(ev, g) for ev in links for g in (1, 2)]
     assert any(len(g.members) == 2 for g in got.groups())
     batches.clear()
-    assert_same_grouping(got, lockstep_form_groups(link_evaluators(csi, subbands, table, power),
-                                                   subbands, active))
+    assert_same_grouping(got, lockstep_form_groups(
+        link_evaluators(csi, subbands, table, noise, power), subbands, active))
 
 
 # ---------------------------------------------------------------- per-call CSI budget
@@ -869,8 +865,8 @@ def thirty_six_users(monkeypatch):
     (subbands, active) arguments of its first form_groups call."""
     cfg = experiment.ScenarioConfig(bandwidth_mhz=20.0, num_antennas=8, num_ms=36,
                                     num_subbands=1, frames_per_drop=1)
-    (csi, subbands, table, power), active = drop_inputs(monkeypatch, cfg)
-    return link_evaluators(csi, subbands, table, power), subbands, active
+    (csi, subbands, table, noise, power), active = drop_inputs(monkeypatch, cfg)
+    return link_evaluators(csi, subbands, table, noise, power), subbands, active
 
 
 def test_chunked_calls_keep_every_entry(monkeypatch):
